@@ -5,10 +5,15 @@ grid, synthetic panels are refitted with the factors and basis held fixed,
 and pointwise quantile bands are read off the refitted loading fields.  Each
 draw owns an RNG derived from (seed, draw index), so results do not depend
 on execution order and any draw can be reproduced in isolation.
+
+With the factors fixed every draw is the same linear map of its panel, so
+one design, factored once, serves all draws.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -16,7 +21,16 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .factors import FactorEstimate, Panel, make_panel, nonstationary_factors, pca_factors
-from .gls import common_component, fit_iterative
+from .gls import (
+    _check_iteration,
+    _check_weight,
+    build_design,
+    common_component,
+    fit_iterative,
+    loadings_from_coeffs,
+    regularize_covariance,
+    residual_cov,
+)
 from .wavelet import WaveletBasis
 
 __all__ = ["BandSet", "residual_bootstrap", "write_bands_csv", "write_plot_csv"]
@@ -33,19 +47,51 @@ class BandSet:
     failed: tuple[tuple[int, str], ...] = ()
 
 
-def _one_draw(b, seed, E, X_hat, panel, factors, basis, delta, max_iter, refit_factors):
+def _one_draw(b, seed, E, X_hat, panel, factors, basis, design, delta, max_iter):
+    """Loading field refitted to bootstrap panel b.
+
+    ``design`` is None when the factors are re-extracted from every draw.
+    """
     rng = np.random.default_rng([seed, b])
     idx = rng.integers(0, E.shape[0], size=E.shape[0])
-    Y_star = X_hat + E[idx]
-    panel_star = make_panel(Y_star, panel.series_ids)
-    f_star = factors
-    if refit_factors:
+    panel_star = make_panel(X_hat + E[idx], panel.series_ids)
+    if design is None:
         if factors.method == "pca":
             f_star = pca_factors(panel_star, factors.r)
         else:
             f_star = nonstationary_factors(panel_star, factors.r, **factors.params)
-    fit_star = fit_iterative(panel_star, f_star, basis, delta=delta, max_iter=max_iter)
-    return fit_star.Lambda
+        return fit_iterative(panel_star, f_star, basis, delta=delta, max_iter=max_iter).Lambda
+    # fit_iterative with the design fixed: its second solve repeats the first
+    # bit for bit, so one solve stands for both, while the regularized residual
+    # covariance still has to pass as the weight of that second solve.
+    Lambda = loadings_from_coeffs(design.solve(panel_star.values), basis)
+    gamma = regularize_covariance(
+        residual_cov(panel_star, Lambda, factors), force_shrink=panel.T < panel.N
+    )
+    if max_iter > 1:
+        _check_weight(gamma, panel.N)
+    return Lambda
+
+
+def _sorted_quantile(rows: np.ndarray, q: float) -> np.ndarray:
+    """Quantile q of every row of an ascending-sorted 2-d array.
+
+    Bit for bit ``np.quantile(rows, q, axis=1, method="linear")``: the same
+    virtual index, neighbours and lerp, with numpy's clamp to the last order
+    statistic.
+    """
+    n = rows.shape[1]
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        lo = hi = n - 1
+        t = virtual + 1.0
+    else:
+        lo = math.floor(virtual)
+        hi = lo + 1
+        t = virtual - lo
+    a, b = rows[:, lo], rows[:, hi]
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
 
 def residual_bootstrap(
@@ -83,10 +129,11 @@ def residual_bootstrap(
         Experimental: re-extract factors from every synthetic panel with the
         original method.  Off by default.
     delta, max_iter :
-        Passed through to the refit.
+        The refit's iteration settings, validated as ``fit_iterative`` does.
     n_threads : int
-        Draws run in a thread pool when > 1; results are identical to the
-        serial order because of per-draw seeding.
+        With ``refit_factors``, draws run in a thread pool when > 1; results
+        are identical to the serial order because of per-draw seeding.
+        Fixed-factor draws run serially through one factorization.
 
     Returns
     -------
@@ -101,40 +148,45 @@ def residual_bootstrap(
         raise ParameterError(f"need at least one draw, got B={B}")
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
+    _check_iteration(delta, max_iter)
     X_hat = common_component(fit.Lambda, factors)
     E = panel.values - X_hat
 
     args = dict(
         seed=seed, E=E, X_hat=X_hat, panel=panel, factors=factors, basis=basis,
-        delta=delta, max_iter=max_iter, refit_factors=refit_factors,
+        design=None if refit_factors else build_design(factors, basis),
+        delta=delta, max_iter=max_iter,
     )
-    draws: list[np.ndarray | None] = [None] * B
-    failed: list[tuple[int, str]] = []
-    if n_threads > 1:
+    if refit_factors and n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = {pool.submit(_one_draw, b + 1, **args): b for b in range(B)}
-            for fut, b in futures.items():
-                try:
-                    draws[b] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - failures are data here
-                    failed.append((b + 1, repr(exc)))
+            futures = [pool.submit(_one_draw, b, **args) for b in range(1, B + 1)]
+        runs = [fut.result for fut in futures]
     else:
-        for b in range(B):
-            try:
-                draws[b] = _one_draw(b + 1, **args)
-            except Exception as exc:  # noqa: BLE001
-                failed.append((b + 1, repr(exc)))
-    good = [d for d in draws if d is not None]
-    if len(failed) > 0.1 * B or not good:
+        runs = [functools.partial(_one_draw, b, **args) for b in range(1, B + 1)]
+
+    # Curve-major: row k holds every draw of one loading value, so the sort
+    # for the quantiles runs along contiguous rows.
+    draws = np.empty((fit.Lambda.size, B))
+    kept = 0
+    failed: list[tuple[int, str]] = []
+    for b, run in enumerate(runs, start=1):
+        try:
+            Lambda = run()
+        except Exception as exc:  # noqa: BLE001 - failures are data here
+            failed.append((b, repr(exc)))
+            continue
+        draws[:, kept] = Lambda.ravel()
+        kept += 1
+    if len(failed) > 0.1 * B or kept == 0:
         raise NumericError(
             f"{len(failed)} of {B} bootstrap draws failed; first: "
             f"{failed[0] if failed else 'none'}"
         )
-    stack = np.stack(good, axis=0)
-    lo, hi = np.quantile(
-        stack, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=0, method="linear"
-    )
-    return BandSet(level=level, lower=lo, upper=hi, B=B, failed=tuple(sorted(failed)))
+    draws = draws[:, :kept]
+    draws.sort(axis=1)
+    lo = _sorted_quantile(draws, (1.0 - level) / 2.0).reshape(fit.Lambda.shape)
+    hi = _sorted_quantile(draws, (1.0 + level) / 2.0).reshape(fit.Lambda.shape)
+    return BandSet(level=level, lower=lo, upper=hi, B=B, failed=tuple(failed))
 
 
 def _fmt(v: float) -> str:

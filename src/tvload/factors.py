@@ -82,6 +82,11 @@ def make_panel(values, series_ids=None, standardized: bool = False,
             raise ShapeError(
                 f"{len(series_ids)} series ids for {N} columns"
             )
+        seen: set[str] = set()
+        for sid in series_ids:
+            if sid in seen:
+                raise ParameterError(f"duplicate series id {sid!r}")
+            seen.add(sid)
     return Panel(values=values, series_ids=series_ids, standardized=standardized,
                  means=None if means is None else np.asarray(means, float),
                  sds=None if sds is None else np.asarray(sds, float))

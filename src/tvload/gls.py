@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -43,11 +44,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DesignBlock:
-    """Stacked regression design: ``Psi[:, i*2^J:(i+1)*2^J]`` belongs to factor i."""
+    """Stacked regression design: ``Psi[:, i*2^J:(i+1)*2^J]`` belongs to factor i.
+
+    A design is also the loading solver for its factors and basis: the
+    Cholesky factor of Psi'Psi is computed at the first ``solve`` and kept,
+    so every further panel costs one product Psi'Y and one ``cho_solve``.
+    """
 
     Psi: np.ndarray
     r: int
     basis: WaveletBasis
+
+    @cached_property
+    def _gram_factor(self):
+        try:
+            return scipy.linalg.cho_factor(self.Psi.T @ self.Psi, lower=True)
+        except scipy.linalg.LinAlgError:
+            _report_rank_deficiency(self.Psi, self)
+            raise  # unreachable: the reporter always raises
+
+    def solve(self, Y: np.ndarray) -> np.ndarray:
+        """Per-series least-squares coefficients of a T x N panel, shape (N, r, 2^J)."""
+        X = scipy.linalg.cho_solve(self._gram_factor, self.Psi.T @ Y)  # (r*2^J) x N
+        return X.T.reshape(Y.shape[1], self.r, self.basis.n_columns)
 
 
 def build_design(factors: FactorEstimate, basis: WaveletBasis) -> DesignBlock:
@@ -98,18 +117,6 @@ def regularize_covariance(
     return G
 
 
-def _solve_normal_equations(Psi: np.ndarray, Y: np.ndarray, design: DesignBlock) -> np.ndarray:
-    """Solve (Psi'Psi) X = Psi'Y with a PD factorization; report rank problems."""
-    A = Psi.T @ Psi
-    rhs = Psi.T @ Y
-    try:
-        cf = scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError:
-        _report_rank_deficiency(Psi, design)
-        raise  # unreachable: the reporter always raises
-    return scipy.linalg.cho_solve(cf, rhs)
-
-
 def _report_rank_deficiency(Psi: np.ndarray, design: DesignBlock) -> None:
     _, R, piv = scipy.linalg.qr(Psi, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
@@ -127,6 +134,26 @@ def _report_rank_deficiency(Psi: np.ndarray, design: DesignBlock) -> None:
     )
 
 
+def _check_weight(gamma_e, N: int) -> None:
+    """Require an N x N symmetric positive definite GLS weight."""
+    gamma_e = np.asarray(gamma_e, dtype=float)
+    if gamma_e.shape != (N, N):
+        raise ShapeError(f"gamma_e must be {N}x{N}, got {gamma_e.shape}")
+    if not np.allclose(gamma_e, gamma_e.T, atol=1e-10):
+        raise ParameterError("gamma_e must be symmetric")
+    try:
+        scipy.linalg.cholesky(gamma_e, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericError("gamma_e is not positive definite") from exc
+
+
+def _check_iteration(delta: float, max_iter: int) -> None:
+    if delta <= 0:
+        raise ParameterError(f"delta must be positive, got {delta}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def gls_step(
     panel: Panel,
     design: DesignBlock,
@@ -137,8 +164,8 @@ def gls_step(
 
     The weight Gamma_e^-1 (x) I_T factorizes against the design I_N (x) Psi,
     so Theta' Sigma^-1 Theta = Gamma_e^-1 (x) (Psi'Psi) and the estimator
-    reduces to a single factorization of Psi'Psi applied series by series;
-    no NT-sized matrix is formed.  Passing ``sigma_full`` (an NT x NT
+    reduces to a single factorization of Psi'Psi applied series by series,
+    kept on ``design`` for later steps; no NT-sized matrix is formed.  Passing ``sigma_full`` (an NT x NT
     covariance, series-major ordering) bypasses the factorization and solves
     the dense normal equations instead.
 
@@ -161,15 +188,7 @@ def gls_step(
     Psi = design.Psi
     if Psi.shape[0] != T:
         raise ShapeError(f"design grid {Psi.shape[0]} does not match panel grid {T}")
-    gamma_e = np.asarray(gamma_e, dtype=float)
-    if gamma_e.shape != (N, N):
-        raise ShapeError(f"gamma_e must be {N}x{N}, got {gamma_e.shape}")
-    if not np.allclose(gamma_e, gamma_e.T, atol=1e-10):
-        raise ParameterError("gamma_e must be symmetric")
-    try:
-        scipy.linalg.cholesky(gamma_e, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError("gamma_e is not positive definite") from exc
+    _check_weight(gamma_e, N)
 
     p = design.basis.n_columns
     if sigma_full is not None:
@@ -183,8 +202,7 @@ def gls_step(
         b = si_theta.T @ z
         flat = scipy.linalg.solve(A, b, assume_a="pos")
         return flat.reshape(N, design.r, p)
-    X = _solve_normal_equations(Psi, Y, design)  # (r*2^J) x N
-    return X.T.reshape(N, design.r, p)
+    return design.solve(Y)
 
 
 def loadings_from_coeffs(beta: np.ndarray, basis: WaveletBasis) -> np.ndarray:
@@ -194,7 +212,8 @@ def loadings_from_coeffs(beta: np.ndarray, basis: WaveletBasis) -> np.ndarray:
         raise ShapeError(
             f"beta must be (N, r, {basis.n_columns}), got {beta.shape}"
         )
-    return np.einsum("tc,mnc->tmn", basis.B, beta)
+    T, p = basis.B.shape
+    return (basis.B @ beta.reshape(-1, p).T).reshape(T, beta.shape[0], beta.shape[1])
 
 
 def common_component(Lambda: np.ndarray, factors: FactorEstimate | np.ndarray) -> np.ndarray:
@@ -263,10 +282,7 @@ def fit_iterative(
         ``converged`` is False when max_iter is exhausted (recorded, not
         raised).
     """
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    _check_iteration(delta, max_iter)
     design = build_design(factors, basis)
     N = panel.N
     gamma = np.eye(N)

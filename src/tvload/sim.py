@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.signal
 
 from .errors import NumericError, ParameterError, RegistryError, ShapeError
 from .factors import (
@@ -297,6 +296,8 @@ def simulate_dgp(config: DgpConfig) -> SimulatedDataset:
     for i, child in enumerate(fac_ss.spawn(r)):
         rng = np.random.default_rng(child)
         if theta[i] < 1.0:
+            import scipy.signal  # deferred: it is most of the package's import time
+
             innov = rng.normal(0.0, sds[i], size=T + _BURN_IN)
             path = scipy.signal.lfilter([1.0], [1.0, -theta[i]], innov)
             F[:, i] = path[_BURN_IN:]

@@ -291,6 +291,8 @@ def evaluate_basis(
     Returns
     -------
     WaveletBasis
+        Cached: repeated calls with the same arguments return the same
+        object, whose matrix ``B`` is read-only.
     """
     fam = _as_family(family)
     if J < 0:
@@ -299,6 +301,12 @@ def evaluate_basis(
         raise ParameterError(f"grid length must be positive, got T={T}")
     if 2**J > T:
         raise ParameterError(f"basis has more columns than grid points: 2^{J} > {T}")
+    return _cached_basis(fam, J, T, table_levels)
+
+
+@lru_cache(maxsize=16)
+def _cached_basis(fam: WaveletFamily, J: int, T: int, table_levels: int) -> WaveletBasis:
+    """Build a basis once per argument tuple; its matrix is read-only because it is shared."""
     u = np.arange(1, T + 1, dtype=float) / T
     index: list[tuple[int, int]] = [(-1, 0)]
     cols = []
@@ -315,6 +323,7 @@ def evaluate_basis(
                 cols.append(_d8_periodic_column(j, k, u, table_levels))
                 index.append((j, k))
     B = np.column_stack(cols)
+    B.setflags(write=False)
     return WaveletBasis(family=fam, J=J, T=T, B=B, column_index=tuple(index))
 
 

@@ -8,7 +8,7 @@ import tvload.bootstrap as bt
 from tvload.bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
 from tvload.errors import NumericError, ParameterError
 from tvload.factors import FactorEstimate, make_panel
-from tvload.gls import fit_iterative, loadings_from_coeffs
+from tvload.gls import common_component, fit_iterative, loadings_from_coeffs
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis, select_resolution
 
@@ -18,9 +18,9 @@ def _true_factor_estimate(F):
                           r=F.shape[1])
 
 
-def _noisy_fit(seed, T=64, N=5, r=1, J=3, noise=1.0):
+def _noisy_fit(seed, T=64, N=5, r=1, J=3, noise=1.0, family="haar"):
     rng = np.random.default_rng(seed)
-    basis = evaluate_basis("haar", J, T)
+    basis = evaluate_basis(family, J, T)
     F = rng.normal(size=(T, r))
     beta = rng.normal(size=(N, r, 2**J))
     Lambda = loadings_from_coeffs(beta, basis)
@@ -28,6 +28,24 @@ def _noisy_fit(seed, T=64, N=5, r=1, J=3, noise=1.0):
     panel = make_panel(Y)
     fac = _true_factor_estimate(F)
     return panel, fac, basis, fit_iterative(panel, fac, basis)
+
+
+def _reference_bands(panel, fit, fac, basis, B, level, seed, skip=()):
+    """The per-draw rule, one full refit each: resample whole residual rows
+    with the draw's own RNG, refit with fit_iterative, stack, np.quantile."""
+    X_hat = common_component(fit.Lambda, fac)
+    E = panel.values - X_hat
+    draws = []
+    for b in range(1, B + 1):
+        if b in skip:
+            continue
+        rng = np.random.default_rng([seed, b])
+        idx = rng.integers(0, E.shape[0], size=E.shape[0])
+        star = make_panel(X_hat + E[idx], panel.series_ids)
+        draws.append(fit_iterative(star, fac, basis).Lambda)
+    stack = np.stack(draws, axis=0)
+    return np.quantile(stack, [(1.0 - level) / 2.0, (1.0 + level) / 2.0],
+                       axis=0, method="linear")
 
 
 # ---------------------------------------------------------------- degenerate
@@ -77,6 +95,56 @@ def test_refit_factors_flag_changes_the_draws():
     refit = residual_bootstrap(panel, fit, fac, basis, B=10, seed=3,
                                refit_factors=True)
     assert not np.array_equal(fixed.lower, refit.lower)
+
+
+# ---------------------------------------------------------------- fixed-factor path
+
+
+@pytest.mark.parametrize("family, T, N, r, J", [
+    ("haar", 64, 5, 2, 3),
+    ("d8", 64, 5, 2, 3),
+    ("haar", 16, 24, 1, 2),  # T < N: the residual covariance is force-shrunk
+])
+def test_fixed_factor_bands_match_the_per_draw_refits(family, T, N, r, J):
+    panel, fac, basis, fit = _noisy_fit(10, T=T, N=N, r=r, J=J, family=family)
+    bands = residual_bootstrap(panel, fit, fac, basis, B=30, level=0.9, seed=4)
+    lo, hi = _reference_bands(panel, fit, fac, basis, B=30, level=0.9, seed=4)
+    tol = 1e-12 * np.max(np.abs(fit.Lambda))
+    assert np.max(np.abs(bands.lower - lo)) <= tol
+    assert np.max(np.abs(bands.upper - hi)) <= tol
+
+
+def test_fixed_factor_bands_leave_out_failed_draws(monkeypatch):
+    panel, fac, basis, fit = _noisy_fit(11)
+    real = bt._one_draw
+
+    def flaky(b, **kwargs):
+        if b in (3, 7):
+            raise RuntimeError("draw exploded")
+        return real(b, **kwargs)
+
+    monkeypatch.setattr(bt, "_one_draw", flaky)
+    bands = residual_bootstrap(panel, fit, fac, basis, B=40, level=0.95, seed=6)
+    assert [b for b, _ in bands.failed] == [3, 7]
+    lo, hi = _reference_bands(panel, fit, fac, basis, B=40, level=0.95, seed=6,
+                              skip=(3, 7))
+    tol = 1e-12 * np.max(np.abs(fit.Lambda))
+    assert np.max(np.abs(bands.lower - lo)) <= tol
+    assert np.max(np.abs(bands.upper - hi)) <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 200])
+def test_sorted_quantile_is_numpys_linear_quantile(n):
+    rng = np.random.default_rng(n)
+    tied = rng.integers(-2, 3, size=(30, n)) * 0.5  # few distinct values
+    smooth = rng.normal(size=(30, n))
+    rows = np.vstack([tied, smooth])
+    ordered = np.sort(rows, axis=1)
+    for level in (0.5, 0.9, 0.95, 0.99):
+        for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0):
+            expected = np.quantile(rows, q, axis=1, method="linear")
+            got = bt._sorted_quantile(ordered, q)
+            assert got.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- failure handling

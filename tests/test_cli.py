@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvload
 from tvload.cli import _resolve_threads, _reload_estimate, main
 from tvload.errors import ParameterError
 from tvload.factors import make_panel, pca_factors, read_panel_csv, standardize, write_panel_csv
@@ -44,6 +49,14 @@ def test_resolve_threads(monkeypatch):
     monkeypatch.setenv("TVLOAD_THREADS", "lots")
     with pytest.raises(ParameterError):
         _resolve_threads(None)
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    src = str(Path(tvload.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, tvload.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 def test_version_flag(capsys):
@@ -184,6 +197,16 @@ def test_nonexistent_input_names_the_path(capsys):
     rec = _err(capsys)
     assert rec["error"] == "MissingDataError"
     assert "/no/such/panel.csv" in rec["message"]
+
+
+def test_duplicate_series_ids_are_reported(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("t,a,a\n" + "".join(f"{t},{t % 3}.5,{t % 5}.25\n" for t in range(1, 17)))
+    assert main(["estimate", "--input", str(path), "--output-dir",
+                 str(tmp_path / "est"), "--r", "1", "--J", "2"]) == 1
+    rec = _err(capsys)
+    assert rec["error"] == "ParameterError"
+    assert "duplicate series id 'a'" in rec["message"]
 
 
 def test_invalid_level_is_reported(tmp_path, panel_csv, capsys):

@@ -63,6 +63,13 @@ def test_panel_csv_round_trip(tmp_path):
     assert np.array_equal(q.values, p.values)  # .17g is lossless for float64
 
 
+def test_read_panel_csv_rejects_duplicate_series_ids(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("t,a,b,a\n1,1.0,2.0,3.0\n2,4.0,5.0,6.0\n")
+    with pytest.raises(ParameterError, match="duplicate series id 'a'"):
+        read_panel_csv(path)
+
+
 def test_read_panel_csv_reports_missing_cells(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,a,b\n1,1.0,2.0\n2,,3.0\n3,4.0,oops\n")

@@ -272,3 +272,11 @@ def test_basis_csv_dump_round_trips(tmp_path):
     row = lines[5].split(",")
     assert int(row[0]) == 5
     assert float(row[3]) == b.B[4, 1]  # full-precision round trip
+
+
+def test_basis_is_cached_and_read_only():
+    basis = evaluate_basis("d8", 3, 64)
+    assert evaluate_basis(WaveletFamily.DAUBECHIES8, 3, 64) is basis
+    assert evaluate_basis("haar", 3, 64) is not basis
+    with pytest.raises(ValueError):
+        basis.B[0, 0] = 1.0

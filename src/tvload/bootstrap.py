@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,16 +22,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .factors import FactorEstimate, Panel, make_panel, nonstationary_factors, pca_factors
-from .gls import (
-    _check_iteration,
-    _check_weight,
-    build_design,
-    common_component,
-    fit_iterative,
-    loadings_from_coeffs,
-    regularize_covariance,
-    residual_cov,
-)
+from .gls import build_design, common_component, fit_iterative
 from .wavelet import WaveletBasis
 
 __all__ = ["BandSet", "residual_bootstrap", "write_bands_csv", "write_plot_csv"]
@@ -55,22 +47,24 @@ def _one_draw(b, seed, E, X_hat, panel, factors, basis, design, delta, max_iter)
     rng = np.random.default_rng([seed, b])
     idx = rng.integers(0, E.shape[0], size=E.shape[0])
     panel_star = make_panel(X_hat + E[idx], panel.series_ids)
+    f_star = factors
     if design is None:
         if factors.method == "pca":
             f_star = pca_factors(panel_star, factors.r)
         else:
             f_star = nonstationary_factors(panel_star, factors.r, **factors.params)
-        return fit_iterative(panel_star, f_star, basis, delta=delta, max_iter=max_iter).Lambda
-    # fit_iterative with the design fixed: its second solve repeats the first
-    # bit for bit, so one solve stands for both, while the regularized residual
-    # covariance still has to pass as the weight of that second solve.
-    Lambda = loadings_from_coeffs(design.solve(panel_star.values), basis)
-    gamma = regularize_covariance(
-        residual_cov(panel_star, Lambda, factors), force_shrink=panel.T < panel.N
+    fit_star = fit_iterative(
+        panel_star, f_star, basis, delta=delta, max_iter=max_iter, design=design
     )
-    if max_iter > 1:
-        _check_weight(gamma, panel.N)
-    return Lambda
+    return fit_star.Lambda
+
+
+def _outcome(b, **args):
+    """Draw b's loading field, or the exception that ended it."""
+    try:
+        return _one_draw(b, **args)
+    except Exception as exc:  # noqa: BLE001 - failures are data here
+        return exc
 
 
 def _sorted_quantile(rows: np.ndarray, q: float) -> np.ndarray:
@@ -129,11 +123,10 @@ def residual_bootstrap(
         Experimental: re-extract factors from every synthetic panel with the
         original method.  Off by default.
     delta, max_iter :
-        The refit's iteration settings, validated as ``fit_iterative`` does.
+        Passed through to the refit.
     n_threads : int
-        With ``refit_factors``, draws run in a thread pool when > 1; results
-        are identical to the serial order because of per-draw seeding.
-        Fixed-factor draws run serially through one factorization.
+        Draws run in a thread pool when > 1; results are identical to the
+        serial order because of per-draw seeding.
 
     Returns
     -------
@@ -148,35 +141,30 @@ def residual_bootstrap(
         raise ParameterError(f"need at least one draw, got B={B}")
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
-    _check_iteration(delta, max_iter)
     X_hat = common_component(fit.Lambda, factors)
     E = panel.values - X_hat
 
-    args = dict(
-        seed=seed, E=E, X_hat=X_hat, panel=panel, factors=factors, basis=basis,
+    draw = functools.partial(
+        _outcome, seed=seed, E=E, X_hat=X_hat, panel=panel, factors=factors, basis=basis,
         design=None if refit_factors else build_design(factors, basis),
         delta=delta, max_iter=max_iter,
     )
-    if refit_factors and n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [pool.submit(_one_draw, b, **args) for b in range(1, B + 1)]
-        runs = [fut.result for fut in futures]
-    else:
-        runs = [functools.partial(_one_draw, b, **args) for b in range(1, B + 1)]
-
     # Curve-major: row k holds every draw of one loading value, so the sort
     # for the quantiles runs along contiguous rows.
     draws = np.empty((fit.Lambda.size, B))
     kept = 0
     failed: list[tuple[int, str]] = []
-    for b, run in enumerate(runs, start=1):
-        try:
-            Lambda = run()
-        except Exception as exc:  # noqa: BLE001 - failures are data here
-            failed.append((b, repr(exc)))
-            continue
-        draws[:, kept] = Lambda.ravel()
-        kept += 1
+    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
+    with pool or nullcontext():
+        # Executor.map yields in submission order and releases each result
+        # as it goes, so finished draws do not pile up beside the buffer.
+        outcomes = pool.map(draw, range(1, B + 1)) if pool else map(draw, range(1, B + 1))
+        for b, outcome in enumerate(outcomes, start=1):
+            if isinstance(outcome, Exception):
+                failed.append((b, repr(outcome)))
+            else:
+                draws[:, kept] = outcome.ravel()
+                kept += 1
     if len(failed) > 0.1 * B or kept == 0:
         raise NumericError(
             f"{len(failed)} of {B} bootstrap draws failed; first: "

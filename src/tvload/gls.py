@@ -134,26 +134,6 @@ def _report_rank_deficiency(Psi: np.ndarray, design: DesignBlock) -> None:
     )
 
 
-def _check_weight(gamma_e, N: int) -> None:
-    """Require an N x N symmetric positive definite GLS weight."""
-    gamma_e = np.asarray(gamma_e, dtype=float)
-    if gamma_e.shape != (N, N):
-        raise ShapeError(f"gamma_e must be {N}x{N}, got {gamma_e.shape}")
-    if not np.allclose(gamma_e, gamma_e.T, atol=1e-10):
-        raise ParameterError("gamma_e must be symmetric")
-    try:
-        scipy.linalg.cholesky(gamma_e, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError("gamma_e is not positive definite") from exc
-
-
-def _check_iteration(delta: float, max_iter: int) -> None:
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
-
-
 def gls_step(
     panel: Panel,
     design: DesignBlock,
@@ -165,9 +145,9 @@ def gls_step(
     The weight Gamma_e^-1 (x) I_T factorizes against the design I_N (x) Psi,
     so Theta' Sigma^-1 Theta = Gamma_e^-1 (x) (Psi'Psi) and the estimator
     reduces to a single factorization of Psi'Psi applied series by series,
-    kept on ``design`` for later steps; no NT-sized matrix is formed.  Passing ``sigma_full`` (an NT x NT
-    covariance, series-major ordering) bypasses the factorization and solves
-    the dense normal equations instead.
+    kept on ``design`` for later steps; no NT-sized matrix is formed.
+    Passing ``sigma_full`` (an NT x NT covariance, series-major ordering)
+    bypasses the factorization and solves the dense normal equations instead.
 
     Parameters
     ----------
@@ -188,7 +168,15 @@ def gls_step(
     Psi = design.Psi
     if Psi.shape[0] != T:
         raise ShapeError(f"design grid {Psi.shape[0]} does not match panel grid {T}")
-    _check_weight(gamma_e, N)
+    gamma_e = np.asarray(gamma_e, dtype=float)
+    if gamma_e.shape != (N, N):
+        raise ShapeError(f"gamma_e must be {N}x{N}, got {gamma_e.shape}")
+    if not np.allclose(gamma_e, gamma_e.T, atol=1e-10):
+        raise ParameterError("gamma_e must be symmetric")
+    try:
+        scipy.linalg.cholesky(gamma_e, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericError("gamma_e is not positive definite") from exc
 
     p = design.basis.n_columns
     if sigma_full is not None:
@@ -255,6 +243,7 @@ def fit_iterative(
     basis: WaveletBasis,
     delta: float = 1e-6,
     max_iter: int = 50,
+    design: DesignBlock | None = None,
 ) -> GlsFit:
     """Iterate GLS and residual-covariance estimation to a fixed point.
 
@@ -275,6 +264,9 @@ def fit_iterative(
         Convergence threshold, > 0.
     max_iter : int
         Maximum number of GLS solves, >= 1.
+    design : DesignBlock, optional
+        ``build_design(factors, basis)`` built beforehand, so that fits of
+        several panels on the same factors share one factorization.
 
     Returns
     -------
@@ -282,8 +274,12 @@ def fit_iterative(
         ``converged`` is False when max_iter is exhausted (recorded, not
         raised).
     """
-    _check_iteration(delta, max_iter)
-    design = build_design(factors, basis)
+    if delta <= 0:
+        raise ParameterError(f"delta must be positive, got {delta}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
+    if design is None:
+        design = build_design(factors, basis)
     N = panel.N
     gamma = np.eye(N)
     prev: np.ndarray | None = None

@@ -89,6 +89,16 @@ def test_thread_pool_matches_serial_execution():
     assert np.array_equal(serial.upper, pooled.upper)
 
 
+def test_thread_pool_matches_serial_execution_with_refit_factors():
+    panel, fac, basis, fit = _noisy_fit(3)
+    serial = residual_bootstrap(panel, fit, fac, basis, B=12, seed=5, n_threads=1,
+                                refit_factors=True)
+    pooled = residual_bootstrap(panel, fit, fac, basis, B=12, seed=5, n_threads=4,
+                                refit_factors=True)
+    assert np.array_equal(serial.lower, pooled.lower)
+    assert np.array_equal(serial.upper, pooled.upper)
+
+
 def test_refit_factors_flag_changes_the_draws():
     panel, fac, basis, fit = _noisy_fit(4)
     fixed = residual_bootstrap(panel, fit, fac, basis, B=10, seed=3)

@@ -212,6 +212,7 @@ def test_basis_evaluation_is_deterministic(family):
     a = evaluate_basis(family, 4, 96)
     wv._cascade_values.cache_clear()
     wv._d8_psi_values.cache_clear()
+    wv._cached_basis.cache_clear()
     b = evaluate_basis(family, 4, 96)
     assert np.array_equal(a.B, b.B)
 

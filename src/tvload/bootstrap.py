@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_table
 from .errors import NumericError, ParameterError
 from .factors import FactorEstimate, Panel, make_panel, nonstationary_factors, pca_factors
 from .gls import build_design, common_component, fit_iterative
@@ -177,32 +178,13 @@ def residual_bootstrap(
     return BandSet(level=level, lower=lo, upper=hi, B=B, failed=tuple(failed))
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_bands_csv(bands: BandSet, fit, panel: Panel, path) -> None:
     """Band table: t,series,factor,lower,point,upper,level."""
     T, N, r = fit.Lambda.shape
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,series,factor,lower,point,upper,level\n")
-        for t in range(T):
-            for m in range(N):
-                for i in range(r):
-                    fh.write(
-                        ",".join(
-                            [
-                                str(t + 1),
-                                panel.series_ids[m],
-                                str(i + 1),
-                                _fmt(bands.lower[t, m, i]),
-                                _fmt(fit.Lambda[t, m, i]),
-                                _fmt(bands.upper[t, m, i]),
-                                _fmt(bands.level),
-                            ]
-                        )
-                        + "\n"
-                    )
+    keys = [(sid, i + 1) for sid in panel.series_ids for i in range(r)]
+    values = np.stack([bands.lower, fit.Lambda, bands.upper], axis=-1).reshape(T, N * r, 3)
+    write_table(path, ["t", "series", "factor", "lower", "point", "upper", "level"],
+                values, keys, rows=range(1, T + 1), tail=[format(float(bands.level), ".17g")])
 
 
 def write_plot_csv(bands: BandSet, fit, panel: Panel, series: str, factor: int, path) -> None:
@@ -214,10 +196,6 @@ def write_plot_csv(bands: BandSet, fit, panel: Panel, series: str, factor: int, 
     i = factor - 1
     if not 0 <= i < fit.Lambda.shape[2]:
         raise ParameterError(f"factor index {factor} outside 1..{fit.Lambda.shape[2]}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,point,lower,upper\n")
-        for t in range(fit.Lambda.shape[0]):
-            fh.write(
-                f"{t + 1},{_fmt(fit.Lambda[t, m, i])},"
-                f"{_fmt(bands.lower[t, m, i])},{_fmt(bands.upper[t, m, i])}\n"
-            )
+    values = np.stack([fit.Lambda[:, m, i], bands.lower[:, m, i], bands.upper[:, m, i]], axis=-1)
+    write_table(path, ["t", "point", "lower", "upper"], values[:, None, :],
+                rows=range(1, len(values) + 1))

@@ -10,15 +10,16 @@ printed with 17 significant digits, which round-trips float64 losslessly;
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import __version__
+from ._table import write_table
 from .bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
 from .errors import MissingDataError, ParameterError, TvloadError
 from .factors import (
@@ -47,8 +48,6 @@ from .sim import (
     write_report_csv,
 )
 from .wavelet import evaluate_basis, select_resolution
-
-_G = ".17g"
 
 
 def _resolve_threads(value) -> int:
@@ -84,28 +83,16 @@ def _write_manifest(outdir, names) -> None:
 
 def _write_factors_csv(path, F) -> None:
     T, r = F.shape
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t," + ",".join(f"factor_{i}" for i in range(1, r + 1)) + "\n")
-        for t in range(T):
-            fh.write(str(t + 1) + "," + ",".join(format(v, _G) for v in F[t]) + "\n")
+    write_table(path, ["t", *(f"factor_{i}" for i in range(1, r + 1))], F[:, None, :],
+                rows=range(1, T + 1))
 
 
-def _read_factors_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            rows.append([float(x) for x in line.rstrip("\n").split(",")[1:]])
-    return np.array(rows)
-
-
-def _read_covariance_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            rows.append([float(x) for x in line.rstrip("\n").split(",")[1:]])
-    return np.array(rows)
+def _read_table_csv(path) -> np.ndarray:
+    """The numeric columns after the first of a headed CSV table."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return np.array([[float(x) for x in rec[1:]] for rec in reader])
 
 
 # ---------------------------------------------------------------- estimate
@@ -115,9 +102,7 @@ def cmd_estimate(args) -> int:
     threads = _resolve_threads(args.threads)
     outdir = args.output_dir or "tvload_estimate"
     os.makedirs(outdir, exist_ok=True)
-    t0 = time.perf_counter()
     panel = read_panel_csv(args.input)
-    t_read = time.perf_counter() - t0
 
     if args.nonstationary:
         work = scale_only(panel)
@@ -128,7 +113,6 @@ def cmd_estimate(args) -> int:
         standardization = "center-scale"
         method = "PCA"
 
-    t0 = time.perf_counter()
     r = args.r
     selection = None
     if r is None:
@@ -142,15 +126,11 @@ def cmd_estimate(args) -> int:
         est = nonstationary_factors(work, r, k=args.k, d=args.d, dprime=args.dprime)
     else:
         est = pca_factors(work, r)
-    t_extract = time.perf_counter() - t0
 
     J = args.J if args.J is not None else select_resolution(work.T)
     basis = evaluate_basis(args.family, J, work.T)
-    t0 = time.perf_counter()
     fit = fit_iterative(work, est, basis, delta=args.delta, max_iter=args.max_iter)
-    t_fit = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     _write_factors_csv(os.path.join(outdir, "factors.csv"), est.F)
     write_loadings_csv(fit, panel, os.path.join(outdir, "loadings.csv"))
     write_coefficients_csv(fit, panel, basis, os.path.join(outdir, "coefficients.csv"))
@@ -189,12 +169,6 @@ def cmd_estimate(args) -> int:
         "iterations": fit.n_iter,
         "deltas": [float(d) for d in fit.deltas],
         "converged": fit.converged,
-        "timings_seconds": {
-            "read": t_read,
-            "extract": t_extract,
-            "fit": t_fit,
-            "write": time.perf_counter() - t0,
-        },
     }
     _write_json(os.path.join(outdir, "report.json"), report)
     _write_manifest(
@@ -216,11 +190,9 @@ def cmd_select_r(args) -> int:
     r_max = args.r_max if args.r_max is not None else min(8, min(panel.T, panel.N) - 1)
     sel = select_num_factors(panel, r_max, first_difference_panel=args.first_difference)
 
-    with open(os.path.join(outdir, "ic_values.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("c,r,ic\n")
-        for ci, c in enumerate(sel.c_grid):
-            for r in range(sel.ic_full.shape[1]):
-                fh.write(f"{format(c, _G)},{r},{format(sel.ic_full[ci, r], _G)}\n")
+    write_table(os.path.join(outdir, "ic_values.csv"), ["c", "r", "ic"],
+                sel.ic_full[:, :, None], [(r,) for r in range(sel.ic_full.shape[1])],
+                rows=[format(c, ".17g") for c in sel.c_grid])
     report = {
         "command": "select-r",
         "version": __version__,
@@ -324,7 +296,7 @@ def _reload_estimate(run_dir):
     else:
         work = standardize(panel)
     basis = evaluate_basis(params["family"], params["J"], work.T)
-    F = _read_factors_csv(os.path.join(run_dir, "factors.csv"))
+    F = _read_table_csv(os.path.join(run_dir, "factors.csv"))
     est = FactorEstimate(
         F=F,
         eigenvalues=np.array(report["eigenvalues"]),
@@ -336,7 +308,7 @@ def _reload_estimate(run_dir):
     beta = read_coefficients_csv(
         os.path.join(run_dir, "coefficients.csv"), panel.series_ids, basis, params["r"]
     )
-    gamma = _read_covariance_csv(os.path.join(run_dir, "residual_covariance.csv"))
+    gamma = _read_table_csv(os.path.join(run_dir, "residual_covariance.csv"))
     fit = GlsFit(
         beta=beta,
         Lambda=loadings_from_coeffs(beta, basis),

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._table import write_table
 from .errors import (
     DegenerateSeriesError,
     MissingDataError,
@@ -137,12 +138,8 @@ def read_panel_csv(path) -> Panel:
 
 def write_panel_csv(panel: Panel, path) -> None:
     """Write a panel to CSV with an integer grid column."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["t", *panel.series_ids]) + "\n")
-        for t in range(panel.T):
-            cells = [str(t + 1)]
-            cells.extend(format(v, ".17g") for v in panel.values[t])
-            fh.write(",".join(cells) + "\n")
+    write_table(path, ["t", *panel.series_ids], panel.values[:, None, :],
+                rows=range(1, panel.T + 1))
 
 
 def standardize(panel: Panel) -> Panel:

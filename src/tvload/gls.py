@@ -14,6 +14,7 @@ one refit, which the fit loop records rather than hides.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,6 +22,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from ._table import write_table
 from .errors import NumericError, ParameterError, RankDeficiencyError, ShapeError
 from .factors import FactorEstimate, Panel
 from .wavelet import WaveletBasis
@@ -314,45 +316,29 @@ def fit_iterative(
 # ---------------------------------------------------------------- artifacts
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_loadings_csv(fit: GlsFit, panel: Panel, path) -> None:
     """Long-format loading field: t,series,factor,lambda_hat."""
     T, N, r = fit.Lambda.shape
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,series,factor,lambda_hat\n")
-        for t in range(T):
-            for m in range(N):
-                for i in range(r):
-                    fh.write(
-                        f"{t + 1},{panel.series_ids[m]},{i + 1},{_fmt(fit.Lambda[t, m, i])}\n"
-                    )
+    keys = [(sid, i + 1) for sid in panel.series_ids for i in range(r)]
+    write_table(path, ["t", "series", "factor", "lambda_hat"],
+                fit.Lambda.reshape(T, N * r, 1), keys, rows=range(1, T + 1))
 
 
 def write_coefficients_csv(fit: GlsFit, panel: Panel, basis: WaveletBasis, path) -> None:
     """Coefficient table: series,factor,level_j,shift_k,beta (scale row has level_j=-1)."""
     N, r, p = fit.beta.shape
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("series,factor,level_j,shift_k,beta\n")
-        for m in range(N):
-            for i in range(r):
-                for c, (j, k) in enumerate(basis.column_index):
-                    fh.write(
-                        f"{panel.series_ids[m]},{i + 1},{j},{k},{_fmt(fit.beta[m, i, c])}\n"
-                    )
+    keys = [(i + 1, j, k) for i in range(r) for (j, k) in basis.column_index]
+    write_table(path, ["series", "factor", "level_j", "shift_k", "beta"],
+                fit.beta.reshape(N, r * p, 1), keys, rows=panel.series_ids)
 
 
 def read_coefficients_csv(path, series_ids, basis: WaveletBasis, r: int) -> np.ndarray:
     """Inverse of ``write_coefficients_csv``; returns beta with shape (N, r, 2^J)."""
-    import csv as _csv
-
     pos = {sid: m for m, sid in enumerate(series_ids)}
     col = {jk: c for c, jk in enumerate(basis.column_index)}
     beta = np.full((len(series_ids), r, basis.n_columns), np.nan)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         for rec in reader:
             m = pos[rec["series"]]
             i = int(rec["factor"]) - 1
@@ -365,7 +351,5 @@ def read_coefficients_csv(path, series_ids, basis: WaveletBasis, r: int) -> np.n
 
 def write_covariance_csv(gamma: np.ndarray, series_ids, path) -> None:
     """Residual covariance as a labelled square table."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["series", *series_ids]) + "\n")
-        for m, sid in enumerate(series_ids):
-            fh.write(",".join([sid, *(_fmt(v) for v in gamma[m])]) + "\n")
+    write_table(path, ["series", *series_ids], np.asarray(gamma, dtype=float)[:, None, :],
+                rows=series_ids)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._table import write_table
 from .errors import NumericError, ParameterError, RegistryError, ShapeError
 from .factors import (
     make_panel,
@@ -276,6 +277,23 @@ class SimulatedDataset:
 _BURN_IN = 100
 
 
+def _ar1_path(innov: np.ndarray, theta: float) -> np.ndarray:
+    """The AR(1) path y[t] = innov[t] + theta * y[t-1] from rest.
+
+    Runs the float operations of ``scipy.signal.lfilter([1], [1, -theta], innov)``
+    (direct form II transposed), so the path matches it bit for bit, signed
+    zeros included, without importing ``scipy.signal``.
+    """
+    a1 = -theta
+    state = 0.0
+    path = []
+    for x in innov.tolist():
+        y = state + x
+        state = x * 0.0 - y * a1
+        path.append(y)
+    return np.array(path)
+
+
 def simulate_dgp(config: DgpConfig) -> SimulatedDataset:
     """Draw one panel: AR(1)/random-walk factors, smooth loadings, Gaussian noise.
 
@@ -296,11 +314,8 @@ def simulate_dgp(config: DgpConfig) -> SimulatedDataset:
     for i, child in enumerate(fac_ss.spawn(r)):
         rng = np.random.default_rng(child)
         if theta[i] < 1.0:
-            import scipy.signal  # deferred: it is most of the package's import time
-
             innov = rng.normal(0.0, sds[i], size=T + _BURN_IN)
-            path = scipy.signal.lfilter([1.0], [1.0, -theta[i]], innov)
-            F[:, i] = path[_BURN_IN:]
+            F[:, i] = _ar1_path(innov, theta[i])[_BURN_IN:]
         else:
             innov = rng.normal(0.0, sds[i], size=T)
             F[:, i] = np.cumsum(innov)
@@ -530,40 +545,22 @@ def _cov_label(config: DgpConfig) -> str:
     return label() if callable(label) else str(config.noise_cov)
 
 
+def _cell_key(rep: ExperimentReport) -> tuple:
+    return (rep.config.N, rep.config.T, _theta_label(rep.config), _cov_label(rep.config),
+            rep.family)
+
+
 def write_report_csv(reports: list[ExperimentReport], path) -> None:
     """One row per cell: N,T,theta,cov,family,r2,mse_m."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("N,T,theta,cov,family,r2,mse_m\n")
-        for rep in reports:
-            fh.write(
-                ",".join(
-                    [
-                        str(rep.config.N),
-                        str(rep.config.T),
-                        _theta_label(rep.config),
-                        _cov_label(rep.config),
-                        rep.family,
-                        format(rep.r2_mean, ".17g"),
-                        format(rep.mse_median, ".17g"),
-                    ]
-                )
-                + "\n"
-            )
+    values = np.array([(rep.r2_mean, rep.mse_median) for rep in reports], dtype=float)
+    write_table(path, ["N", "T", "theta", "cov", "family", "r2", "mse_m"],
+                values.reshape(1, -1, 2), [_cell_key(rep) for rep in reports])
 
 
 def write_detail_csv(reports: list[ExperimentReport], path) -> None:
     """One row per replication: cell identifiers plus (replication, r2, mse)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("N,T,theta,cov,family,replication,r2,mse\n")
-        for rep in reports:
-            head = [
-                str(rep.config.N),
-                str(rep.config.T),
-                _theta_label(rep.config),
-                _cov_label(rep.config),
-                rep.family,
-            ]
-            for rep_id, r2, mse in rep.replications:
-                fh.write(
-                    ",".join(head + [str(rep_id), format(r2, ".17g"), format(mse, ".17g")]) + "\n"
-                )
+    lines = [(_cell_key(rep) + (rep_id,), (r2, mse))
+             for rep in reports for rep_id, r2, mse in rep.replications]
+    values = np.array([v for _, v in lines], dtype=float).reshape(1, -1, 2)
+    write_table(path, ["N", "T", "theta", "cov", "family", "replication", "r2", "mse"],
+                values, [key for key, _ in lines])

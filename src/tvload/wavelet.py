@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._table import write_table
 from .errors import NumericError, ParameterError, ShapeError
 
 __all__ = [
@@ -373,14 +374,6 @@ def reconstruct(coeffs: CoefficientVector | np.ndarray, basis: WaveletBasis) -> 
 def write_basis_csv(basis: WaveletBasis, path) -> None:
     """Dump the basis matrix to CSV with header t,u,phi,psi_j_k,..."""
     names = ["t", "u", "phi"] + [f"psi_{j}_{k}" for (j, k) in basis.column_index[1:]]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        for t in range(basis.T):
-            row = [str(t + 1), _fmt((t + 1) / basis.T)]
-            row.extend(_fmt(v) for v in basis.B[t])
-            fh.write(",".join(row) + "\n")
-
-
-def _fmt(v: float) -> str:
-    """Render a float with enough digits to round-trip exactly."""
-    return format(float(v), ".17g")
+    u = np.arange(1, basis.T + 1) / basis.T
+    write_table(path, names, np.column_stack([u, basis.B])[:, None, :],
+                rows=range(1, basis.T + 1))

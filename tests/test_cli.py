@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end via ``main(argv)``."""
 
+import csv
 import hashlib
 import json
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tvload
 from tvload.cli import _resolve_threads, _reload_estimate, main
@@ -51,12 +54,19 @@ def test_resolve_threads(monkeypatch):
         _resolve_threads(None)
 
 
-def test_importing_the_cli_leaves_scipy_signal_unloaded():
+def test_importing_the_cli_leaves_scipy_signal_unloaded(tmp_path):
     src = str(Path(tvload.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, tvload.cli; sys.exit('scipy.signal' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    # nor does a simulate run whose factors are stationary AR(1) paths
+    argv = ["simulate", "--input", _grid(tmp_path), "--output-dir", str(tmp_path / "sim"),
+            "--reps", "2", "--threads", "1"]
+    code = ("import sys, tvload.cli; assert tvload.cli.main(sys.argv[1:]) == 0; "
+            "sys.exit(2 * ('scipy.signal' in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120)
+    assert run.returncode == 0
 
 
 def test_version_flag(capsys):
@@ -104,6 +114,17 @@ def test_estimate_roundtrip_is_bit_exact(tmp_path, panel_csv):
     assert np.array_equal(fit.beta, ref_fit.beta)
     assert np.array_equal(fit.Lambda, ref_fit.Lambda)
     assert np.array_equal(fit.Gamma_e, ref_fit.Gamma_e)
+
+
+def test_estimate_runs_are_byte_identical(tmp_path, panel_csv):
+    for out in ("e1", "e2"):
+        assert main(["estimate", "--input", panel_csv, "--output-dir", str(tmp_path / out),
+                     "--family", "d8"]) == 0
+    names = sorted(os.listdir(tmp_path / "e1"))
+    assert names == sorted(os.listdir(tmp_path / "e2"))
+    assert "report.json" in names and "manifest.json" in names
+    for name in names:
+        assert (tmp_path / "e1" / name).read_bytes() == (tmp_path / "e2" / name).read_bytes(), name
 
 
 def test_estimate_auto_selects_rank(tmp_path, panel_csv):
@@ -180,6 +201,43 @@ def test_bootstrap_consumes_an_estimate_run(tmp_path, panel_csv):
     # identical seeds give byte-identical band files
     assert (b1 / "bands.csv").read_bytes() == \
         (tmp_path / "b2" / "bands.csv").read_bytes()
+
+
+_ID_TEXT = st.text(alphabet='ab,"% ', min_size=1, max_size=5).filter(lambda s: s == s.strip())
+
+
+@settings(max_examples=15, deadline=None)
+@given(ids=st.lists(_ID_TEXT, min_size=2, max_size=3, unique=True))
+def test_series_ids_with_commas_and_quotes_round_trip(tmp_path_factory, ids):
+    tmp = tmp_path_factory.mktemp("ids")
+    ds = simulate_dgp(DgpConfig(N=len(ids), T=32, r=1, seed=4))
+    panel_csv = tmp / "panel.csv"
+    write_panel_csv(make_panel(ds.Y, ids), panel_csv)
+    panel = read_panel_csv(panel_csv)
+    assert panel.series_ids == tuple(ids)
+    assert np.array_equal(panel.values, ds.Y)
+
+    est = tmp / "est"
+    assert main(["estimate", "--input", str(panel_csv), "--output-dir", str(est),
+                 "--r", "1", "--J", "2"]) == 0
+    reloaded, work, basis, factors, fit, _ = _reload_estimate(str(est))
+    assert reloaded.series_ids == tuple(ids)
+    ref_est = pca_factors(work, 1)
+    ref = fit_iterative(work, ref_est, basis)
+    assert np.array_equal(factors.F, ref_est.F)
+    assert np.array_equal(fit.beta, ref.beta)
+    assert np.array_equal(fit.Gamma_e, ref.Gamma_e)
+    with open(est / "residual_covariance.csv", newline="", encoding="utf-8") as fh:
+        assert next(csv.reader(fh)) == ["series", *ids]
+
+    out = tmp / "boot"
+    assert main(["bootstrap", "--input", str(est), "--output-dir", str(out),
+                 "--B", "4", "--threads", "1"]) == 0
+    with open(out / "bands.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["series"] for row in rows] == list(ids) * 32
+    for sid in ids:
+        assert (out / f"plot_{sid}_factor1.csv").exists()
 
 
 # ---------------------------------------------------------------- failure records

@@ -173,6 +173,19 @@ def test_simulate_ar_factor_matches_theory():
     assert abs(f.var() / (0.81 / (1 - 0.64)) - 1.0) <= 0.15
 
 
+@pytest.mark.parametrize("theta", [0.0, -0.0, 1e-300, 0.3, 0.8, 0.999, 1.0 - 2.0**-52])
+def test_ar1_path_is_lfilter_bit_for_bit(theta):
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(int(theta * 1e6))
+    for n in (1, 2, 17, 612):
+        innov = rng.normal(0.0, 0.9, size=n)
+        innov[rng.integers(n, size=min(n, 3))] = rng.choice([0.0, -0.0], size=min(n, 3))
+        for x in (innov, innov * 1e-300, innov * 1e300):
+            want = lfilter([1.0], [1.0, -theta], x)
+            assert sim._ar1_path(x, theta).tobytes() == want.tobytes()
+
+
 def test_simulate_random_walk_variance_grows():
     # dispersion about the known start F_0 = 0: the late-window mean square
     # exceeds the early one for at least one of the walks in nearly every

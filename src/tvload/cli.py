@@ -33,6 +33,7 @@ from .factors import (
 )
 from .gls import (
     GlsFit,
+    build_design,
     fit_iterative,
     loadings_from_coeffs,
     read_coefficients_csv,
@@ -129,7 +130,9 @@ def cmd_estimate(args) -> int:
 
     J = args.J if args.J is not None else select_resolution(work.T)
     basis = evaluate_basis(args.family, J, work.T)
-    fit = fit_iterative(work, est, basis, delta=args.delta, max_iter=args.max_iter)
+    design = build_design(est, basis)
+    fit = fit_iterative(work, est, basis, delta=args.delta, max_iter=args.max_iter,
+                        design=design)
 
     _write_factors_csv(os.path.join(outdir, "factors.csv"), est.F)
     write_loadings_csv(fit, panel, os.path.join(outdir, "loadings.csv"))
@@ -166,6 +169,7 @@ def cmd_estimate(args) -> int:
         "standardization": standardization,
         "selection": selection,
         "eigenvalues": [float(v) for v in est.eigenvalues],
+        "design_gram_condition": design.gram_condition,
         "iterations": fit.n_iter,
         "deltas": [float(d) for d in fit.deltas],
         "converged": fit.converged,

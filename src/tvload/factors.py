@@ -87,6 +87,12 @@ def make_panel(values, series_ids=None, standardized: bool = False,
         for sid in series_ids:
             if sid in seen:
                 raise ParameterError(f"duplicate series id {sid!r}")
+            # a CSV header read strips ids, and bootstrap names a file after each id
+            if sid != sid.strip() or "/" in sid or "\0" in sid:
+                raise ParameterError(
+                    f"series id {sid!r} cannot round-trip: it has leading or trailing "
+                    "whitespace, '/' or NUL"
+                )
             seen.add(sid)
     return Panel(values=values, series_ids=series_ids, standardized=standardized,
                  means=None if means is None else np.asarray(means, float),

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from ._table import write_table
 from .errors import NumericError, ParameterError, RankDeficiencyError, ShapeError
@@ -48,9 +47,10 @@ __all__ = [
 class DesignBlock:
     """Stacked regression design: ``Psi[:, i*2^J:(i+1)*2^J]`` belongs to factor i.
 
-    A design is also the loading solver for its factors and basis: the
-    Cholesky factor of Psi'Psi is computed at the first ``solve`` and kept,
-    so every further panel costs one product Psi'Y and one ``cho_solve``.
+    A design is also the loading solver for its factors and basis.  The first
+    ``solve`` takes the Cholesky factor L of Psi'Psi and keeps its inverse, so
+    every panel costs one product Psi'Y and two triangular-matrix products;
+    ``gram_condition`` reads the conditioning of Psi'Psi off the same factor.
     """
 
     Psi: np.ndarray
@@ -58,17 +58,28 @@ class DesignBlock:
     basis: WaveletBasis
 
     @cached_property
-    def _gram_factor(self):
+    def _inverse_factor(self) -> np.ndarray:
+        gram = self.Psi.T @ self.Psi
+        if not np.isfinite(gram).all():
+            raise NumericError("design Gram matrix Psi'Psi has non-finite entries")
         try:
-            return scipy.linalg.cho_factor(self.Psi.T @ self.Psi, lower=True)
-        except scipy.linalg.LinAlgError:
+            L = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
             _report_rank_deficiency(self.Psi, self)
             raise  # unreachable: the reporter always raises
+        return np.linalg.inv(L)
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """Per-series least-squares coefficients of a T x N panel, shape (N, r, 2^J)."""
-        X = scipy.linalg.cho_solve(self._gram_factor, self.Psi.T @ Y)  # (r*2^J) x N
+        Linv = self._inverse_factor
+        X = Linv.T @ (Linv @ (self.Psi.T @ Y))  # (r*2^J) x N
         return X.T.reshape(Y.shape[1], self.r, self.basis.n_columns)
+
+    @property
+    def gram_condition(self) -> float:
+        """2-norm condition number of Psi'Psi, the squared one of its Cholesky factor."""
+        s = np.linalg.svd(self._inverse_factor, compute_uv=False)
+        return float((s[0] / s[-1]) ** 2)
 
 
 def build_design(factors: FactorEstimate, basis: WaveletBasis) -> DesignBlock:
@@ -120,6 +131,8 @@ def regularize_covariance(
 
 
 def _report_rank_deficiency(Psi: np.ndarray, design: DesignBlock) -> None:
+    import scipy.linalg  # only this error path needs the pivoted QR
+
     _, R, piv = scipy.linalg.qr(Psi, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     tol = diag.max() * max(Psi.shape) * np.finfo(float).eps if diag.size else 0.0
@@ -145,11 +158,14 @@ def gls_step(
     """One generalized least-squares solve of the stacked loading regression.
 
     The weight Gamma_e^-1 (x) I_T factorizes against the design I_N (x) Psi,
-    so Theta' Sigma^-1 Theta = Gamma_e^-1 (x) (Psi'Psi) and the estimator
-    reduces to a single factorization of Psi'Psi applied series by series,
-    kept on ``design`` for later steps; no NT-sized matrix is formed.
-    Passing ``sigma_full`` (an NT x NT covariance, series-major ordering)
-    bypasses the factorization and solves the dense normal equations instead.
+    so Theta' Sigma^-1 Theta = Gamma_e^-1 (x) (Psi'Psi) and Gamma_e cancels:
+    the estimator is per-series least squares, ``design.solve(Y)``, on the
+    Cholesky factor of Psi'Psi that ``design`` keeps for later steps; no
+    NT-sized matrix is formed.  Gamma_e is still validated: it must be
+    finite, symmetric and admit a Cholesky factorization.  Passing
+    ``sigma_full`` (an NT x NT covariance, series-major ordering) bypasses the
+    factorization and solves the dense normal equations with scipy instead;
+    it is an oracle for tests.
 
     Parameters
     ----------
@@ -173,11 +189,13 @@ def gls_step(
     gamma_e = np.asarray(gamma_e, dtype=float)
     if gamma_e.shape != (N, N):
         raise ShapeError(f"gamma_e must be {N}x{N}, got {gamma_e.shape}")
+    if not np.isfinite(gamma_e).all():
+        raise ParameterError("gamma_e must be finite")
     if not np.allclose(gamma_e, gamma_e.T, atol=1e-10):
         raise ParameterError("gamma_e must be symmetric")
     try:
-        scipy.linalg.cholesky(gamma_e, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(gamma_e)
+    except np.linalg.LinAlgError as exc:
         raise NumericError("gamma_e is not positive definite") from exc
 
     p = design.basis.n_columns
@@ -185,6 +203,8 @@ def gls_step(
         sigma_full = np.asarray(sigma_full, dtype=float)
         if sigma_full.shape != (N * T, N * T):
             raise ShapeError(f"sigma_full must be {N * T}x{N * T}, got {sigma_full.shape}")
+        import scipy.linalg  # the dense oracle is the only solve path that needs scipy
+
         theta = np.kron(np.eye(N), Psi)
         z = Y.T.ravel()
         si_theta = scipy.linalg.solve(sigma_full, theta, assume_a="pos")
@@ -213,7 +233,7 @@ def common_component(Lambda: np.ndarray, factors: FactorEstimate | np.ndarray) -
         raise ShapeError(
             f"loading field {Lambda.shape} incompatible with factors {F.shape}"
         )
-    return np.einsum("tmn,tn->tm", Lambda, F)
+    return np.matmul(Lambda, F[:, :, None])[:, :, 0]
 
 
 def residual_cov(panel: Panel, Lambda: np.ndarray, factors: FactorEstimate) -> np.ndarray:

@@ -17,7 +17,7 @@ import tvload
 from tvload.cli import _resolve_threads, _reload_estimate, main
 from tvload.errors import ParameterError
 from tvload.factors import make_panel, pca_factors, read_panel_csv, standardize, write_panel_csv
-from tvload.gls import fit_iterative
+from tvload.gls import build_design, fit_iterative
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis
 
@@ -54,18 +54,29 @@ def test_resolve_threads(monkeypatch):
         _resolve_threads(None)
 
 
-def test_importing_the_cli_leaves_scipy_signal_unloaded(tmp_path):
+def test_commands_leave_scipy_unloaded(tmp_path, panel_csv):
+    # scipy serves only the rank-deficiency report, the sigma_full oracle and tests
     src = str(Path(tvload.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, tvload.cli; sys.exit('scipy.signal' in sys.modules)"
+    scipy_loaded = "any(name.startswith('scipy') for name in sys.modules)"
+    code = f"import sys, tvload.cli; sys.exit({scipy_loaded})"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
-    # nor does a simulate run whose factors are stationary AR(1) paths
-    argv = ["simulate", "--input", _grid(tmp_path), "--output-dir", str(tmp_path / "sim"),
-            "--reps", "2", "--threads", "1"]
-    code = ("import sys, tvload.cli; assert tvload.cli.main(sys.argv[1:]) == 0; "
-            "sys.exit(2 * ('scipy.signal' in sys.modules))")
-    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=120)
+    est = str(tmp_path / "est")
+    runs = [
+        ["estimate", "--input", panel_csv, "--output-dir", est, "--r", "2", "--J", "3"],
+        ["select-r", "--input", panel_csv, "--output-dir", str(tmp_path / "sel"),
+         "--r-max", "3"],
+        ["bootstrap", "--input", est, "--output-dir", str(tmp_path / "boot"), "--B", "4",
+         "--threads", "1"],
+        ["simulate", "--input", _grid(tmp_path), "--output-dir", str(tmp_path / "sim"),
+         "--reps", "2", "--threads", "1"],
+    ]
+    code = ("import json, sys, tvload.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert tvload.cli.main(argv) == 0, argv\n"
+            f"sys.exit(2 * {scipy_loaded})")
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, timeout=300)
     assert run.returncode == 0
 
 
@@ -125,6 +136,16 @@ def test_estimate_runs_are_byte_identical(tmp_path, panel_csv):
     assert "report.json" in names and "manifest.json" in names
     for name in names:
         assert (tmp_path / "e1" / name).read_bytes() == (tmp_path / "e2" / name).read_bytes(), name
+
+
+def test_estimate_reports_the_conditioning_of_the_design(tmp_path, panel_csv):
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(out),
+                 "--r", "2", "--family", "d8"]) == 0
+    _, _, basis, est, _, report = _reload_estimate(str(out))
+    Psi = build_design(est, basis).Psi
+    cond = np.linalg.cond(Psi.T @ Psi)
+    assert abs(report["design_gram_condition"] - cond) <= 1e-8 * cond
 
 
 def test_estimate_auto_selects_rank(tmp_path, panel_csv):
@@ -265,6 +286,18 @@ def test_duplicate_series_ids_are_reported(tmp_path, capsys):
     rec = _err(capsys)
     assert rec["error"] == "ParameterError"
     assert "duplicate series id 'a'" in rec["message"]
+
+
+def test_series_ids_that_cannot_round_trip_are_reported(tmp_path, capsys):
+    path = tmp_path / "slash.csv"
+    path.write_text("t,a/b,c\n" + "".join(f"{t},{t % 3}.5,{t % 5}.25\n" for t in range(1, 17)))
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", str(path), "--output-dir", str(out),
+                 "--r", "1", "--J", "2"]) == 1
+    rec = _err(capsys)
+    assert rec["error"] == "ParameterError"
+    assert "series id 'a/b'" in rec["message"]
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_invalid_level_is_reported(tmp_path, panel_csv, capsys):

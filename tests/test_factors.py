@@ -1,5 +1,6 @@
 """Panel handling, principal-component and lag-covariance factor extraction."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,13 @@ def test_read_panel_csv_rejects_duplicate_series_ids(tmp_path):
     path.write_text("t,a,b,a\n1,1.0,2.0,3.0\n2,4.0,5.0,6.0\n")
     with pytest.raises(ParameterError, match="duplicate series id 'a'"):
         read_panel_csv(path)
+
+
+@pytest.mark.parametrize("bad", [" a", "a ", "a\t", "\na", "a/b", "/", "a\0b"])
+def test_make_panel_rejects_series_ids_that_cannot_round_trip(bad):
+    # a header read strips ids, and bootstrap writes plot_<id>_factor<k>.csv
+    with pytest.raises(ParameterError, match="series id " + re.escape(repr(bad))):
+        make_panel(np.ones((4, 2)), series_ids=("b", bad))
 
 
 def test_read_panel_csv_reports_missing_cells(tmp_path):

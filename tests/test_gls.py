@@ -25,7 +25,7 @@ from tvload.gls import (
     write_covariance_csv,
     write_loadings_csv,
 )
-from tvload.wavelet import evaluate_basis, reconstruct
+from tvload.wavelet import evaluate_basis, reconstruct, select_resolution
 
 
 def _factors(F):
@@ -167,6 +167,38 @@ def test_gls_reports_offending_columns_when_singular():
     assert "factor 2" in str(err.value)
 
 
+def test_design_solve_matches_lstsq_on_an_ill_conditioned_design():
+    rng = np.random.default_rng(12)
+    T, r, N = 2048, 3, 5
+    basis = evaluate_basis("d8", select_resolution(T), T)
+    d = build_design(_factors(np.cumsum(rng.normal(size=(T, r)), axis=0)), basis)
+    gram = d.Psi.T @ d.Psi
+    cond = np.linalg.cond(gram)
+    assert cond > 1e3  # random-walk factors
+    Y = d.Psi @ rng.normal(size=(d.Psi.shape[1], N)) + rng.normal(size=(T, N))
+    beta = d.solve(Y)
+    ref = np.linalg.lstsq(d.Psi, Y, rcond=None)[0].T.reshape(beta.shape)
+    assert np.linalg.norm(beta - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert abs(d.gram_condition - cond) <= 1e-8 * cond
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_design_is_rejected_before_factorization(monkeypatch, bad):
+    rng = np.random.default_rng(13)
+    F = rng.normal(size=(16, 2))
+    F[3, 1] = bad
+    d = build_design(_factors(F), evaluate_basis("haar", 2, 16))
+
+    def factorize(*args, **kwargs):
+        raise AssertionError("a non-finite Gram matrix reached the factorization")
+
+    monkeypatch.setattr(np.linalg, "cholesky", factorize)
+    with pytest.raises(NumericError, match="non-finite") as err:
+        d.solve(rng.normal(size=(16, 2)))
+    assert not isinstance(err.value, RankDeficiencyError)
+
+
 def test_gls_validates_gamma():
     rng = np.random.default_rng(9)
     basis, fac, _, _, panel = _random_instance(rng)
@@ -179,6 +211,8 @@ def test_gls_validates_gamma():
         gls_step(panel, d, bad)
     with pytest.raises(NumericError):
         gls_step(panel, d, -np.eye(panel.N))
+    with pytest.raises(ParameterError, match="finite"):
+        gls_step(panel, d, np.diag(np.full(panel.N, np.inf)))
 
 
 def test_rss_never_increases_with_resolution():

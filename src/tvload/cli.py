@@ -1,16 +1,19 @@
 """Command-line front end: estimate, select-r, simulate, bootstrap.
 
-Every command writes its artifacts into a flat output directory together with
-a JSON run report (all parameters and the seed, so the run is reproducible)
-and a manifest listing each artifact's SHA-256 hash.  Numeric output is
-printed with 17 significant digits, which round-trips float64 losslessly;
-``bootstrap`` rebuilds an estimate run from those files bit-exactly.
+Every command takes only the flags it reads.  Once its work has succeeded it
+writes its artifacts into a flat output directory together with a JSON run
+report (every parameter that can change an output, so the run is
+reproducible) and a manifest listing each artifact's SHA-256 hash.  Numeric
+output is printed with 17 significant digits, which round-trips float64
+losslessly; ``bootstrap`` rebuilds an estimate run from those files
+bit-exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -77,8 +80,15 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(outdir, names) -> None:
-    manifest = {"artifacts": {name: _sha256(os.path.join(outdir, name)) for name in sorted(names)}}
+def _write_run(outdir, report, artifacts) -> None:
+    """Create ``outdir``, then write each artifact (name -> writer of a path),
+    ``report.json`` and the manifest; a rejected run never gets this far."""
+    os.makedirs(outdir, exist_ok=True)
+    for name, write in artifacts.items():
+        write(os.path.join(outdir, name))
+    _write_json(os.path.join(outdir, "report.json"), report)
+    names = sorted([*artifacts, "report.json"])
+    manifest = {"artifacts": {name: _sha256(os.path.join(outdir, name)) for name in names}}
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
@@ -100,9 +110,6 @@ def _read_table_csv(path) -> np.ndarray:
 
 
 def cmd_estimate(args) -> int:
-    threads = _resolve_threads(args.threads)
-    outdir = args.output_dir or "tvload_estimate"
-    os.makedirs(outdir, exist_ok=True)
     panel = read_panel_csv(args.input)
 
     if args.nonstationary:
@@ -121,6 +128,9 @@ def cmd_estimate(args) -> int:
         sel = select_num_factors(
             panel, r_max, first_difference_panel=args.first_difference
         )
+        if sel.r == 0:
+            raise ParameterError(f"rank selection found no common factor (r_max={r_max}); "
+                                 "pass --r to fit a chosen number of factors")
         r = sel.r
         selection = {"r": sel.r, "r_max": r_max}
     if args.nonstationary:
@@ -134,12 +144,6 @@ def cmd_estimate(args) -> int:
     fit = fit_iterative(work, est, basis, delta=args.delta, max_iter=args.max_iter,
                         design=design)
 
-    _write_factors_csv(os.path.join(outdir, "factors.csv"), est.F)
-    write_loadings_csv(fit, panel, os.path.join(outdir, "loadings.csv"))
-    write_coefficients_csv(fit, panel, basis, os.path.join(outdir, "coefficients.csv"))
-    write_covariance_csv(
-        fit.Gamma_e, panel.series_ids, os.path.join(outdir, "residual_covariance.csv")
-    )
     report = {
         "command": "estimate",
         "version": __version__,
@@ -155,8 +159,6 @@ def cmd_estimate(args) -> int:
             "d": args.d,
             "dprime": args.dprime,
             "first_difference": bool(args.first_difference),
-            "seed": args.seed,
-            "threads": threads,
         },
         "input": {
             "path": os.path.abspath(args.input),
@@ -174,13 +176,15 @@ def cmd_estimate(args) -> int:
         "deltas": [float(d) for d in fit.deltas],
         "converged": fit.converged,
     }
-    _write_json(os.path.join(outdir, "report.json"), report)
-    _write_manifest(
-        outdir,
-        ["factors.csv", "loadings.csv", "coefficients.csv",
-         "residual_covariance.csv", "report.json"],
-    )
-    print(f"estimate: r={r} J={J} family={args.family} iterations={fit.n_iter} -> {outdir}")
+    _write_run(args.output_dir, report, {
+        "factors.csv": lambda path: _write_factors_csv(path, est.F),
+        "loadings.csv": lambda path: write_loadings_csv(fit, panel, path),
+        "coefficients.csv": lambda path: write_coefficients_csv(fit, panel, basis, path),
+        "residual_covariance.csv":
+            lambda path: write_covariance_csv(fit.Gamma_e, panel.series_ids, path),
+    })
+    print(f"estimate: r={r} J={J} family={args.family} iterations={fit.n_iter} "
+          f"-> {args.output_dir}")
     return 0
 
 
@@ -188,15 +192,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_select_r(args) -> int:
-    outdir = args.output_dir or "tvload_select_r"
-    os.makedirs(outdir, exist_ok=True)
     panel = read_panel_csv(args.input)
     r_max = args.r_max if args.r_max is not None else min(8, min(panel.T, panel.N) - 1)
     sel = select_num_factors(panel, r_max, first_difference_panel=args.first_difference)
 
-    write_table(os.path.join(outdir, "ic_values.csv"), ["c", "r", "ic"],
-                sel.ic_full[:, :, None], [(r,) for r in range(sel.ic_full.shape[1])],
-                rows=[format(c, ".17g") for c in sel.c_grid])
     report = {
         "command": "select-r",
         "version": __version__,
@@ -204,7 +203,6 @@ def cmd_select_r(args) -> int:
             "input": os.path.abspath(args.input),
             "r_max": int(r_max),
             "first_difference": bool(args.first_difference),
-            "seed": args.seed,
         },
         "input": {"path": os.path.abspath(args.input), "sha256": _sha256(args.input),
                   "T": panel.T, "N": panel.N},
@@ -217,9 +215,13 @@ def cmd_select_r(args) -> int:
             for lo, hi, rr, w in sel.intervals
         ],
     }
-    _write_json(os.path.join(outdir, "report.json"), report)
-    _write_manifest(outdir, ["ic_values.csv", "report.json"])
-    print(f"select-r: chosen r={sel.r} (r_max={r_max}) -> {outdir}")
+    _write_run(args.output_dir, report, {
+        "ic_values.csv": lambda path: write_table(
+            path, ["c", "r", "ic"], sel.ic_full[:, :, None],
+            [(r,) for r in range(sel.ic_full.shape[1])],
+            rows=[format(c, ".17g") for c in sel.c_grid]),
+    })
+    print(f"select-r: chosen r={sel.r} (r_max={r_max}) -> {args.output_dir}")
     return 0
 
 
@@ -228,8 +230,6 @@ def cmd_select_r(args) -> int:
 
 def cmd_simulate(args) -> int:
     threads = _resolve_threads(args.threads)
-    outdir = args.output_dir or "tvload_simulate"
-    os.makedirs(outdir, exist_ok=True)
     cells = read_grid_json(args.input) if args.input else default_grid()
     reports = []
     for cfg, family in cells:
@@ -240,8 +240,6 @@ def cmd_simulate(args) -> int:
                 n_threads=threads,
             )
         )
-    write_report_csv(reports, os.path.join(outdir, "report.csv"))
-    write_detail_csv(reports, os.path.join(outdir, "detail.csv"))
     report = {
         "command": "simulate",
         "version": __version__,
@@ -268,9 +266,11 @@ def cmd_simulate(args) -> int:
             for rep in reports
         ],
     }
-    _write_json(os.path.join(outdir, "report.json"), report)
-    _write_manifest(outdir, ["report.csv", "detail.csv", "report.json"])
-    print(f"simulate: {len(reports)} cells x {args.reps} reps -> {outdir}")
+    _write_run(args.output_dir, report, {
+        "report.csv": lambda path: write_report_csv(reports, path),
+        "detail.csv": lambda path: write_detail_csv(reports, path),
+    })
+    print(f"simulate: {len(reports)} cells x {args.reps} reps -> {args.output_dir}")
     return 0
 
 
@@ -326,8 +326,6 @@ def _reload_estimate(run_dir):
 
 def cmd_bootstrap(args) -> int:
     threads = _resolve_threads(args.threads)
-    outdir = args.output_dir or "tvload_bootstrap"
-    os.makedirs(outdir, exist_ok=True)
     panel, work, basis, est, fit, est_report = _reload_estimate(args.input)
     bands = residual_bootstrap(
         work, fit, est, basis,
@@ -336,13 +334,6 @@ def cmd_bootstrap(args) -> int:
         delta=args.delta, max_iter=args.max_iter,
         n_threads=threads,
     )
-    write_bands_csv(bands, fit, panel, os.path.join(outdir, "bands.csv"))
-    names = ["bands.csv", "report.json"]
-    for sid in panel.series_ids:
-        for n in range(est.r):
-            name = f"plot_{sid}_factor{n + 1}.csv"
-            write_plot_csv(bands, fit, panel, sid, n + 1, os.path.join(outdir, name))
-            names.append(name)
     report = {
         "command": "bootstrap",
         "version": __version__,
@@ -354,7 +345,6 @@ def cmd_bootstrap(args) -> int:
             "refit_factors": bool(args.refit_factors),
             "delta": args.delta,
             "max_iter": args.max_iter,
-            "threads": threads,
         },
         "estimate_run": {
             "path": os.path.abspath(args.input),
@@ -363,34 +353,57 @@ def cmd_bootstrap(args) -> int:
         "n_failed": len(bands.failed),
         "failed": [[b, msg] for b, msg in bands.failed],
     }
-    _write_json(os.path.join(outdir, "report.json"), report)
-    _write_manifest(outdir, names)
-    print(f"bootstrap: B={args.B} level={args.level} failed={len(bands.failed)} -> {outdir}")
+    artifacts = {"bands.csv": lambda path: write_bands_csv(bands, fit, panel, path)}
+    for sid in panel.series_ids:
+        for k in range(1, est.r + 1):
+            artifacts[f"plot_{sid}_factor{k}.csv"] = functools.partial(
+                write_plot_csv, bands, fit, panel, sid, k)
+    _write_run(args.output_dir, report, artifacts)
+    print(f"bootstrap: B={args.B} level={args.level} failed={len(bands.failed)} "
+          f"-> {args.output_dir}")
     return 0
 
 
 # ---------------------------------------------------------------- wiring
 
+# Every flag is defined once, and every command lists the flags it reads, so
+# a flag that a command would ignore is a usage error there.
+_FLAGS = {
+    "--input": dict(help="input file (panel CSV, grid JSON, or estimate run dir)"),
+    "--output-dir": dict(help="artifact directory, created once the run has succeeded"),
+    "--seed": dict(type=int, default=0),
+    "--threads": dict(type=int, default=None,
+                      help="worker threads (default: TVLOAD_THREADS env, then CPU count)"),
+    "--family": dict(choices=["haar", "d8"], default="haar"),
+    "--J": dict(type=int, default=None, help="resolution override"),
+    "--delta": dict(type=float, default=1e-6),
+    "--max-iter": dict(type=int, default=50),
+    "--nonstationary": dict(action="store_true"),
+    "--k": dict(type=int, default=1),
+    "--d": dict(type=int, default=1),
+    "--dprime": dict(type=int, default=1),
+    "--first-difference": dict(action="store_true"),
+    "--r": dict(type=int, default=None),
+    "--r-max": dict(type=int, default=None),
+    "--B": dict(type=int, default=100),
+    "--level": dict(type=float, default=0.95),
+    "--reps": dict(type=int, default=100, help="replications per cell"),
+    "--refit-factors": dict(action="store_true"),
+}
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="input file (panel CSV, grid JSON, or estimate run dir)")
-    p.add_argument("--output-dir", help="artifact directory (created if missing)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: TVLOAD_THREADS env, then CPU count)")
-    p.add_argument("--family", choices=["haar", "d8"], default="haar")
-    p.add_argument("--J", type=int, default=None, help="resolution override")
-    p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--nonstationary", action="store_true")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--dprime", type=int, default=1)
-    p.add_argument("--first-difference", action="store_true")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--r-max", type=int, default=None)
-    p.add_argument("--B", type=int, default=100)
-    p.add_argument("--level", type=float, default=0.95)
+# command: (handler, help, whether --input is required, flags it reads)
+_COMMANDS = {
+    "estimate": (cmd_estimate, "extract factors and fit loading curves", True,
+                 "--input --output-dir --family --J --delta --max-iter --nonstationary "
+                 "--k --d --dprime --first-difference --r --r-max"),
+    "select-r": (cmd_select_r, "choose the number of factors", True,
+                 "--input --output-dir --r-max --first-difference"),
+    "simulate": (cmd_simulate, "run the Monte Carlo experiment grid", False,
+                 "--input --output-dir --seed --threads --J --delta --max-iter --reps"),
+    "bootstrap": (cmd_bootstrap, "confidence bands from an estimate run", True,
+                  "--input --output-dir --seed --threads --B --level --delta --max-iter "
+                  "--refit-factors"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,24 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tvload {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("estimate", help="extract factors and fit loading curves")
-    _add_shared(p)
-    p.set_defaults(func=cmd_estimate, needs_input=True)
-
-    p = sub.add_parser("select-r", help="choose the number of factors")
-    _add_shared(p)
-    p.set_defaults(func=cmd_select_r, needs_input=True)
-
-    p = sub.add_parser("simulate", help="run the Monte Carlo experiment grid")
-    _add_shared(p)
-    p.add_argument("--reps", type=int, default=100, help="replications per cell")
-    p.set_defaults(func=cmd_simulate, needs_input=False)
-
-    p = sub.add_parser("bootstrap", help="confidence bands from an estimate run")
-    _add_shared(p)
-    p.add_argument("--refit-factors", action="store_true")
-    p.set_defaults(func=cmd_bootstrap, needs_input=True)
+    for name, (func, help_text, needs_input, flags) in _COMMANDS.items():
+        # no abbreviations: select-r would read --r as --r-max, simulate as --reps
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func, needs_input=needs_input,
+                       output_dir="tvload_" + name.replace("-", "_"))
     return parser
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -419,23 +420,21 @@ def run_experiment(
     results: dict[int, tuple[float, float]] = {}
     failures: list[tuple[int, str]] = []
 
-    def work(rep: int):
-        return _run_one_rep(config, family, seed, rep, J, delta, max_iter)
+    def outcome(rep: int):
+        """Replication rep's (R-squared, MSE), or the exception that ended it."""
+        try:
+            return _run_one_rep(config, family, seed, rep, J, delta, max_iter)
+        except Exception as exc:  # noqa: BLE001 - replication failures are data
+            return exc
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = {pool.submit(work, rep): rep for rep in range(1, n_reps + 1)}
-            for fut, rep in futures.items():
-                try:
-                    results[rep] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - replication failures are data
-                    failures.append((rep, repr(exc)))
-    else:
-        for rep in range(1, n_reps + 1):
-            try:
-                results[rep] = work(rep)
-            except Exception as exc:  # noqa: BLE001
-                failures.append((rep, repr(exc)))
+    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
+    with pool or nullcontext():
+        run = pool.map if pool else map
+        for rep, out in enumerate(run(outcome, range(1, n_reps + 1)), start=1):
+            if isinstance(out, Exception):
+                failures.append((rep, repr(out)))
+            else:
+                results[rep] = out
 
     if len(failures) > 0.05 * n_reps or not results:
         raise NumericError(

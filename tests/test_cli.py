@@ -1,7 +1,10 @@
 """End-to-end checks of the command-line front end via ``main(argv)``."""
 
+import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvload
-from tvload.cli import _resolve_threads, _reload_estimate, main
+from tvload.cli import _resolve_threads, _reload_estimate, build_parser, main
 from tvload.errors import ParameterError
 from tvload.factors import make_panel, pca_factors, read_panel_csv, standardize, write_panel_csv
 from tvload.gls import build_design, fit_iterative
@@ -52,6 +55,46 @@ def test_resolve_threads(monkeypatch):
     monkeypatch.setenv("TVLOAD_THREADS", "lots")
     with pytest.raises(ParameterError):
         _resolve_threads(None)
+
+
+_OPTIONS = {
+    "estimate": {"--input", "--output-dir", "--family", "--J", "--delta", "--max-iter",
+                 "--nonstationary", "--k", "--d", "--dprime", "--first-difference", "--r",
+                 "--r-max"},
+    "select-r": {"--input", "--output-dir", "--r-max", "--first-difference"},
+    "simulate": {"--input", "--output-dir", "--seed", "--threads", "--J", "--delta",
+                 "--max-iter", "--reps"},
+    "bootstrap": {"--input", "--output-dir", "--seed", "--threads", "--B", "--level",
+                  "--delta", "--max-iter", "--refit-factors"},
+}
+
+
+def _options(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_OPTIONS)
+    return {opt for action in sub.choices[command]._actions
+            for opt in action.option_strings} - {"-h", "--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["select-r", "--B", "3"],
+    ["estimate", "--threads", "2"],
+    ["estimate", "--seed", "1"],
+    ["simulate", "--family", "d8"],
+    ["bootstrap", "--J", "3"],
+    # a prefix of a flag the command does read is not taken as that flag
+    ["select-r", "--r", "3"],
+    ["simulate", "--r", "2"],
+], ids=" ".join)
+def test_an_unread_flag_is_a_usage_error(tmp_path, capsys, argv):
+    command = argv[0]
+    assert _options(command) == _OPTIONS[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", str(tmp_path), "--output-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_commands_leave_scipy_unloaded(tmp_path, panel_csv):
@@ -148,6 +191,57 @@ def test_estimate_reports_the_conditioning_of_the_design(tmp_path, panel_csv):
     assert abs(report["design_gram_condition"] - cond) <= 1e-8 * cond
 
 
+def test_estimate_ignores_the_thread_setting(tmp_path, panel_csv, monkeypatch, capsys):
+    monkeypatch.setenv("TVLOAD_THREADS", "lots")
+    est = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),
+                 "--r", "2", "--J", "3"]) == 0
+    # the commands that run a worker pool still read the setting, and reject it
+    boot = tmp_path / "boot"
+    assert main(["bootstrap", "--input", str(est), "--output-dir", str(boot), "--B", "4"]) == 1
+    assert "TVLOAD_THREADS" in _err(capsys)["message"]
+    assert not boot.exists()
+
+
+def test_reports_record_only_parameters_that_shape_outputs(tmp_path, panel_csv):
+    est, sel, boot = tmp_path / "est", tmp_path / "sel", tmp_path / "boot"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),
+                 "--r", "2", "--J", "3"]) == 0
+    assert main(["select-r", "--input", panel_csv, "--output-dir", str(sel)]) == 0
+    assert main(["bootstrap", "--input", str(est), "--output-dir", str(boot), "--B", "4",
+                 "--threads", "1"]) == 0
+
+    def params(run):
+        return set(json.loads((run / "report.json").read_text())["parameters"])
+
+    assert params(est) == {"input", "r", "family", "J", "delta", "max_iter", "nonstationary",
+                           "k", "d", "dprime", "first_difference"}
+    assert params(sel) == {"input", "r_max", "first_difference"}
+    assert params(boot) == {"input", "B", "level", "seed", "refit_factors", "delta",
+                            "max_iter"}
+
+    # estimate runs written before seed and threads were dropped still reload
+    report = json.loads((est / "report.json").read_text())
+    report["parameters"].update(seed=0, threads=2)
+    (est / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    old = tmp_path / "boot_old"
+    assert main(["bootstrap", "--input", str(est), "--output-dir", str(old), "--B", "4",
+                 "--threads", "1"]) == 0
+    assert (old / "bands.csv").read_bytes() == (boot / "bands.csv").read_bytes()
+
+
+def test_rank_selection_that_finds_no_factor_asks_for_r(tmp_path, capsys):
+    path = tmp_path / "noise.csv"
+    write_panel_csv(make_panel(np.random.default_rng(0).normal(size=(64, 4))), path)
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", str(path), "--output-dir", str(out)]) == 1
+    rec = _err(capsys)
+    assert rec["error"] == "ParameterError"
+    assert "rank selection found no common factor" in rec["message"]
+    assert "pass --r" in rec["message"]
+    assert not out.exists()
+
+
 def test_estimate_auto_selects_rank(tmp_path, panel_csv):
     out = tmp_path / "est"
     assert main(["estimate", "--input", panel_csv, "--output-dir", str(out)]) == 0
@@ -208,20 +302,22 @@ def test_bootstrap_consumes_an_estimate_run(tmp_path, panel_csv):
     est = tmp_path / "est"
     main(["estimate", "--input", panel_csv, "--output-dir", str(est),
           "--r", "2", "--J", "3"])
-    for out in ("b1", "b2"):
+    for out, threads in (("b1", "1"), ("b2", "2")):
         assert main(["bootstrap", "--input", str(est), "--output-dir",
                      str(tmp_path / out), "--B", "12", "--seed", "4",
-                     "--threads", "2"]) == 0
-    b1 = tmp_path / "b1"
+                     "--threads", threads]) == 0
+    b1, b2 = tmp_path / "b1", tmp_path / "b2"
     report = json.loads((b1 / "report.json").read_text())
     assert report["n_failed"] == 0
     manifest = json.loads((b1 / "manifest.json").read_text())
     # one plot file per series x factor on top of bands and the report
     assert len(manifest["artifacts"]) == 2 + 6 * 2
     assert "plot_s1_factor1.csv" in manifest["artifacts"]
-    # identical seeds give byte-identical band files
-    assert (b1 / "bands.csv").read_bytes() == \
-        (tmp_path / "b2" / "bands.csv").read_bytes()
+    # identical seeds give byte-identical directories, whatever the thread count
+    names = sorted(os.listdir(b1))
+    assert names == sorted(os.listdir(b2)) == sorted([*manifest["artifacts"], "manifest.json"])
+    for name in names:
+        assert (b1 / name).read_bytes() == (b2 / name).read_bytes(), name
 
 
 _ID_TEXT = st.text(alphabet='ab,"% ', min_size=1, max_size=5).filter(lambda s: s == s.strip())
@@ -286,6 +382,7 @@ def test_duplicate_series_ids_are_reported(tmp_path, capsys):
     rec = _err(capsys)
     assert rec["error"] == "ParameterError"
     assert "duplicate series id 'a'" in rec["message"]
+    assert not (tmp_path / "est").exists()
 
 
 def test_series_ids_that_cannot_round_trip_are_reported(tmp_path, capsys):
@@ -297,7 +394,7 @@ def test_series_ids_that_cannot_round_trip_are_reported(tmp_path, capsys):
     rec = _err(capsys)
     assert rec["error"] == "ParameterError"
     assert "series id 'a/b'" in rec["message"]
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_invalid_level_is_reported(tmp_path, panel_csv, capsys):
@@ -308,6 +405,7 @@ def test_invalid_level_is_reported(tmp_path, panel_csv, capsys):
     assert main(["bootstrap", "--input", str(est), "--output-dir",
                  str(tmp_path / "b"), "--level", "1.2"]) == 1
     assert _err(capsys)["error"] == "ParameterError"
+    assert not (tmp_path / "b").exists()
 
 
 def test_malformed_grid_json_reports_position(tmp_path, capsys):
@@ -318,9 +416,50 @@ def test_malformed_grid_json_reports_position(tmp_path, capsys):
     rec = _err(capsys)
     assert rec["error"] == "JSONDecodeError"
     assert isinstance(rec["line"], int) and isinstance(rec["column"], int)
+    assert not (tmp_path / "out").exists()
 
 
 def test_oversized_r_max_is_rejected(panel_csv, tmp_path, capsys):
     assert main(["select-r", "--input", panel_csv, "--output-dir",
                  str(tmp_path / "sel"), "--r-max", "99"]) == 1
     assert _err(capsys)["error"] == "ParameterError"
+    assert not (tmp_path / "sel").exists()
+
+
+def _runs_or_fails_cleanly(argv, out):
+    """True if main(argv) exits 0; else it exits 1 with one error record and no out."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name, digest in manifest["artifacts"].items():
+            assert _sha(out / name) == digest
+        return True
+    assert code == 1
+    [line] = err.getvalue().splitlines()
+    assert set(json.loads(line)) >= {"error", "message"}
+    assert not out.exists()
+    return False
+
+
+@settings(max_examples=30, deadline=None)
+@given(T=st.integers(2, 40), N=st.integers(1, 4), constant=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_panel_edges_give_a_run_or_one_clean_error(tmp_path_factory, T, N, constant, seed):
+    tmp = tmp_path_factory.mktemp("edge")
+    Y = np.random.default_rng(seed).normal(size=(T, N))
+    if constant:
+        Y[:, 0] = 1.5
+    panel_csv = tmp / "panel.csv"
+    write_panel_csv(make_panel(Y), panel_csv)
+    est, boot = tmp / "est", tmp / "boot"
+    if not _runs_or_fails_cleanly(["estimate", "--input", str(panel_csv), "--output-dir",
+                                   str(est), "--r", "1"], est):
+        return
+    panel, _, _, _, fit, _ = _reload_estimate(str(est))
+    assert panel.values.shape == (T, N) and fit.Lambda.shape == (T, N, 1)
+    if _runs_or_fails_cleanly(["bootstrap", "--input", str(est), "--output-dir", str(boot),
+                               "--B", "3", "--threads", "1"], boot):
+        with open(boot / "bands.csv", newline="", encoding="utf-8") as fh:
+            assert len(list(csv.DictReader(fh))) == T * N

@@ -238,7 +238,8 @@ def test_run_experiment_median_rep_is_reproducible():
     assert loading_mse(fit.Lambda, ds.Lambda) == rep.mse_median
 
 
-def test_run_experiment_failure_budget(monkeypatch):
+@pytest.mark.parametrize("n_threads", [1, 3])
+def test_run_experiment_failure_budget(monkeypatch, n_threads):
     real = sim._run_one_rep
 
     def flaky(config, family, seed, rep, *args, **kwargs):
@@ -248,8 +249,8 @@ def test_run_experiment_failure_budget(monkeypatch):
 
     monkeypatch.setattr(sim, "_run_one_rep", flaky)
     with pytest.raises(NumericError) as err:
-        run_experiment(DgpConfig(N=6, T=128, r=2), n_reps=6, seed=0)
-    assert "boom" in str(err.value)
+        run_experiment(DgpConfig(N=6, T=128, r=2), n_reps=6, seed=0, n_threads=n_threads)
+    assert "3 of 6 replications failed; first: (2, \"RuntimeError('boom')\")" in str(err.value)
 
 
 def test_run_experiment_validation():

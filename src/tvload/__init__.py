@@ -3,7 +3,7 @@
 Stage one extracts common factors from a standardized panel (principal
 components for stationary data, lag-covariance eigenvectors for integrated
 data).  Stage two treats the factors as observed and fits each series'
-loading path on a periodized wavelet basis by iterated feasible GLS.
+loading path on a periodized wavelet basis by two-pass feasible GLS.
 Simulation, bootstrap banding and a small CLI sit on top.
 """
 

@@ -40,7 +40,7 @@ class BandSet:
     failed: tuple[tuple[int, str], ...] = ()
 
 
-def _one_draw(b, seed, E, X_hat, panel, factors, basis, design, delta, max_iter):
+def _one_draw(b, seed, E, X_hat, panel, factors, basis, design):
     """Loading field refitted to bootstrap panel b.
 
     ``design`` is None when the factors are re-extracted from every draw.
@@ -54,10 +54,7 @@ def _one_draw(b, seed, E, X_hat, panel, factors, basis, design, delta, max_iter)
             f_star = pca_factors(panel_star, factors.r)
         else:
             f_star = nonstationary_factors(panel_star, factors.r, **factors.params)
-    fit_star = fit_iterative(
-        panel_star, f_star, basis, delta=delta, max_iter=max_iter, design=design
-    )
-    return fit_star.Lambda
+    return fit_iterative(panel_star, f_star, basis, design=design).Lambda
 
 
 def _outcome(b, **args):
@@ -98,8 +95,6 @@ def residual_bootstrap(
     level: float = 0.95,
     seed: int = 0,
     refit_factors: bool = False,
-    delta: float = 1e-6,
-    max_iter: int = 50,
     n_threads: int = 1,
 ) -> BandSet:
     """Bootstrap pointwise bands around the estimated loading curves.
@@ -123,8 +118,6 @@ def residual_bootstrap(
     refit_factors : bool
         Experimental: re-extract factors from every synthetic panel with the
         original method.  Off by default.
-    delta, max_iter :
-        Passed through to the refit.
     n_threads : int
         Draws run in a thread pool when > 1; results are identical to the
         serial order because of per-draw seeding.
@@ -148,7 +141,6 @@ def residual_bootstrap(
     draw = functools.partial(
         _outcome, seed=seed, E=E, X_hat=X_hat, panel=panel, factors=factors, basis=basis,
         design=None if refit_factors else build_design(factors, basis),
-        delta=delta, max_iter=max_iter,
     )
     # Curve-major: row k holds every draw of one loading value, so the sort
     # for the quantiles runs along contiguous rows.

@@ -124,15 +124,17 @@ def cmd_estimate(args) -> int:
     r = args.r
     selection = None
     if r is None:
-        r_max = args.r_max if args.r_max is not None else min(8, min(work.T, work.N) - 1)
-        sel = select_num_factors(
-            panel, r_max, first_difference_panel=args.first_difference
-        )
+        pass_r = "pass --r to fit a chosen number of factors"
+        try:
+            sel = select_num_factors(panel, args.r_max,
+                                     first_difference_panel=args.first_difference)
+        except ParameterError as exc:
+            raise ParameterError(f"{exc}; {pass_r}") from None
         if sel.r == 0:
-            raise ParameterError(f"rank selection found no common factor (r_max={r_max}); "
-                                 "pass --r to fit a chosen number of factors")
+            raise ParameterError(
+                f"rank selection found no common factor (r_max={sel.r_max}); {pass_r}")
         r = sel.r
-        selection = {"r": sel.r, "r_max": r_max}
+        selection = {"r": sel.r, "r_max": sel.r_max}
     if args.nonstationary:
         est = nonstationary_factors(work, r, k=args.k, d=args.d, dprime=args.dprime)
     else:
@@ -141,8 +143,7 @@ def cmd_estimate(args) -> int:
     J = args.J if args.J is not None else select_resolution(work.T)
     basis = evaluate_basis(args.family, J, work.T)
     design = build_design(est, basis)
-    fit = fit_iterative(work, est, basis, delta=args.delta, max_iter=args.max_iter,
-                        design=design)
+    fit = fit_iterative(work, est, basis, design=design)
 
     report = {
         "command": "estimate",
@@ -152,8 +153,6 @@ def cmd_estimate(args) -> int:
             "r": int(r),
             "family": args.family,
             "J": int(J),
-            "delta": args.delta,
-            "max_iter": args.max_iter,
             "nonstationary": bool(args.nonstationary),
             "k": args.k,
             "d": args.d,
@@ -193,15 +192,14 @@ def cmd_estimate(args) -> int:
 
 def cmd_select_r(args) -> int:
     panel = read_panel_csv(args.input)
-    r_max = args.r_max if args.r_max is not None else min(8, min(panel.T, panel.N) - 1)
-    sel = select_num_factors(panel, r_max, first_difference_panel=args.first_difference)
+    sel = select_num_factors(panel, args.r_max, first_difference_panel=args.first_difference)
 
     report = {
         "command": "select-r",
         "version": __version__,
         "parameters": {
             "input": os.path.abspath(args.input),
-            "r_max": int(r_max),
+            "r_max": sel.r_max,
             "first_difference": bool(args.first_difference),
         },
         "input": {"path": os.path.abspath(args.input), "sha256": _sha256(args.input),
@@ -221,7 +219,7 @@ def cmd_select_r(args) -> int:
             [(r,) for r in range(sel.ic_full.shape[1])],
             rows=[format(c, ".17g") for c in sel.c_grid]),
     })
-    print(f"select-r: chosen r={sel.r} (r_max={r_max}) -> {args.output_dir}")
+    print(f"select-r: chosen r={sel.r} (r_max={sel.r_max}) -> {args.output_dir}")
     return 0
 
 
@@ -236,8 +234,7 @@ def cmd_simulate(args) -> int:
         reports.append(
             run_experiment(
                 cfg, family=family, n_reps=args.reps, seed=args.seed,
-                J=args.J, delta=args.delta, max_iter=args.max_iter,
-                n_threads=threads,
+                J=args.J, n_threads=threads,
             )
         )
     report = {
@@ -248,8 +245,6 @@ def cmd_simulate(args) -> int:
             "reps": args.reps,
             "seed": args.seed,
             "J": args.J,
-            "delta": args.delta,
-            "max_iter": args.max_iter,
         },
         "cells": [
             {
@@ -331,7 +326,6 @@ def cmd_bootstrap(args) -> int:
         work, fit, est, basis,
         B=args.B, level=args.level, seed=args.seed,
         refit_factors=args.refit_factors,
-        delta=args.delta, max_iter=args.max_iter,
         n_threads=threads,
     )
     report = {
@@ -343,8 +337,6 @@ def cmd_bootstrap(args) -> int:
             "level": args.level,
             "seed": args.seed,
             "refit_factors": bool(args.refit_factors),
-            "delta": args.delta,
-            "max_iter": args.max_iter,
         },
         "estimate_run": {
             "path": os.path.abspath(args.input),
@@ -376,8 +368,6 @@ _FLAGS = {
                       help="worker threads (default: TVLOAD_THREADS env, then CPU count)"),
     "--family": dict(choices=["haar", "d8"], default="haar"),
     "--J": dict(type=int, default=None, help="resolution override"),
-    "--delta": dict(type=float, default=1e-6),
-    "--max-iter": dict(type=int, default=50),
     "--nonstationary": dict(action="store_true"),
     "--k": dict(type=int, default=1),
     "--d": dict(type=int, default=1),
@@ -394,15 +384,14 @@ _FLAGS = {
 # command: (handler, help, whether --input is required, flags it reads)
 _COMMANDS = {
     "estimate": (cmd_estimate, "extract factors and fit loading curves", True,
-                 "--input --output-dir --family --J --delta --max-iter --nonstationary "
-                 "--k --d --dprime --first-difference --r --r-max"),
+                 "--input --output-dir --family --J --nonstationary --k --d --dprime "
+                 "--first-difference --r --r-max"),
     "select-r": (cmd_select_r, "choose the number of factors", True,
                  "--input --output-dir --r-max --first-difference"),
     "simulate": (cmd_simulate, "run the Monte Carlo experiment grid", False,
-                 "--input --output-dir --seed --threads --J --delta --max-iter --reps"),
+                 "--input --output-dir --seed --threads --J --reps"),
     "bootstrap": (cmd_bootstrap, "confidence bands from an estimate run", True,
-                  "--input --output-dir --seed --threads --B --level --delta --max-iter "
-                  "--refit-factors"),
+                  "--input --output-dir --seed --threads --B --level --refit-factors"),
 }
 
 

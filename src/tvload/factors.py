@@ -369,12 +369,14 @@ def nonstationary_factors(
 class FactorSelection:
     """Outcome of the penalty-swept information criterion.
 
-    ``r_sub[s, i]`` is the minimizer on subsample s at penalty constant
-    ``c_grid[i]``; ``intervals`` lists the zero-variance plateaus as
-    (c_lo, c_hi, r, width) tuples, widest first.
+    ``r_max`` is the largest candidate the scan used; ``r_sub[s, i]`` is the
+    minimizer on subsample s at penalty constant ``c_grid[i]``; ``intervals``
+    lists the zero-variance plateaus as (c_lo, c_hi, r, width) tuples, widest
+    first.
     """
 
     r: int
+    r_max: int
     c_grid: np.ndarray
     r_full: np.ndarray
     r_sub: np.ndarray
@@ -406,7 +408,7 @@ def _ic_minimizers(values: np.ndarray, r_max: int, c_grid: np.ndarray) -> tuple[
 
 def select_num_factors(
     panel: Panel,
-    r_max: int,
+    r_max: int | None = None,
     c_grid=None,
     n_subsamples: int = 10,
     first_difference_panel: bool = False,
@@ -423,8 +425,9 @@ def select_num_factors(
     Parameters
     ----------
     panel : Panel
-    r_max : int
-        Largest candidate, 1 <= r_max < min(N, T).
+    r_max : int, optional
+        Largest candidate, 1 <= r_max < min(N, T) of the panel the scan runs
+        on (after differencing); defaults to min(8, min(N, T) - 1).
     c_grid : array-like, optional
         Penalty constants; defaults to 60 points on [0.01, 3].
     n_subsamples : int
@@ -455,6 +458,12 @@ def select_num_factors(
         work = first_difference(work)
     work = standardize(work)
     T, N = work.values.shape
+    if min(N, T) < 2:
+        panel_kind = "differenced panel" if first_difference_panel else "panel"
+        raise ParameterError(f"rank selection needs at least 2 series and 2 periods; "
+                             f"the {panel_kind} has N={N}, T={T}")
+    if r_max is None:
+        r_max = min(8, min(N, T) - 1)
     if not 1 <= r_max < min(N, T):
         raise ParameterError(f"r_max={r_max} outside 1..min(N,T)-1={min(N, T) - 1}")
 
@@ -503,6 +512,7 @@ def select_num_factors(
     chosen = informative[0] if informative else intervals[0]
     return FactorSelection(
         r=chosen[2],
+        r_max=r_max,
         c_grid=c_grid,
         r_full=r_full,
         r_sub=r_sub,

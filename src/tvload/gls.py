@@ -1,4 +1,4 @@
-"""Second-stage estimation: wavelet-expanded loadings fitted by iterated GLS.
+"""Second-stage estimation: wavelet-expanded loadings fitted by two-pass GLS.
 
 With the factors treated as observed, each series m follows
 
@@ -8,14 +8,14 @@ and every loading curve lambda_{m i} is expanded on a common wavelet basis.
 Stacking series by series, the regression design is I_N (x) Psi with
 Psi = [B * F_1 | ... | B * F_r].  Because all series share the same Psi, the
 GLS weighting by Gamma_e^-1 (x) I_T collapses exactly onto per-series least
-squares; the iteration over the residual covariance therefore settles after
-one refit, which the fit loop records rather than hides.
+squares.  The feasible GLS fit therefore takes two passes, the identity
+weight and then the regularized residual covariance, and the second
+reproduces the first; the fit records that movement rather than hides it.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -244,11 +244,11 @@ def residual_cov(panel: Panel, Lambda: np.ndarray, factors: FactorEstimate) -> n
 
 @dataclass(frozen=True)
 class GlsFit:
-    """Converged loading fit.
+    """Two-pass loading fit.
 
     ``beta[m, i]`` holds series m's coefficients for factor i in basis-column
     order; ``Lambda[t, m, i]`` is the loading curve on the grid; ``deltas``
-    records the loading-field movement at each refit.
+    records the loading-field movement of the second pass.
     """
 
     beta: np.ndarray
@@ -259,22 +259,25 @@ class GlsFit:
     converged: bool
 
 
+# Second-pass movement below which a fit counts as converged.
+CONVERGENCE_TOL = 1e-6
+
+
 def fit_iterative(
     panel: Panel,
     factors: FactorEstimate,
     basis: WaveletBasis,
-    delta: float = 1e-6,
-    max_iter: int = 50,
     design: DesignBlock | None = None,
 ) -> GlsFit:
-    """Iterate GLS and residual-covariance estimation to a fixed point.
+    """Fit the loading curves by two-pass feasible GLS.
 
-    Starts from the identity weight, alternates coefficient estimation and
-    residual covariance updates, and stops when the summed Frobenius movement
-    of the loading field sum_t ||Lambda_prev(t) - Lambda(t)||_F drops below
-    ``delta``.  With the Kronecker weight structure the second iterate
-    reproduces the first, so convergence lands at iteration 2; the delta
-    trace makes that visible.
+    Pass 1 solves with the identity weight; pass 2 solves with the residual
+    covariance of pass 1, regularized.  The fit records the summed Frobenius
+    movement of the loading field sum_t ||Lambda_1(t) - Lambda_2(t)||_F as
+    ``deltas[0]`` and counts as converged when it is below
+    ``CONVERGENCE_TOL``.  With the Kronecker weight structure pass 2
+    reproduces pass 1, so the movement is 0.0 and the residual covariance
+    of pass 1 is already that of the fit; otherwise it is computed again.
 
     Parameters
     ----------
@@ -282,10 +285,6 @@ def fit_iterative(
     factors : FactorEstimate
         Factors treated as observed regressors.
     basis : WaveletBasis
-    delta : float
-        Convergence threshold, > 0.
-    max_iter : int
-        Maximum number of GLS solves, >= 1.
     design : DesignBlock, optional
         ``build_design(factors, basis)`` built beforehand, so that fits of
         several panels on the same factors share one factorization.
@@ -293,43 +292,26 @@ def fit_iterative(
     Returns
     -------
     GlsFit
-        ``converged`` is False when max_iter is exhausted (recorded, not
-        raised).
+        ``n_iter`` is 2; a fit that does not converge is recorded, not
+        raised.
     """
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be >= 1, got {max_iter}")
     if design is None:
         design = build_design(factors, basis)
-    N = panel.N
-    gamma = np.eye(N)
-    prev: np.ndarray | None = None
-    beta = None
-    Lambda = None
-    deltas: list[float] = []
-    converged = False
-    n_iter = 0
-    for _ in range(max_iter):
-        beta = gls_step(panel, design, gamma)
-        Lambda = loadings_from_coeffs(beta, basis)
-        n_iter += 1
-        if prev is not None:
-            move = float(np.sqrt(((Lambda - prev) ** 2).sum(axis=(1, 2))).sum())
-            deltas.append(move)
-            if move < delta:
-                converged = True
-                break
-        prev = Lambda
-        gamma_hat = residual_cov(panel, Lambda, factors)
-        gamma = regularize_covariance(gamma_hat, force_shrink=panel.T < panel.N)
+    first = loadings_from_coeffs(gls_step(panel, design, np.eye(panel.N)), basis)
+    gamma = residual_cov(panel, first, factors)
+    weight = regularize_covariance(gamma, force_shrink=panel.T < panel.N)
+    beta = gls_step(panel, design, weight)
+    Lambda = loadings_from_coeffs(beta, basis)
+    move = float(np.sqrt(((Lambda - first) ** 2).sum(axis=(1, 2))).sum())
+    if move != 0.0:
+        gamma = residual_cov(panel, Lambda, factors)
     return GlsFit(
         beta=beta,
         Lambda=Lambda,
-        Gamma_e=residual_cov(panel, Lambda, factors),
-        n_iter=n_iter,
-        deltas=tuple(deltas),
-        converged=converged,
+        Gamma_e=gamma,
+        n_iter=2,
+        deltas=(move,),
+        converged=move < CONVERGENCE_TOL,
     )
 
 

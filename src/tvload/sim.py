@@ -362,8 +362,7 @@ class ExperimentReport:
 
 
 def _run_one_rep(config: DgpConfig, family: str, seed: int, rep: int,
-                 J: int | None, delta: float, max_iter: int,
-                 return_fit: bool = False):
+                 J: int | None, return_fit: bool = False):
     cfg = replace(config, seed=(seed, rep))
     ds = simulate_dgp(cfg)
     panel = make_panel(ds.Y)
@@ -377,7 +376,7 @@ def _run_one_rep(config: DgpConfig, family: str, seed: int, rep: int,
     aligned = replace(est, F=rot.F_rotated_rescaled)
     resolution = select_resolution(cfg.T) if J is None else J
     basis = evaluate_basis(family, resolution, cfg.T)
-    fit = fit_iterative(panel, aligned, basis, delta=delta, max_iter=max_iter)
+    fit = fit_iterative(panel, aligned, basis)
     r2 = r2_factors(ds.F, aligned.F)
     mse = loading_mse(fit.Lambda, ds.Lambda)
     if return_fit:
@@ -391,8 +390,6 @@ def run_experiment(
     n_reps: int = 100,
     seed: int = 0,
     J: int | None = None,
-    delta: float = 1e-6,
-    max_iter: int = 50,
     n_threads: int = 1,
 ) -> ExperimentReport:
     """Monte Carlo accuracy of the two-stage pipeline on one design cell.
@@ -423,7 +420,7 @@ def run_experiment(
     def outcome(rep: int):
         """Replication rep's (R-squared, MSE), or the exception that ended it."""
         try:
-            return _run_one_rep(config, family, seed, rep, J, delta, max_iter)
+            return _run_one_rep(config, family, seed, rep, J)
         except Exception as exc:  # noqa: BLE001 - replication failures are data
             return exc
 
@@ -458,10 +455,9 @@ def run_experiment(
 
 
 def refit_replication(config: DgpConfig, family: str, seed: int, rep: int,
-                      J: int | None = None, delta: float = 1e-6,
-                      max_iter: int = 50) -> tuple[GlsFit, SimulatedDataset]:
+                      J: int | None = None) -> tuple[GlsFit, SimulatedDataset]:
     """Reproduce a single replication's fit exactly (per-rep seeding)."""
-    _, _, fit, ds = _run_one_rep(config, family, seed, rep, J, delta, max_iter, return_fit=True)
+    _, _, fit, ds = _run_one_rep(config, family, seed, rep, J, return_fit=True)
     return fit, ds
 
 

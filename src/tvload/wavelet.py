@@ -53,6 +53,7 @@ _D8_H = np.array(
 _D8_G = np.array([(-1.0) ** n * _D8_H[7 - n] for n in range(8)])
 
 _D8_SUPPORT = 7
+# Cascade depth of the Daubechies table behind every d8 basis.
 _DEFAULT_TABLE_LEVELS = 12
 
 
@@ -274,7 +275,6 @@ def evaluate_basis(
     family: WaveletFamily | str,
     J: int,
     T: int,
-    table_levels: int = _DEFAULT_TABLE_LEVELS,
 ) -> WaveletBasis:
     """Assemble the T x 2^J basis matrix on the grid t/T, t = 1..T.
 
@@ -286,8 +286,6 @@ def evaluate_basis(
         Resolution; levels 0..J-1 contribute wavelets, 2^J columns total.
     T : int
         Grid length.
-    table_levels : int
-        Cascade depth for the Daubechies table (ignored for Haar).
 
     Returns
     -------
@@ -302,11 +300,11 @@ def evaluate_basis(
         raise ParameterError(f"grid length must be positive, got T={T}")
     if 2**J > T:
         raise ParameterError(f"basis has more columns than grid points: 2^{J} > {T}")
-    return _cached_basis(fam, J, T, table_levels)
+    return _cached_basis(fam, J, T)
 
 
 @lru_cache(maxsize=16)
-def _cached_basis(fam: WaveletFamily, J: int, T: int, table_levels: int) -> WaveletBasis:
+def _cached_basis(fam: WaveletFamily, J: int, T: int) -> WaveletBasis:
     """Build a basis once per argument tuple; its matrix is read-only because it is shared."""
     u = np.arange(1, T + 1, dtype=float) / T
     index: list[tuple[int, int]] = [(-1, 0)]
@@ -318,10 +316,10 @@ def _cached_basis(fam: WaveletFamily, J: int, T: int, table_levels: int) -> Wave
                 cols.append(haar_eval(j, k, u))
                 index.append((j, k))
     else:
-        cols.append(_d8_periodic_scale(u, table_levels))
+        cols.append(_d8_periodic_scale(u, _DEFAULT_TABLE_LEVELS))
         for j in range(J):
             for k in range(2**j):
-                cols.append(_d8_periodic_column(j, k, u, table_levels))
+                cols.append(_d8_periodic_column(j, k, u, _DEFAULT_TABLE_LEVELS))
                 index.append((j, k))
     B = np.column_stack(cols)
     B.setflags(write=False)

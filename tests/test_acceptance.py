@@ -295,7 +295,7 @@ def test_criterion_08_sur_collapse():
         rng2 = np.random.default_rng(1000 + s)
         basis2, fac2, clean = _random_gls_instance(rng2)
         noisy = make_panel(clean.values + 0.5 * rng2.normal(size=clean.values.shape))
-        fit = fit_iterative(noisy, fac2, basis2, delta=1e-6)
+        fit = fit_iterative(noisy, fac2, basis2)
         second_deltas.append(fit.deltas[0] if fit.deltas else 0.0)
     ok = worst <= 1e-8 and max(second_deltas) < 1e-6
     _line(8, ok, f"max |GLS - OLS| = {worst:.2e} over 50 weights; "

@@ -58,14 +58,12 @@ def test_resolve_threads(monkeypatch):
 
 
 _OPTIONS = {
-    "estimate": {"--input", "--output-dir", "--family", "--J", "--delta", "--max-iter",
-                 "--nonstationary", "--k", "--d", "--dprime", "--first-difference", "--r",
-                 "--r-max"},
+    "estimate": {"--input", "--output-dir", "--family", "--J", "--nonstationary", "--k",
+                 "--d", "--dprime", "--first-difference", "--r", "--r-max"},
     "select-r": {"--input", "--output-dir", "--r-max", "--first-difference"},
-    "simulate": {"--input", "--output-dir", "--seed", "--threads", "--J", "--delta",
-                 "--max-iter", "--reps"},
+    "simulate": {"--input", "--output-dir", "--seed", "--threads", "--J", "--reps"},
     "bootstrap": {"--input", "--output-dir", "--seed", "--threads", "--B", "--level",
-                  "--delta", "--max-iter", "--refit-factors"},
+                  "--refit-factors"},
 }
 
 
@@ -76,12 +74,33 @@ def _options(command):
             for opt in action.option_strings} - {"-h", "--help"}
 
 
+def test_the_parser_exposes_exactly_the_pinned_flags():
+    assert {command: _options(command) for command in _OPTIONS} == _OPTIONS
+    assert sum(map(len, _OPTIONS.values())) == 28
+
+
+def test_the_readme_flag_table_matches_the_parser():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0] in _OPTIONS:
+            rows[cells[0]] = cells[1].split()
+    assert set(rows) == set(_OPTIONS)
+    for command, flags in rows.items():
+        assert len(flags) == len(set(flags)), command
+        assert set(flags) == _options(command), command
+
+
 @pytest.mark.parametrize("argv", [
     ["select-r", "--B", "3"],
     ["estimate", "--threads", "2"],
     ["estimate", "--seed", "1"],
+    ["estimate", "--delta", "1e-6"],
     ["simulate", "--family", "d8"],
+    ["simulate", "--max-iter", "2"],
     ["bootstrap", "--J", "3"],
+    ["bootstrap", "--delta", "1"],
     # a prefix of a flag the command does read is not taken as that flag
     ["select-r", "--r", "3"],
     ["simulate", "--r", "2"],
@@ -214,15 +233,15 @@ def test_reports_record_only_parameters_that_shape_outputs(tmp_path, panel_csv):
     def params(run):
         return set(json.loads((run / "report.json").read_text())["parameters"])
 
-    assert params(est) == {"input", "r", "family", "J", "delta", "max_iter", "nonstationary",
-                           "k", "d", "dprime", "first_difference"}
+    assert params(est) == {"input", "r", "family", "J", "nonstationary", "k", "d", "dprime",
+                           "first_difference"}
     assert params(sel) == {"input", "r_max", "first_difference"}
-    assert params(boot) == {"input", "B", "level", "seed", "refit_factors", "delta",
-                            "max_iter"}
+    assert params(boot) == {"input", "B", "level", "seed", "refit_factors"}
 
-    # estimate runs written before seed and threads were dropped still reload
+    # estimate runs written before seed, threads, delta and max_iter were
+    # dropped still reload
     report = json.loads((est / "report.json").read_text())
-    report["parameters"].update(seed=0, threads=2)
+    report["parameters"].update(seed=0, threads=2, delta=1e-6, max_iter=50)
     (est / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     old = tmp_path / "boot_old"
     assert main(["bootstrap", "--input", str(est), "--output-dir", str(old), "--B", "4",
@@ -240,6 +259,37 @@ def test_rank_selection_that_finds_no_factor_asks_for_r(tmp_path, capsys):
     assert "rank selection found no common factor" in rec["message"]
     assert "pass --r" in rec["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shape, argv", [
+    ((64, 1), ["estimate"]),
+    ((64, 1), ["select-r"]),
+    ((3, 10), ["estimate", "--first-difference"]),
+    ((3, 10), ["select-r", "--first-difference"]),
+    ((4, 10), ["estimate", "--first-difference"]),
+    ((4, 10), ["select-r", "--first-difference"]),
+], ids=str)
+def test_the_default_r_max_comes_from_the_panel_the_selection_scans(
+        tmp_path, capsys, shape, argv):
+    path = tmp_path / "panel.csv"
+    write_panel_csv(make_panel(np.random.default_rng(1).normal(size=shape)), path)
+    out = tmp_path / "out"
+    code = main([argv[0], "--input", str(path), "--output-dir", str(out), *argv[1:]])
+    T, N = shape[0] - ("--first-difference" in argv), shape[1]
+    if code == 0:
+        assert min(T, N) >= 2
+        report = json.loads((out / "report.json").read_text())
+        used = report["parameters"]["r_max"] if argv[0] == "select-r" \
+            else report["selection"]["r_max"]
+        assert used == min(8, min(T, N) - 1)
+        return
+    assert code == 1
+    message = _err(capsys)["message"]
+    assert "r_max" not in message
+    assert not out.exists()
+    if min(T, N) < 2:
+        assert f"N={N}, T={T}" in message
+        assert ("pass --r" in message) == (argv[0] == "estimate")
 
 
 def test_estimate_auto_selects_rank(tmp_path, panel_csv):
@@ -453,7 +503,9 @@ def test_panel_edges_give_a_run_or_one_clean_error(tmp_path_factory, T, N, const
         Y[:, 0] = 1.5
     panel_csv = tmp / "panel.csv"
     write_panel_csv(make_panel(Y), panel_csv)
-    est, boot = tmp / "est", tmp / "boot"
+    est, boot, auto = tmp / "est", tmp / "boot", tmp / "auto"
+    _runs_or_fails_cleanly(["estimate", "--input", str(panel_csv), "--output-dir", str(auto)],
+                           auto)
     if not _runs_or_fails_cleanly(["estimate", "--input", str(panel_csv), "--output-dir",
                                    str(est), "--r", "1"], est):
         return

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+import tvload.gls
 from tvload.errors import (
     NumericError,
     ParameterError,
@@ -367,7 +368,7 @@ def test_fit_sur_collapse_second_delta_below_tolerance():
     rng = np.random.default_rng(17)
     basis, fac, _, _, clean = _random_instance(rng, T=48, N=6, r=1, J=2)
     panel = make_panel(clean.values + rng.normal(size=clean.values.shape))
-    fit = fit_iterative(panel, fac, basis, delta=1e-6)
+    fit = fit_iterative(panel, fac, basis)
     assert fit.n_iter == 2
     assert fit.deltas[0] < 1e-6
     assert fit.converged
@@ -386,22 +387,43 @@ def test_fit_invariants():
     assert all(d >= 0.0 and np.isfinite(d) for d in fit.deltas)
 
 
-def test_fit_non_convergence_is_flagged_not_raised():
+def test_fit_keeps_the_first_pass_covariance_when_nothing_moves(monkeypatch):
+    rng = np.random.default_rng(20)
+    basis, fac, _, _, clean = _random_instance(rng)
+    panel = make_panel(clean.values + 0.5 * rng.normal(size=clean.values.shape))
+    covs = []
+
+    def counted_cov(*args):
+        covs.append(residual_cov(*args))
+        return covs[-1]
+
+    monkeypatch.setattr(tvload.gls, "residual_cov", counted_cov)
+    fit = fit_iterative(panel, fac, basis)
+    assert fit.deltas == (0.0,)
+    assert fit.converged and fit.n_iter == 2
+    assert len(covs) == 1
+    assert np.array_equal(fit.Gamma_e, residual_cov(panel, fit.Lambda, fac))
+
+
+def test_fit_flags_a_second_pass_that_moves(monkeypatch):
+    # the Kronecker weight cancels, so only a perturbed solver can move pass 2
     rng = np.random.default_rng(19)
     basis, fac, _, _, panel = _random_instance(rng)
-    fit = fit_iterative(panel, fac, basis, max_iter=1)
-    assert not fit.converged
-    assert fit.n_iter == 1
-    assert fit.deltas == ()
+    weights = []
 
+    def moving_step(panel, design, gamma_e, sigma_full=None):
+        weights.append(gamma_e)
+        return gls_step(panel, design, gamma_e, sigma_full) + 0.01 * (len(weights) - 1)
 
-def test_fit_parameter_validation():
-    rng = np.random.default_rng(20)
-    basis, fac, _, _, panel = _random_instance(rng)
-    with pytest.raises(ParameterError):
-        fit_iterative(panel, fac, basis, delta=0.0)
-    with pytest.raises(ParameterError):
-        fit_iterative(panel, fac, basis, max_iter=0)
+    monkeypatch.setattr(tvload.gls, "gls_step", moving_step)
+    fit = fit_iterative(panel, fac, basis)
+    assert len(weights) == 2
+    assert np.array_equal(weights[0], np.eye(panel.N))
+    first = loadings_from_coeffs(gls_step(panel, build_design(fac, basis), weights[0]), basis)
+    assert np.array_equal(weights[1], regularize_covariance(residual_cov(panel, first, fac)))
+    assert not fit.converged and fit.n_iter == 2
+    assert fit.deltas[0] > 0
+    assert np.array_equal(fit.Gamma_e, residual_cov(panel, fit.Lambda, fac))
 
 
 # ---------------------------------------------------------------- artifacts

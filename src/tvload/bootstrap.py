@@ -2,12 +2,16 @@
 
 Whole cross-section residual vectors are resampled with replacement over the
 grid, synthetic panels are refitted with the factors and basis held fixed,
-and pointwise quantile bands are read off the refitted loading fields.  Each
+and pointwise quantile bands are read off the refitted loading curves.  Each
 draw owns an RNG derived from (seed, draw index), so results do not depend
 on execution order and any draw can be reproduced in isolation.
 
 With the factors fixed every draw is the same linear map of its panel, so
-one design, factored once, serves all draws.
+one design, factored once, serves all draws.  A refitted curve is the basis
+times its 2^J wavelet coefficients, so a draw keeps only those coefficients,
+N*r*2^J values where its loading field has T*N*r.  The bands are formed one
+curve at a time from them, so the draws take B*N*r*2^J + T*B values at most,
+not B*T*N*r.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class BandSet:
 
 
 def _one_draw(b, seed, E, X_hat, panel, factors, basis, design):
-    """Loading field refitted to bootstrap panel b.
+    """Wavelet coefficients, shape (N, r, 2^J), refitted to bootstrap panel b.
 
     ``design`` is None when the factors are re-extracted from every draw.
     """
@@ -54,11 +58,11 @@ def _one_draw(b, seed, E, X_hat, panel, factors, basis, design):
             f_star = pca_factors(panel_star, factors.r)
         else:
             f_star = nonstationary_factors(panel_star, factors.r, **factors.params)
-    return fit_iterative(panel_star, f_star, basis, design=design).Lambda
+    return fit_iterative(panel_star, f_star, basis, design=design).beta
 
 
 def _outcome(b, **args):
-    """Draw b's loading field, or the exception that ended it."""
+    """Draw b's coefficients, or the exception that ended it."""
     try:
         return _one_draw(b, **args)
     except Exception as exc:  # noqa: BLE001 - failures are data here
@@ -98,6 +102,11 @@ def residual_bootstrap(
     n_threads: int = 1,
 ) -> BandSet:
     """Bootstrap pointwise bands around the estimated loading curves.
+
+    Every draw keeps its wavelet coefficients, not its loading field, and the
+    bands are formed one curve at a time from them: the draws take at most
+    B*N*r*2^J + T*B float64 values, T/2^J times fewer than the B*T*N*r of
+    the draws' loading fields.
 
     Parameters
     ----------
@@ -142,32 +151,42 @@ def residual_bootstrap(
         _outcome, seed=seed, E=E, X_hat=X_hat, panel=panel, factors=factors, basis=basis,
         design=None if refit_factors else build_design(factors, basis),
     )
-    # Curve-major: row k holds every draw of one loading value, so the sort
-    # for the quantiles runs along contiguous rows.
-    draws = np.empty((fit.Lambda.size, B))
+    # Curve-major: store[c] holds every draw's coefficients of curve c, one
+    # row per draw, so each curve's field comes out of one product with the
+    # basis.  B @ store[c].T hands BLAS the operand layout of
+    # loadings_from_coeffs, so every value equals the draw's own Lambda bit
+    # for bit; B @ (2^J x draws) sums in another order.
+    N, r, p = fit.beta.shape
+    store = np.empty((N * r, B, p))
     kept = 0
     failed: list[tuple[int, str]] = []
     pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
     with pool or nullcontext():
         # Executor.map yields in submission order and releases each result
-        # as it goes, so finished draws do not pile up beside the buffer.
+        # as it goes, so finished draws do not pile up beside the store.
         outcomes = pool.map(draw, range(1, B + 1)) if pool else map(draw, range(1, B + 1))
         for b, outcome in enumerate(outcomes, start=1):
             if isinstance(outcome, Exception):
                 failed.append((b, repr(outcome)))
             else:
-                draws[:, kept] = outcome.ravel()
+                store[:, kept] = outcome.reshape(N * r, p)
                 kept += 1
     if len(failed) > 0.1 * B or kept == 0:
         raise NumericError(
             f"{len(failed)} of {B} bootstrap draws failed; first: "
             f"{failed[0] if failed else 'none'}"
         )
-    draws = draws[:, :kept]
-    draws.sort(axis=1)
-    lo = _sorted_quantile(draws, (1.0 - level) / 2.0).reshape(fit.Lambda.shape)
-    hi = _sorted_quantile(draws, (1.0 + level) / 2.0).reshape(fit.Lambda.shape)
-    return BandSet(level=level, lower=lo, upper=hi, B=B, failed=tuple(failed))
+    T = basis.T
+    lo = np.empty((T, N * r))
+    hi = np.empty((T, N * r))
+    field = np.empty((T, kept))  # curve c in every draw, reused for each c
+    for c in range(N * r):
+        np.matmul(basis.B, store[c, :kept].T, out=field)
+        field.sort(axis=1)
+        lo[:, c] = _sorted_quantile(field, (1.0 - level) / 2.0)
+        hi[:, c] = _sorted_quantile(field, (1.0 + level) / 2.0)
+    return BandSet(level=level, lower=lo.reshape(fit.Lambda.shape),
+                   upper=hi.reshape(fit.Lambda.shape), B=B, failed=tuple(failed))
 
 
 def write_bands_csv(bands: BandSet, fit, panel: Panel, path) -> None:

@@ -120,6 +120,9 @@ def cmd_estimate(args) -> int:
         work = standardize(panel)
         standardization = "center-scale"
         method = "PCA"
+    # A grid too short for the basis fails here, before any factor work.
+    J = args.J if args.J is not None else select_resolution(work.T)
+    basis = evaluate_basis(args.family, J, work.T)
 
     r = args.r
     selection = None
@@ -140,8 +143,6 @@ def cmd_estimate(args) -> int:
     else:
         est = pca_factors(work, r)
 
-    J = args.J if args.J is not None else select_resolution(work.T)
-    basis = evaluate_basis(args.family, J, work.T)
     design = build_design(est, basis)
     fit = fit_iterative(work, est, basis, design=design)
 
@@ -257,6 +258,7 @@ def cmd_simulate(args) -> int:
                 "mse_median": rep.mse_median,
                 "median_rep": rep.median_rep,
                 "n_failures": len(rep.failures),
+                "failures": [[i, msg] for i, msg in rep.failures],
             }
             for rep in reports
         ],

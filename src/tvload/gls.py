@@ -191,7 +191,9 @@ def gls_step(
         raise ShapeError(f"gamma_e must be {N}x{N}, got {gamma_e.shape}")
     if not np.isfinite(gamma_e).all():
         raise ParameterError("gamma_e must be finite")
-    if not np.allclose(gamma_e, gamma_e.T, atol=1e-10):
+    # np.allclose(gamma_e, gamma_e.T, atol=1e-10) written out: on finite
+    # entries it is this test, without allclose's inf and nan handling.
+    if not (np.abs(gamma_e - gamma_e.T) <= 1e-10 + 1e-5 * np.abs(gamma_e.T)).all():
         raise ParameterError("gamma_e must be symmetric")
     try:
         np.linalg.cholesky(gamma_e)

@@ -1,5 +1,7 @@
 """Residual bootstrap bands: degenerate cases, determinism, nesting, coverage."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,7 +9,7 @@ from numpy.testing import assert_allclose
 import tvload.bootstrap as bt
 from tvload.bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
 from tvload.errors import NumericError, ParameterError
-from tvload.factors import FactorEstimate, make_panel
+from tvload.factors import FactorEstimate, make_panel, pca_factors
 from tvload.gls import common_component, fit_iterative, loadings_from_coeffs
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis, select_resolution
@@ -30,9 +32,10 @@ def _noisy_fit(seed, T=64, N=5, r=1, J=3, noise=1.0, family="haar"):
     return panel, fac, basis, fit_iterative(panel, fac, basis)
 
 
-def _reference_bands(panel, fit, fac, basis, B, level, seed, skip=()):
+def _reference_bands(panel, fit, fac, basis, B, level, seed, skip=(), refit=False):
     """The per-draw rule, one full refit each: resample whole residual rows
-    with the draw's own RNG, refit with fit_iterative, stack, np.quantile."""
+    with the draw's own RNG, refit with fit_iterative (on factors extracted
+    again from the draw's panel when ``refit``), stack, np.quantile."""
     X_hat = common_component(fit.Lambda, fac)
     E = panel.values - X_hat
     draws = []
@@ -42,7 +45,8 @@ def _reference_bands(panel, fit, fac, basis, B, level, seed, skip=()):
         rng = np.random.default_rng([seed, b])
         idx = rng.integers(0, E.shape[0], size=E.shape[0])
         star = make_panel(X_hat + E[idx], panel.series_ids)
-        draws.append(fit_iterative(star, fac, basis).Lambda)
+        f_star = pca_factors(star, fac.r) if refit else fac
+        draws.append(fit_iterative(star, f_star, basis).Lambda)
     stack = np.stack(draws, axis=0)
     return np.quantile(stack, [(1.0 - level) / 2.0, (1.0 + level) / 2.0],
                        axis=0, method="linear")
@@ -141,6 +145,40 @@ def test_fixed_factor_bands_leave_out_failed_draws(monkeypatch):
     tol = 1e-12 * np.max(np.abs(fit.Lambda))
     assert np.max(np.abs(bands.lower - lo)) <= tol
     assert np.max(np.abs(bands.upper - hi)) <= tol
+
+
+def test_refit_bands_leave_out_failed_draws_pooled_or_serial(monkeypatch):
+    panel, fac, basis, fit = _noisy_fit(12, T=64, N=6, r=2)
+    real = bt._one_draw
+
+    def flaky(b, **kwargs):
+        if b in (4, 9):
+            raise RuntimeError("draw exploded")
+        return real(b, **kwargs)
+
+    monkeypatch.setattr(bt, "_one_draw", flaky)
+    lo, hi = _reference_bands(panel, fit, fac, basis, B=30, level=0.9, seed=8,
+                              skip=(4, 9), refit=True)
+    tol = 1e-12 * np.max(np.abs(fit.Lambda))
+    for n_threads in (1, 3):
+        bands = residual_bootstrap(panel, fit, fac, basis, B=30, level=0.9, seed=8,
+                                   refit_factors=True, n_threads=n_threads)
+        assert [b for b, _ in bands.failed] == [4, 9]
+        assert np.max(np.abs(bands.lower - lo)) <= tol
+        assert np.max(np.abs(bands.upper - hi)) <= tol
+
+
+def test_draws_keep_coefficients_not_loading_fields():
+    # the draws' loading fields alone would take B*T*N*r float64 values
+    T, N, r, J, B = 256, 10, 2, 4, 200
+    panel, fac, basis, fit = _noisy_fit(13, T=T, N=N, r=r, J=J)
+    tracemalloc.start()
+    try:
+        residual_bootstrap(panel, fit, fac, basis, B=B, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B * T * N * r * 8 / 4
 
 
 @pytest.mark.parametrize("n", [1, 2, 40, 200])

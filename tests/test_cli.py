@@ -345,6 +345,23 @@ def test_simulate_runs_are_byte_identical(tmp_path):
     assert header == "N,T,theta,cov,family,r2,mse_m"
 
 
+def test_simulate_report_records_why_replications_failed(tmp_path, monkeypatch):
+    real = tvload.sim._run_one_rep
+
+    def flaky(config, family, seed, rep, J):
+        if rep == 7:
+            raise RuntimeError("replication exploded")
+        return real(config, family, seed, rep, J)
+
+    monkeypatch.setattr(tvload.sim, "_run_one_rep", flaky)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--input", _grid(tmp_path), "--output-dir", str(out),
+                 "--reps", "20", "--threads", "2"]) == 0
+    [cell] = json.loads((out / "report.json").read_text())["cells"]
+    assert cell["n_failures"] == 1
+    assert cell["failures"] == [[7, "RuntimeError('replication exploded')"]]
+
+
 # ---------------------------------------------------------------- bootstrap
 
 
@@ -474,6 +491,23 @@ def test_oversized_r_max_is_rejected(panel_csv, tmp_path, capsys):
                  str(tmp_path / "sel"), "--r-max", "99"]) == 1
     assert _err(capsys)["error"] == "ParameterError"
     assert not (tmp_path / "sel").exists()
+
+
+def test_short_grid_is_rejected_before_rank_selection(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "short.csv"
+    write_panel_csv(make_panel(np.random.default_rng(1).normal(size=(3, 10))), path)
+
+    def select(*args, **kwargs):
+        raise AssertionError("rank selection ran on a grid with no wavelet basis")
+
+    monkeypatch.setattr(tvload.cli, "select_num_factors", select)
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", str(path), "--output-dir", str(out),
+                 "--first-difference"]) == 1
+    rec = _err(capsys)
+    assert rec["error"] == "ParameterError"
+    assert "grid too short for a wavelet basis" in rec["message"]
+    assert not out.exists()
 
 
 def _runs_or_fails_cleanly(argv, out):

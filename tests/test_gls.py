@@ -216,6 +216,31 @@ def test_gls_validates_gamma():
         gls_step(panel, d, np.diag(np.full(panel.N, np.inf)))
 
 
+def test_gls_symmetry_check_is_allclose_at_the_tolerance_edge():
+    # |g - g'| <= 1e-10 + 1e-5 |g'|: an absolute edge near 0, a relative one
+    # near 0.3, approached from both sides down to single ulps
+    rng = np.random.default_rng(14)
+    basis, fac, _, _, panel = _random_instance(rng)
+    d = build_design(fac, basis)
+    verdicts = []
+    for value in (0.0, 0.3, -0.3):
+        edge = 1e-10 + 1e-5 * abs(value)
+        steps = [edge * s for s in (0.5, 1 - 1e-6, 1 + 1e-6, 2.0)]
+        for step in steps + [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]:
+            gamma = 2.0 * np.eye(panel.N)
+            gamma[1, 0] = value
+            gamma[0, 1] = value + step
+            expected = np.allclose(gamma, gamma.T, atol=1e-10)
+            try:
+                gls_step(panel, d, gamma)
+                accepted = True
+            except ParameterError:
+                accepted = False
+            assert accepted == expected, (value, step)
+            verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
 def test_rss_never_increases_with_resolution():
     rng = np.random.default_rng(10)
     T = 64

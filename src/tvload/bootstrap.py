@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -128,8 +127,8 @@ def residual_bootstrap(
         Experimental: re-extract factors from every synthetic panel with the
         original method.  Off by default.
     n_threads : int
-        Draws run in a thread pool when > 1; results are identical to the
-        serial order because of per-draw seeding.
+        Worker threads of the pool the draws run in (at least one); results
+        do not depend on it because of per-draw seeding.
 
     Returns
     -------
@@ -160,12 +159,10 @@ def residual_bootstrap(
     store = np.empty((N * r, B, p))
     kept = 0
     failed: list[tuple[int, str]] = []
-    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
-    with pool or nullcontext():
+    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
         # Executor.map yields in submission order and releases each result
         # as it goes, so finished draws do not pile up beside the store.
-        outcomes = pool.map(draw, range(1, B + 1)) if pool else map(draw, range(1, B + 1))
-        for b, outcome in enumerate(outcomes, start=1):
+        for b, outcome in enumerate(pool.map(draw, range(1, B + 1)), start=1):
             if isinstance(outcome, Exception):
                 failed.append((b, repr(outcome)))
             else:

@@ -55,15 +55,8 @@ from .wavelet import evaluate_basis, select_resolution
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("TVLOAD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ParameterError(f"TVLOAD_THREADS must be an integer, got {env!r}") from exc
-    return max(1, os.cpu_count() or 1)
+    """``--threads``, or the CPU count when it is not given; at least 1."""
+    return max(1, (os.cpu_count() or 1) if value is None else value)
 
 
 def _sha256(path) -> str:
@@ -367,7 +360,7 @@ _FLAGS = {
     "--output-dir": dict(help="artifact directory, created once the run has succeeded"),
     "--seed": dict(type=int, default=0),
     "--threads": dict(type=int, default=None,
-                      help="worker threads (default: TVLOAD_THREADS env, then CPU count)"),
+                      help="worker threads (default: CPU count)"),
     "--family": dict(choices=["haar", "d8"], default="haar"),
     "--J": dict(type=int, default=None, help="resolution override"),
     "--nonstationary": dict(action="store_true"),

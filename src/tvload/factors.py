@@ -10,6 +10,7 @@ constant with a subsample-stability rule.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -60,8 +61,7 @@ class Panel:
         return self.values.shape[1]
 
 
-def make_panel(values, series_ids=None, standardized: bool = False,
-               means=None, sds=None) -> Panel:
+def make_panel(values, series_ids=None) -> Panel:
     """Validate raw values and wrap them in a Panel."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -94,9 +94,7 @@ def make_panel(values, series_ids=None, standardized: bool = False,
                     "whitespace, '/' or NUL"
                 )
             seen.add(sid)
-    return Panel(values=values, series_ids=series_ids, standardized=standardized,
-                 means=None if means is None else np.asarray(means, float),
-                 sds=None if sds is None else np.asarray(sds, float))
+    return Panel(values=values, series_ids=series_ids)
 
 
 def read_panel_csv(path) -> Panel:
@@ -148,6 +146,16 @@ def write_panel_csv(panel: Panel, path) -> None:
                 rows=range(1, panel.T + 1))
 
 
+def _series_sds(panel: Panel, verb: str) -> np.ndarray:
+    """Sample standard deviation of every series; constant series raise."""
+    sds = panel.values.std(axis=0, ddof=1)
+    dead = np.flatnonzero(sds <= 0.0)
+    if dead.size:
+        names = ", ".join(panel.series_ids[m] for m in dead[:10])
+        raise DegenerateSeriesError(f"zero-variance series cannot be {verb}: {names}")
+    return sds
+
+
 def standardize(panel: Panel) -> Panel:
     """Center each series and scale it to unit sample standard deviation.
 
@@ -157,11 +165,7 @@ def standardize(panel: Panel) -> Panel:
     if panel.standardized:
         return panel
     means = panel.values.mean(axis=0)
-    sds = panel.values.std(axis=0, ddof=1)
-    dead = np.flatnonzero(sds <= 0.0)
-    if dead.size:
-        names = ", ".join(panel.series_ids[m] for m in dead[:10])
-        raise DegenerateSeriesError(f"zero-variance series cannot be standardized: {names}")
+    sds = _series_sds(panel, "standardized")
     vals = (panel.values - means) / sds
     return replace(panel, values=vals, standardized=True, means=means, sds=sds)
 
@@ -174,11 +178,7 @@ def scale_only(panel: Panel) -> Panel:
     must retain the level, so the panel is not centered here.  Constant
     series raise ``DegenerateSeriesError``.
     """
-    sds = panel.values.std(axis=0, ddof=1)
-    dead = np.flatnonzero(sds <= 0.0)
-    if dead.size:
-        names = ", ".join(panel.series_ids[m] for m in dead[:10])
-        raise DegenerateSeriesError(f"zero-variance series cannot be rescaled: {names}")
+    sds = _series_sds(panel, "rescaled")
     return replace(panel, values=panel.values / sds, sds=sds)
 
 
@@ -219,6 +219,16 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eigh_descending(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the symmetric matrix S in descending order, with their vectors."""
+    try:
+        w, V = np.linalg.eigh(S)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+    order = np.argsort(w)[::-1]
+    return w[order], V[:, order]
+
+
 def pca_factors(panel: Panel, r: int) -> FactorEstimate:
     """Principal-component factors normalized so that F'F = T * I_r.
 
@@ -240,16 +250,7 @@ def pca_factors(panel: Panel, r: int) -> FactorEstimate:
     T, N = Y.shape
     if not 1 <= r <= min(N, T):
         raise ParameterError(f"r={r} outside 1..min(N,T)={min(N, T)}")
-    try:
-        if T <= N:
-            w, V = np.linalg.eigh(Y @ Y.T / (N * T))
-        else:
-            w, V = np.linalg.eigh(Y.T @ Y / (N * T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    V = V[:, order]
+    w, V = _eigh_descending(Y @ Y.T / (N * T) if T <= N else Y.T @ Y / (N * T))
     if T <= N:
         vecs = _fix_signs(V[:, :r])
     else:
@@ -347,15 +348,8 @@ def nonstationary_factors(
     N = Y.shape[1]
     if not 1 <= r <= N:
         raise ParameterError(f"r={r} outside 1..N={N}")
-    C = generalized_covariance(panel, k, d, dprime)
-    try:
-        w, V = np.linalg.eigh(C)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    load = _fix_signs(V[:, order][:, :r])
-    F = Y @ load
+    w, V = _eigh_descending(generalized_covariance(panel, k, d, dprime))
+    F = Y @ _fix_signs(V[:, :r])
     return FactorEstimate(
         F=F,
         eigenvalues=w,
@@ -406,21 +400,28 @@ def _ic_minimizers(values: np.ndarray, r_max: int, c_grid: np.ndarray) -> tuple[
     return np.argmin(ic, axis=1), ic
 
 
+# The penalty constants of the sweep, and the nested subpanels it runs on:
+# _N_SUBSAMPLES of them, from _MIN_FRACTION of the panel up to all of it.
+# Every FactorSelection hands out the grid itself, so it is read-only.
+_C_GRID = np.linspace(0.01, 3.0, 60)
+_C_GRID.flags.writeable = False
+_N_SUBSAMPLES = 10
+_MIN_FRACTION = 0.5
+
+
 def select_num_factors(
     panel: Panel,
     r_max: int | None = None,
-    c_grid=None,
-    n_subsamples: int = 10,
     first_difference_panel: bool = False,
-    min_fraction: float = 0.5,
 ) -> FactorSelection:
     """Choose the number of factors by penalty sweep plus subsample stability.
 
     The criterion IC(r) = log V(r) + c * r * ((N+T)/(NT)) * log(min(N,T)) is
-    minimized over r = 0..r_max for every penalty constant c on the grid and
-    on a family of nested subpanels.  The chosen r is the value that stays
-    constant over the widest c-interval on which all subsamples agree
-    (zero across-subsample variance).
+    minimized over r = 0..r_max for every penalty constant c on a grid of 60
+    points on [0.01, 3], and on 10 nested subpanels whose share of the panel
+    grows from one half to the whole.  The chosen r is the value that stays
+    constant over the widest c-interval on which all subsamples agree (zero
+    across-subsample variance).
 
     Parameters
     ----------
@@ -428,31 +429,13 @@ def select_num_factors(
     r_max : int, optional
         Largest candidate, 1 <= r_max < min(N, T) of the panel the scan runs
         on (after differencing); defaults to min(8, min(N, T) - 1).
-    c_grid : array-like, optional
-        Penalty constants; defaults to 60 points on [0.01, 3].
-    n_subsamples : int
-        Number of nested subpanels (the last one is the full panel).
     first_difference_panel : bool
         Difference the panel once before selection (integrated data).
-    min_fraction : float
-        Size of the smallest subpanel relative to the full one.
 
     Returns
     -------
     FactorSelection
     """
-    if c_grid is None:
-        c_grid = np.linspace(0.01, 3.0, 60)
-    c_grid = np.asarray(c_grid, dtype=float)
-    if c_grid.size == 0:
-        raise ParameterError("penalty grid is empty")
-    if np.any(c_grid < 0):
-        raise ParameterError("penalty constants must be nonnegative")
-    if n_subsamples < 1:
-        raise ParameterError(f"need at least one subsample, got {n_subsamples}")
-    if not 0 < min_fraction <= 1:
-        raise ParameterError(f"min_fraction must lie in (0, 1], got {min_fraction}")
-
     work = panel
     if first_difference_panel:
         work = first_difference(work)
@@ -467,38 +450,23 @@ def select_num_factors(
     if not 1 <= r_max < min(N, T):
         raise ParameterError(f"r_max={r_max} outside 1..min(N,T)-1={min(N, T) - 1}")
 
-    fracs = np.linspace(min_fraction, 1.0, n_subsamples)
-    r_sub = np.empty((n_subsamples, c_grid.size), dtype=int)
-    ic_full = None
-    for s, f in enumerate(fracs):
+    r_sub = np.empty((_N_SUBSAMPLES, _C_GRID.size), dtype=int)
+    for s, f in enumerate(np.linspace(_MIN_FRACTION, 1.0, _N_SUBSAMPLES)):
         Ts = max(2, int(round(f * T)))
         Ns = max(1, int(round(f * N)))
         sub = work.values[:Ts, :Ns]
-        r_hat, ic = _ic_minimizers(sub, min(r_max, min(Ns, Ts) - 1), c_grid)
-        r_sub[s] = r_hat
-        if f == 1.0 or s == n_subsamples - 1:
-            ic_full = ic
+        r_sub[s], ic_full = _ic_minimizers(sub, min(r_max, min(Ns, Ts) - 1), _C_GRID)
+    # the last subpanel is the full panel
     r_full = r_sub[-1]
     variance = r_sub.var(axis=0)
 
     # zero-variance plateaus of constant r, widest c-range first
     intervals: list[tuple[float, float, int, float]] = []
-    i = 0
-    while i < c_grid.size:
-        if variance[i] == 0.0:
-            j = i
-            while (
-                j + 1 < c_grid.size
-                and variance[j + 1] == 0.0
-                and r_full[j + 1] == r_full[i]
-            ):
-                j += 1
-            intervals.append(
-                (float(c_grid[i]), float(c_grid[j]), int(r_full[i]), float(c_grid[j] - c_grid[i]))
-            )
-            i = j + 1
-        else:
-            i += 1
+    runs = itertools.groupby(range(_C_GRID.size), key=lambda i: (variance[i] == 0.0, r_full[i]))
+    for (stable, r), run in runs:
+        if stable:
+            c = _C_GRID[list(run)]
+            intervals.append((float(c[0]), float(c[-1]), int(r), float(c[-1] - c[0])))
     if not intervals:
         raise NumericError(
             "no penalty interval with subsample-stable selection; "
@@ -513,7 +481,7 @@ def select_num_factors(
     return FactorSelection(
         r=chosen[2],
         r_max=r_max,
-        c_grid=c_grid,
+        c_grid=_C_GRID,
         r_full=r_full,
         r_sub=r_sub,
         variance=variance,

@@ -93,34 +93,35 @@ def build_design(factors: FactorEstimate, basis: WaveletBasis) -> DesignBlock:
         raise ShapeError(
             f"factor grid length {F.shape[0]} does not match basis grid {basis.T}"
         )
-    blocks = [basis.B * F[:, i : i + 1] for i in range(F.shape[1])]
-    return DesignBlock(Psi=np.hstack(blocks), r=F.shape[1], basis=basis)
+    Psi = (F[:, :, None] * basis.B[:, None, :]).reshape(F.shape[0], -1)
+    return DesignBlock(Psi=Psi, r=F.shape[1], basis=basis)
 
 
-def regularize_covariance(
-    gamma: np.ndarray,
-    epsilon: float = 0.1,
-    cond_max: float = 1e8,
-    force_shrink: bool = False,
-    max_rounds: int = 200,
-) -> np.ndarray:
+# Shrinkage weight of one round, the condition number that ends the rounds,
+# and the number of rounds before the last-resort ridge.
+_SHRINK = 0.1
+_COND_MAX = 1e8
+_MAX_ROUNDS = 200
+
+
+def regularize_covariance(gamma: np.ndarray, force_shrink: bool = False) -> np.ndarray:
     """Shrink a residual covariance toward its diagonal until well conditioned.
 
-    Applies gamma <- (1 - eps) * gamma + eps * diag(gamma) while the condition
-    number exceeds ``cond_max`` (or once unconditionally when
-    ``force_shrink``), and adds a tiny ridge as a last resort for matrices
+    Applies gamma <- 0.9 * gamma + 0.1 * diag(gamma) while the condition
+    number exceeds 1e8 (or once unconditionally when ``force_shrink``), for
+    at most 200 rounds, and adds a tiny ridge as a last resort for matrices
     whose diagonal itself is degenerate (e.g. all-zero residuals).
     """
     G = 0.5 * (gamma + gamma.T)
     shrunk = 0
     while True:
         w = np.linalg.eigvalsh(G)
-        ok = w[0] > 0.0 and w[-1] / w[0] <= cond_max
+        ok = w[0] > 0.0 and w[-1] / w[0] <= _COND_MAX
         if ok and (shrunk > 0 or not force_shrink):
             return G
-        if shrunk >= max_rounds:
+        if shrunk >= _MAX_ROUNDS:
             break
-        G = (1.0 - epsilon) * G + epsilon * np.diag(np.diag(G))
+        G = (1.0 - _SHRINK) * G + _SHRINK * np.diag(np.diag(G))
         shrunk += 1
     ridge = max(float(np.mean(np.diag(G))), 1.0) * 1e-10
     G = G + ridge * np.eye(G.shape[0])

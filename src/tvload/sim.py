@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import nullcontext
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -361,8 +360,7 @@ class ExperimentReport:
     failures: tuple[tuple[int, str], ...] = ()
 
 
-def _run_one_rep(config: DgpConfig, family: str, seed: int, rep: int,
-                 J: int | None, return_fit: bool = False):
+def _run_one_rep(config: DgpConfig, family: str, seed: int, rep: int, J: int | None):
     cfg = replace(config, seed=(seed, rep))
     ds = simulate_dgp(cfg)
     panel = make_panel(ds.Y)
@@ -377,11 +375,7 @@ def _run_one_rep(config: DgpConfig, family: str, seed: int, rep: int,
     resolution = select_resolution(cfg.T) if J is None else J
     basis = evaluate_basis(family, resolution, cfg.T)
     fit = fit_iterative(panel, aligned, basis)
-    r2 = r2_factors(ds.F, aligned.F)
-    mse = loading_mse(fit.Lambda, ds.Lambda)
-    if return_fit:
-        return r2, mse, fit, ds
-    return r2, mse
+    return r2_factors(ds.F, aligned.F), loading_mse(fit.Lambda, ds.Lambda), fit, ds
 
 
 def run_experiment(
@@ -420,14 +414,13 @@ def run_experiment(
     def outcome(rep: int):
         """Replication rep's (R-squared, MSE), or the exception that ended it."""
         try:
-            return _run_one_rep(config, family, seed, rep, J)
+            # keep only the scores, so fits do not pile up in the pool
+            return _run_one_rep(config, family, seed, rep, J)[:2]
         except Exception as exc:  # noqa: BLE001 - replication failures are data
             return exc
 
-    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
-    with pool or nullcontext():
-        run = pool.map if pool else map
-        for rep, out in enumerate(run(outcome, range(1, n_reps + 1)), start=1):
+    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
+        for rep, out in enumerate(pool.map(outcome, range(1, n_reps + 1)), start=1):
             if isinstance(out, Exception):
                 failures.append((rep, repr(out)))
             else:
@@ -457,7 +450,7 @@ def run_experiment(
 def refit_replication(config: DgpConfig, family: str, seed: int, rep: int,
                       J: int | None = None) -> tuple[GlsFit, SimulatedDataset]:
     """Reproduce a single replication's fit exactly (per-rep seeding)."""
-    _, _, fit, ds = _run_one_rep(config, family, seed, rep, J, return_fit=True)
+    _, _, fit, ds = _run_one_rep(config, family, seed, rep, J)
     return fit, ds
 
 
@@ -535,13 +528,8 @@ def _theta_label(config: DgpConfig) -> str:
     return "|".join(format(x, "g") for x in th)
 
 
-def _cov_label(config: DgpConfig) -> str:
-    label = getattr(config.noise_cov, "label", None)
-    return label() if callable(label) else str(config.noise_cov)
-
-
 def _cell_key(rep: ExperimentReport) -> tuple:
-    return (rep.config.N, rep.config.T, _theta_label(rep.config), _cov_label(rep.config),
+    return (rep.config.N, rep.config.T, _theta_label(rep.config), rep.config.noise_cov.label(),
             rep.family)
 
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -18,9 +19,15 @@ from hypothesis import strategies as st
 
 import tvload
 from tvload.cli import _resolve_threads, _reload_estimate, build_parser, main
-from tvload.errors import ParameterError
-from tvload.factors import make_panel, pca_factors, read_panel_csv, standardize, write_panel_csv
-from tvload.gls import build_design, fit_iterative
+from tvload.factors import (
+    make_panel,
+    pca_factors,
+    read_panel_csv,
+    select_num_factors,
+    standardize,
+    write_panel_csv,
+)
+from tvload.gls import build_design, fit_iterative, regularize_covariance
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis
 
@@ -44,17 +51,10 @@ def _err(capsys):
 # ---------------------------------------------------------------- plumbing
 
 
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("TVLOAD_THREADS", raising=False)
+def test_resolve_threads():
     assert _resolve_threads(3) == 3
     assert _resolve_threads(-2) == 1
     assert _resolve_threads(None) >= 1
-    monkeypatch.setenv("TVLOAD_THREADS", "5")
-    assert _resolve_threads(None) == 5
-    assert _resolve_threads(2) == 2  # explicit flag wins over the environment
-    monkeypatch.setenv("TVLOAD_THREADS", "lots")
-    with pytest.raises(ParameterError):
-        _resolve_threads(None)
 
 
 _OPTIONS = {
@@ -90,6 +90,16 @@ def test_the_readme_flag_table_matches_the_parser():
     for command, flags in rows.items():
         assert len(flags) == len(set(flags)), command
         assert set(flags) == _options(command), command
+
+
+def test_library_entry_points_take_only_the_pinned_parameters():
+    # the penalty grid, the subpanels and the shrinkage schedule are constants
+    def params(func):
+        return list(inspect.signature(func).parameters)
+
+    assert params(make_panel) == ["values", "series_ids"]
+    assert params(select_num_factors) == ["panel", "r_max", "first_difference_panel"]
+    assert params(regularize_covariance) == ["gamma", "force_shrink"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -210,16 +220,24 @@ def test_estimate_reports_the_conditioning_of_the_design(tmp_path, panel_csv):
     assert abs(report["design_gram_condition"] - cond) <= 1e-8 * cond
 
 
-def test_estimate_ignores_the_thread_setting(tmp_path, panel_csv, monkeypatch, capsys):
-    monkeypatch.setenv("TVLOAD_THREADS", "lots")
-    est = tmp_path / "est"
+def test_no_environment_variable_sets_the_worker_threads(tmp_path, panel_csv, monkeypatch):
+    est, grid = tmp_path / "est", _grid(tmp_path)
     assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),
                  "--r", "2", "--J", "3"]) == 0
-    # the commands that run a worker pool still read the setting, and reject it
-    boot = tmp_path / "boot"
-    assert main(["bootstrap", "--input", str(est), "--output-dir", str(boot), "--B", "4"]) == 1
-    assert "TVLOAD_THREADS" in _err(capsys)["message"]
-    assert not boot.exists()
+
+    def outputs(tag):
+        runs = {"boot": ["bootstrap", "--input", str(est), "--B", "4"],
+                "sim": ["simulate", "--input", grid, "--reps", "2"]}
+        files = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}_{tag}"
+            assert main([*argv, "--output-dir", str(out)]) == 0
+            files.update({(name, p.name): p.read_bytes() for p in out.iterdir()})
+        return files
+
+    plain = outputs("plain")
+    monkeypatch.setenv("TVLOAD_THREADS", "lots")
+    assert outputs("env") == plain
 
 
 def test_reports_record_only_parameters_that_shape_outputs(tmp_path, panel_csv):

@@ -395,12 +395,15 @@ def test_select_parameter_validation():
     p = make_panel(np.random.default_rng(18).normal(size=(32, 6)))
     with pytest.raises(ParameterError):
         select_num_factors(p, 6)  # r_max must stay below min(N, T)
-    with pytest.raises(ParameterError):
-        select_num_factors(p, 3, c_grid=[])
-    with pytest.raises(ParameterError):
-        select_num_factors(p, 3, c_grid=[-0.5, 1.0])
-    with pytest.raises(ParameterError):
-        select_num_factors(p, 3, n_subsamples=0)
+
+
+def test_select_hands_out_a_read_only_penalty_grid():
+    p = make_panel(np.random.default_rng(18).normal(size=(32, 6)))
+    sel = select_num_factors(p, 3)
+    assert np.array_equal(sel.c_grid, np.linspace(0.01, 3.0, 60))
+    with pytest.raises(ValueError):
+        sel.c_grid[0] = 1.0
+    assert select_num_factors(p, 3).c_grid[0] == 0.01
 
 
 def test_select_first_difference_handles_random_walk_panel():

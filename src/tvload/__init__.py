@@ -56,14 +56,12 @@ from .sim import (
     gen_noise_cov,
     loading_library,
     read_grid_json,
-    refit_replication,
     run_experiment,
     simulate_dgp,
     write_detail_csv,
     write_report_csv,
 )
 from .wavelet import (
-    CoefficientVector,
     WaveletBasis,
     WaveletFamily,
     evaluate_basis,
@@ -87,7 +85,6 @@ __all__ = [
     # wavelet
     "WaveletFamily",
     "WaveletBasis",
-    "CoefficientVector",
     "select_resolution",
     "haar_eval",
     "evaluate_basis",
@@ -136,7 +133,6 @@ __all__ = [
     "default_loading_spec",
     "simulate_dgp",
     "run_experiment",
-    "refit_replication",
     "default_grid",
     "read_grid_json",
     "write_report_csv",

@@ -129,6 +129,11 @@ def cmd_estimate(args) -> int:
         if sel.r == 0:
             raise ParameterError(
                 f"rank selection found no common factor (r_max={sel.r_max}); {pass_r}")
+        if sel.r == sel.r_max:
+            # only the under-penalized plateau at r_max was stable: no selection
+            raise ParameterError(
+                f"rank selection found only the trivial plateau at r_max={sel.r_max}; "
+                f"{pass_r}")
         r = sel.r
         selection = {"r": sel.r, "r_max": sel.r_max}
     if args.nonstationary:

@@ -11,6 +11,10 @@ GLS weighting by Gamma_e^-1 (x) I_T collapses exactly onto per-series least
 squares.  The feasible GLS fit therefore takes two passes, the identity
 weight and then the regularized residual covariance, and the second
 reproduces the first; the fit records that movement rather than hides it.
+
+A design keeps the factors and the basis, not Psi.  On a Haar basis whose
+2^J dyadic blocks tile the grid, Psi'Psi and Psi'Y come from per-block factor
+sums; every other basis forms them from Psi, built once when first needed.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from ._table import write_table
 from .errors import NumericError, ParameterError, RankDeficiencyError, ShapeError
 from .factors import FactorEstimate, Panel
-from .wavelet import WaveletBasis
+from .wavelet import WaveletBasis, WaveletFamily
 
 __all__ = [
     "DesignBlock",
@@ -47,32 +51,81 @@ __all__ = [
 class DesignBlock:
     """Stacked regression design: ``Psi[:, i*2^J:(i+1)*2^J]`` belongs to factor i.
 
-    A design is also the loading solver for its factors and basis.  The first
+    A design keeps the T x r factor paths ``F`` and the ``basis``; the
+    T x (r * 2^J) matrix ``Psi`` is built only when it is read.  The design
+    is also the loading solver for its factors and basis.  The first
     ``solve`` takes the Cholesky factor L of Psi'Psi and keeps its inverse, so
     every panel costs one product Psi'Y and two triangular-matrix products;
     ``gram_condition`` reads the conditioning of Psi'Psi off the same factor.
+
+    A Haar basis on a grid that 2^J divides is constant on K = 2^J dyadic
+    blocks of T/K rows, with row A_k on block k.  There Psi'Psi and Psi'Y
+    are formed from per-block sums, without Psi: the (i, j) block of the
+    Gram matrix is A' diag(S_k[i, j]) A with S_k = F_k'F_k, and Psi'Y is
+    A'W with W_k = F_k'Y_k.  Every other basis forms both from Psi.
     """
 
-    Psi: np.ndarray
-    r: int
+    F: np.ndarray
     basis: WaveletBasis
+
+    @property
+    def r(self) -> int:
+        return self.F.shape[1]
+
+    @cached_property
+    def Psi(self) -> np.ndarray:
+        """Every basis column times every factor path, factor-major."""
+        F, B = self.F, self.basis.B
+        return (F[:, :, None] * B[:, None, :]).reshape(F.shape[0], -1)
+
+    @cached_property
+    def _blocks(self) -> np.ndarray | None:
+        """The K x 2^J block rows A of a Haar basis on a dyadic grid, else None."""
+        basis = self.basis
+        K = basis.n_columns
+        if basis.family is not WaveletFamily.HAAR or basis.T % K:
+            return None
+        return basis.B[:: basis.T // K]
+
+    def _by_block(self, X: np.ndarray) -> np.ndarray:
+        """Per-block products F_k'X_k of a T x n matrix, shape (K, r, n)."""
+        K = self.basis.n_columns
+        Fk = self.F.reshape(K, -1, self.r)
+        return Fk.transpose(0, 2, 1) @ X.reshape(K, Fk.shape[1], -1)
+
+    def _gram(self) -> np.ndarray:
+        A = self._blocks
+        if A is None:
+            return self.Psi.T @ self.Psi
+        r, p = self.r, A.shape[1]
+        S = self._by_block(self.F)  # (K, r, r)
+        # block (i, j) = A' diag(S[:, i, j]) A, one batched product for all r^2
+        G = A.T @ (S.reshape(-1, r * r).T[:, :, None] * A)
+        return G.reshape(r, r, p, p).transpose(0, 2, 1, 3).reshape(r * p, r * p)
+
+    def _cross(self, Y: np.ndarray) -> np.ndarray:
+        A = self._blocks
+        if A is None:
+            return self.Psi.T @ Y
+        W = self._by_block(Y)  # (K, r, N)
+        return (A.T @ W.transpose(1, 0, 2)).reshape(-1, Y.shape[1])
 
     @cached_property
     def _inverse_factor(self) -> np.ndarray:
-        gram = self.Psi.T @ self.Psi
+        gram = self._gram()
         if not np.isfinite(gram).all():
             raise NumericError("design Gram matrix Psi'Psi has non-finite entries")
         try:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            _report_rank_deficiency(self.Psi, self)
+            _report_rank_deficiency(self)
             raise  # unreachable: the reporter always raises
         return np.linalg.inv(L)
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """Per-series least-squares coefficients of a T x N panel, shape (N, r, 2^J)."""
         Linv = self._inverse_factor
-        X = Linv.T @ (Linv @ (self.Psi.T @ Y))  # (r*2^J) x N
+        X = Linv.T @ (Linv @ self._cross(Y))  # (r*2^J) x N
         return X.T.reshape(Y.shape[1], self.r, self.basis.n_columns)
 
     @property
@@ -83,18 +136,17 @@ class DesignBlock:
 
 
 def build_design(factors: FactorEstimate, basis: WaveletBasis) -> DesignBlock:
-    """Multiply every basis column by every factor path.
+    """Pair the factor paths with the basis they multiply.
 
-    Returns the T x (r * 2^J) matrix whose block i is B scaled row-wise by
-    factor i's path.
+    The design stands for the T x (r * 2^J) matrix whose block i is B scaled
+    row-wise by factor i's path.
     """
     F = factors.F
     if F.shape[0] != basis.T:
         raise ShapeError(
             f"factor grid length {F.shape[0]} does not match basis grid {basis.T}"
         )
-    Psi = (F[:, :, None] * basis.B[:, None, :]).reshape(F.shape[0], -1)
-    return DesignBlock(Psi=Psi, r=F.shape[1], basis=basis)
+    return DesignBlock(F=F, basis=basis)
 
 
 # Shrinkage weight of one round, the condition number that ends the rounds,
@@ -131,17 +183,24 @@ def regularize_covariance(gamma: np.ndarray, force_shrink: bool = False) -> np.n
     return G
 
 
-def _report_rank_deficiency(Psi: np.ndarray, design: DesignBlock) -> None:
-    import scipy.linalg  # only this error path needs the pivoted QR
-
-    _, R, piv = scipy.linalg.qr(Psi, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = diag.max() * max(Psi.shape) * np.finfo(float).eps if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
+def _report_rank_deficiency(design: DesignBlock) -> None:
+    Psi = design.Psi
+    _, s, Vh = np.linalg.svd(Psi, full_matrices=False)
+    tol = s.max() * max(Psi.shape) * np.finfo(float).eps if s.size else 0.0
+    rank = int(np.sum(s > tol))
+    # The rows of Vh past the rank span the null space.  Eliminating them one
+    # after another, each on its largest entry, names one column per missing
+    # rank: a column that the kept ones reproduce.
+    null = Vh[rank:].copy()
+    dropped = []
+    for row in range(null.shape[0]):
+        c = int(np.argmax(np.abs(null[row])))
+        dropped.append(c)
+        null[row + 1:] -= np.outer(null[row + 1:, c] / null[row, c], null[row])
     p = design.basis.n_columns
     labels = []
-    for col in sorted(piv[rank:]):
-        i, c = divmod(int(col), p)
+    for col in sorted(dropped):
+        i, c = divmod(col, p)
         j, k = design.basis.column_index[c]
         labels.append(f"factor {i + 1} x column (j={j}, k={k})")
     raise RankDeficiencyError(
@@ -165,8 +224,9 @@ def gls_step(
     NT-sized matrix is formed.  Gamma_e is still validated: it must be
     finite, symmetric and admit a Cholesky factorization.  Passing
     ``sigma_full`` (an NT x NT covariance, series-major ordering) bypasses the
-    factorization and solves the dense normal equations with scipy instead;
-    it is an oracle for tests.
+    factorization and solves the dense normal equations through Cholesky
+    factors of Sigma and of the whitened Gram matrix instead; it is an
+    oracle for tests.
 
     Parameters
     ----------
@@ -184,9 +244,8 @@ def gls_step(
     """
     Y = panel.values
     T, N = Y.shape
-    Psi = design.Psi
-    if Psi.shape[0] != T:
-        raise ShapeError(f"design grid {Psi.shape[0]} does not match panel grid {T}")
+    if design.F.shape[0] != T:
+        raise ShapeError(f"design grid {design.F.shape[0]} does not match panel grid {T}")
     gamma_e = np.asarray(gamma_e, dtype=float)
     if gamma_e.shape != (N, N):
         raise ShapeError(f"gamma_e must be {N}x{N}, got {gamma_e.shape}")
@@ -206,14 +265,13 @@ def gls_step(
         sigma_full = np.asarray(sigma_full, dtype=float)
         if sigma_full.shape != (N * T, N * T):
             raise ShapeError(f"sigma_full must be {N * T}x{N * T}, got {sigma_full.shape}")
-        import scipy.linalg  # the dense oracle is the only solve path that needs scipy
-
-        theta = np.kron(np.eye(N), Psi)
-        z = Y.T.ravel()
-        si_theta = scipy.linalg.solve(sigma_full, theta, assume_a="pos")
-        A = theta.T @ si_theta
-        b = si_theta.T @ z
-        flat = scipy.linalg.solve(A, b, assume_a="pos")
+        # Whiten by the Cholesky factor C of Sigma = CC', then solve the
+        # normal equations of the whitened regression on their own factor.
+        C = np.linalg.cholesky(sigma_full)
+        theta = np.linalg.solve(C, np.kron(np.eye(N), design.Psi))
+        z = np.linalg.solve(C, Y.T.ravel())
+        La = np.linalg.cholesky(theta.T @ theta)
+        flat = np.linalg.solve(La.T, np.linalg.solve(La, theta.T @ z))
         return flat.reshape(N, design.r, p)
     return design.solve(Y)
 

@@ -6,7 +6,9 @@ rescaled time drawn from a small named registry.  The harness runs the full
 two-stage pipeline per replication - simulate, extract factors that keep
 their level, align them with the truth, fit the loading curves on the raw
 panel - and aggregates accuracy the way simulation tables usually do: mean
-trace R-squared and the MSE of the median-path replication.
+trace R-squared and the MSE of the median-path replication.  What does not
+depend on the replication seed, the true loading field and the wavelet
+basis, is built once per cell and shared read-only by its replications.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .factors import (
     scale_only,
     standardize,
 )
-from .gls import GlsFit, fit_iterative
+from .gls import fit_iterative
 from .metrics import loading_mse, median_path, procrustes_rotation, r2_factors
-from .wavelet import evaluate_basis, select_resolution
+from .wavelet import WaveletBasis, evaluate_basis, select_resolution
 
 __all__ = [
     "ToeplitzCov",
@@ -43,7 +45,6 @@ __all__ = [
     "default_loading_spec",
     "simulate_dgp",
     "run_experiment",
-    "refit_replication",
     "default_grid",
     "read_grid_json",
     "write_report_csv",
@@ -294,14 +295,38 @@ def _ar1_path(innov: np.ndarray, theta: float) -> np.ndarray:
     return np.array(path)
 
 
+def _loading_field(config: DgpConfig) -> np.ndarray:
+    """The T x N x r true loading field of a design, read-only.
+
+    It depends on (N, T, r, loading spec) alone, not on the seed, so the
+    replications of one study cell share it.
+    """
+    N, T, r = config.N, config.T, config.r
+    u = np.arange(1, T + 1, dtype=float) / T
+    spec = config.resolved_loading_spec()
+    Lambda = np.empty((T, N, r))
+    for m in range(1, N + 1):
+        for i in range(1, r + 1):
+            name, params = spec[(m, i)]
+            Lambda[:, m - 1, i - 1] = loading_library(name, u, **params)
+    Lambda.setflags(write=False)
+    return Lambda
+
+
 def simulate_dgp(config: DgpConfig) -> SimulatedDataset:
     """Draw one panel: AR(1)/random-walk factors, smooth loadings, Gaussian noise.
 
     Stationary factors (theta < 1) are warmed up over 100 discarded steps;
     random walks start at zero.  The noise covariance, factor innovations and
-    noise draws use independent streams spawned from ``config.seed``.
+    noise draws use independent streams spawned from ``config.seed``.  The
+    dataset's loading field is read-only.
     """
     config.validate()
+    return _draw(config, _loading_field(config))
+
+
+def _draw(config: DgpConfig, Lambda: np.ndarray) -> SimulatedDataset:
+    """``simulate_dgp`` on a validated config whose loading field is given."""
     N, T, r = config.N, config.T, config.r
     theta = config.resolved_theta()
     sds = config.resolved_sds()
@@ -319,14 +344,6 @@ def simulate_dgp(config: DgpConfig) -> SimulatedDataset:
         else:
             innov = rng.normal(0.0, sds[i], size=T)
             F[:, i] = np.cumsum(innov)
-
-    u = np.arange(1, T + 1, dtype=float) / T
-    spec = config.resolved_loading_spec()
-    Lambda = np.empty((T, N, r))
-    for m in range(1, N + 1):
-        for i in range(1, r + 1):
-            name, params = spec[(m, i)]
-            Lambda[:, m - 1, i - 1] = loading_library(name, u, **params)
 
     w, V = np.linalg.eigh(gamma_e)
     if w[0] < -1e-12:
@@ -360,9 +377,11 @@ class ExperimentReport:
     failures: tuple[tuple[int, str], ...] = ()
 
 
-def _run_one_rep(config: DgpConfig, family: str, seed: int, rep: int, J: int | None):
+def _run_one_rep(config: DgpConfig, Lambda: np.ndarray, basis: WaveletBasis,
+                 seed: int, rep: int):
+    """Replication rep of a cell whose loading field and basis are built."""
     cfg = replace(config, seed=(seed, rep))
-    ds = simulate_dgp(cfg)
+    ds = _draw(cfg, Lambda)
     panel = make_panel(ds.Y)
     theta = cfg.resolved_theta()
     if max(theta) < 1.0:
@@ -372,8 +391,6 @@ def _run_one_rep(config: DgpConfig, family: str, seed: int, rep: int, J: int | N
         est = nonstationary_factors(scale_only(panel), cfg.r, k=1, d=1, dprime=1)
     rot = procrustes_rotation(ds.F, est.F)
     aligned = replace(est, F=rot.F_rotated_rescaled)
-    resolution = select_resolution(cfg.T) if J is None else J
-    basis = evaluate_basis(family, resolution, cfg.T)
     fit = fit_iterative(panel, aligned, basis)
     return r2_factors(ds.F, aligned.F), loading_mse(fit.Lambda, ds.Lambda), fit, ds
 
@@ -397,16 +414,24 @@ def run_experiment(
     simulated truth and the loading curves are fitted on the raw panel, so
     the regression can absorb the level Lambda(t) mean(F).  Reported are the
     mean R-squared of the true factors on the estimates and the loading MSE
-    of the median-path replication.
+    of the median-path replication.  The cell's loading field and basis are
+    built once, before the replications start, and every replication draws
+    exactly the panel ``simulate_dgp`` draws for its seed.
 
     Raises
     ------
+    ParameterError
+        If the family is unknown or its basis does not fit the grid; no
+        replication runs.
     NumericError
         If more than 5% of the replications fail.
     """
     if n_reps < 1:
         raise ParameterError(f"need at least one replication, got {n_reps}")
     config.validate()
+    # Neither depends on the replication seed: build them once for the cell.
+    Lambda = _loading_field(config)
+    basis = evaluate_basis(family, select_resolution(config.T) if J is None else J, config.T)
 
     results: dict[int, tuple[float, float]] = {}
     failures: list[tuple[int, str]] = []
@@ -415,7 +440,7 @@ def run_experiment(
         """Replication rep's (R-squared, MSE), or the exception that ended it."""
         try:
             # keep only the scores, so fits do not pile up in the pool
-            return _run_one_rep(config, family, seed, rep, J)[:2]
+            return _run_one_rep(config, Lambda, basis, seed, rep)[:2]
         except Exception as exc:  # noqa: BLE001 - replication failures are data
             return exc
 
@@ -445,13 +470,6 @@ def run_experiment(
         replications=tuple((rep, float(r2), float(m)) for rep, r2, m in zip(reps, r2s, mses)),
         failures=tuple(failures),
     )
-
-
-def refit_replication(config: DgpConfig, family: str, seed: int, rep: int,
-                      J: int | None = None) -> tuple[GlsFit, SimulatedDataset]:
-    """Reproduce a single replication's fit exactly (per-rep seeding)."""
-    _, _, fit, ds = _run_one_rep(config, family, seed, rep, J)
-    return fit, ds
 
 
 # ---------------------------------------------------------------- grid + reports

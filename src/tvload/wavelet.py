@@ -16,20 +16,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._table import write_table
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError
 
 __all__ = [
     "WaveletFamily",
     "CascadeTable",
     "WaveletBasis",
-    "CoefficientVector",
     "select_resolution",
     "haar_eval",
     "daubechies8_table",
     "evaluate_basis",
-    "reconstruct",
-    "write_basis_csv",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -324,54 +320,3 @@ def _cached_basis(fam: WaveletFamily, J: int, T: int) -> WaveletBasis:
     B = np.column_stack(cols)
     B.setflags(write=False)
     return WaveletBasis(family=fam, J=J, T=T, B=B, column_index=tuple(index))
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Expansion coefficients for one curve: scale term plus (level, shift) details."""
-
-    J: int
-    alpha00: float
-    beta: dict[tuple[int, int], float]
-
-    @classmethod
-    def from_flat(cls, vec: np.ndarray) -> "CoefficientVector":
-        vec = np.asarray(vec, dtype=float).ravel()
-        J = int(round(math.log2(vec.size))) if vec.size else -1
-        if J < 0 or 2**J != vec.size:
-            raise ShapeError(f"coefficient length {vec.size} is not a power of two")
-        beta: dict[tuple[int, int], float] = {}
-        pos = 1
-        for j in range(J):
-            for k in range(2**j):
-                beta[(j, k)] = float(vec[pos])
-                pos += 1
-        return cls(J=J, alpha00=float(vec[0]), beta=beta)
-
-    def flatten(self) -> np.ndarray:
-        out = np.empty(2**self.J)
-        out[0] = self.alpha00
-        pos = 1
-        for j in range(self.J):
-            for k in range(2**j):
-                out[pos] = self.beta[(j, k)]
-                pos += 1
-        return out
-
-
-def reconstruct(coeffs: CoefficientVector | np.ndarray, basis: WaveletBasis) -> np.ndarray:
-    """Evaluate the curve with the given coefficients on the basis grid."""
-    flat = coeffs.flatten() if isinstance(coeffs, CoefficientVector) else np.asarray(coeffs, float).ravel()
-    if flat.size != basis.n_columns:
-        raise ShapeError(
-            f"coefficient length {flat.size} does not match basis width {basis.n_columns}"
-        )
-    return basis.B @ flat
-
-
-def write_basis_csv(basis: WaveletBasis, path) -> None:
-    """Dump the basis matrix to CSV with header t,u,phi,psi_j_k,..."""
-    names = ["t", "u", "phi"] + [f"psi_{j}_{k}" for (j, k) in basis.column_index[1:]]
-    u = np.arange(1, basis.T + 1) / basis.T
-    write_table(path, names, np.column_stack([u, basis.B])[:, None, :],
-                rows=range(1, basis.T + 1))

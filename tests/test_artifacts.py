@@ -21,7 +21,7 @@ from tvload.sim import (
     write_detail_csv,
     write_report_csv,
 )
-from tvload.wavelet import evaluate_basis, write_basis_csv
+from tvload.wavelet import evaluate_basis
 
 AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 0.1, 1 / 3, -2 / 3,
            1.0, -7.0, 12345678.0, 2.0**53, 0.95, 1.7976931348623157e308)
@@ -155,17 +155,6 @@ def test_fit_writers_match_the_per_value_reference(tmp_path, T, N, r):
         write(got)
         reference(want)
         assert got.read_bytes() == want.read_bytes(), k
-
-
-@pytest.mark.parametrize("family,J,T",
-                         [("haar", 0, 2), ("haar", 3, 8), ("d8", 2, 7), ("d8", 4, 100)])
-def test_basis_writer_matches_the_per_value_reference(tmp_path, family, J, T):
-    basis = evaluate_basis(family, J, T)
-    write_basis_csv(basis, tmp_path / "got.csv")
-    names = ["t", "u", "phi"] + [f"psi_{j}_{k}" for (j, k) in basis.column_index[1:]]
-    u = np.array([(t + 1) / T for t in range(T)])
-    _ref_grid(names, np.column_stack([u, basis.B]), tmp_path / "want.csv")
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n_reps", [0, 1, 7])

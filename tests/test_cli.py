@@ -127,7 +127,7 @@ def test_an_unread_flag_is_a_usage_error(tmp_path, capsys, argv):
 
 
 def test_commands_leave_scipy_unloaded(tmp_path, panel_csv):
-    # scipy serves only the rank-deficiency report, the sigma_full oracle and tests
+    # scipy serves only the tests
     src = str(Path(tvload.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -366,10 +366,10 @@ def test_simulate_runs_are_byte_identical(tmp_path):
 def test_simulate_report_records_why_replications_failed(tmp_path, monkeypatch):
     real = tvload.sim._run_one_rep
 
-    def flaky(config, family, seed, rep, J):
+    def flaky(config, Lambda, basis, seed, rep):
         if rep == 7:
             raise RuntimeError("replication exploded")
-        return real(config, family, seed, rep, J)
+        return real(config, Lambda, basis, seed, rep)
 
     monkeypatch.setattr(tvload.sim, "_run_one_rep", flaky)
     out = tmp_path / "sim"
@@ -526,6 +526,28 @@ def test_short_grid_is_rejected_before_rank_selection(tmp_path, monkeypatch, cap
     assert rec["error"] == "ParameterError"
     assert "grid too short for a wavelet basis" in rec["message"]
     assert not out.exists()
+
+
+def test_estimate_asks_for_r_when_only_the_trivial_plateau_is_stable(tmp_path, capsys):
+    # on this random-walk panel the levels selection falls back to r_max
+    path = tmp_path / "rw.csv"
+    cfg = DgpConfig(N=20, T=512, r=2, theta=(1.0, 1.0), seed=0)
+    write_panel_csv(make_panel(simulate_dgp(cfg).Y), path)
+    sel = select_num_factors(read_panel_csv(path))
+    assert sel.r == sel.r_max == 8
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", str(path), "--output-dir", str(out),
+                 "--nonstationary"]) == 1
+    rec = _err(capsys)
+    assert rec["error"] == "ParameterError"
+    assert "trivial plateau at r_max=8" in rec["message"]
+    assert "pass --r" in rec["message"]
+    assert not out.exists()
+    # select-r still reports the fallback, and --r still fits
+    assert main(["select-r", "--input", str(path), "--output-dir", str(tmp_path / "sel")]) == 0
+    assert json.loads((tmp_path / "sel" / "report.json").read_text())["chosen_r"] == 8
+    assert main(["estimate", "--input", str(path), "--output-dir", str(out),
+                 "--nonstationary", "--r", "2"]) == 0
 
 
 def _runs_or_fails_cleanly(argv, out):

@@ -26,7 +26,7 @@ from tvload.gls import (
     write_covariance_csv,
     write_loadings_csv,
 )
-from tvload.wavelet import evaluate_basis, reconstruct, select_resolution
+from tvload.wavelet import evaluate_basis, select_resolution
 
 
 def _factors(F):
@@ -168,6 +168,61 @@ def test_gls_reports_offending_columns_when_singular():
     assert "factor 2" in str(err.value)
 
 
+@pytest.mark.parametrize("family,T", [("haar", 1000), ("d8", 64), ("d8", 1000)])
+def test_gls_reports_offending_columns_of_a_dense_path_design(family, T):
+    rng = np.random.default_rng(15)
+    basis = evaluate_basis(family, 3, T)
+    F = np.column_stack([rng.normal(size=(T, 2)), np.zeros(T)])  # dead factor 3
+    d = build_design(_factors(F), basis)
+    with pytest.raises(RankDeficiencyError) as err:
+        d.solve(rng.normal(size=(T, 2)))
+    assert "rank 16 of 24" in str(err.value)
+    assert "factor 3" in str(err.value)
+    assert "factor 1" not in str(err.value) and "factor 2" not in str(err.value)
+
+
+# ---------------------------------------------------------------- Haar blocks
+
+
+@pytest.mark.parametrize("T", [512, 2048])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_haar_block_products_match_the_dense_design(T, r):
+    rng = np.random.default_rng(16)
+    basis = evaluate_basis("haar", select_resolution(T), T)
+    # the basis is constant on the 2^J dyadic blocks, each with its block row
+    A = basis.B[:: T // basis.n_columns]
+    assert np.array_equal(np.repeat(A, T // basis.n_columns, axis=0), basis.B)
+    d = build_design(_factors(np.cumsum(rng.normal(size=(T, r)), axis=0)), basis)
+    Y = rng.normal(size=(T, 7))
+    gram, cross = d._gram(), d._cross(Y)
+    assert "Psi" not in d.__dict__  # neither product built Psi
+    dense_gram, dense_cross = d.Psi.T @ d.Psi, d.Psi.T @ Y
+    assert np.max(np.abs(gram - dense_gram)) <= 1e-12 * np.max(np.abs(dense_gram))
+    assert np.max(np.abs(cross - dense_cross)) <= 1e-12 * np.max(np.abs(dense_cross))
+
+
+def test_haar_fit_on_a_dyadic_grid_never_builds_psi():
+    rng = np.random.default_rng(17)
+    basis, fac, _, _, panel = _random_instance(rng, T=64, J=3)
+    d = build_design(fac, basis)
+    fit_iterative(panel, fac, basis, design=d)
+    assert d.gram_condition > 1.0
+    assert "Psi" not in d.__dict__
+
+
+@pytest.mark.parametrize("family,T", [("haar", 1000), ("d8", 512), ("d8", 1000)])
+def test_other_designs_solve_through_psi_and_match_lstsq(family, T):
+    rng = np.random.default_rng(18)
+    basis = evaluate_basis(family, select_resolution(T), T)
+    d = build_design(_factors(rng.normal(size=(T, 2))), basis)
+    assert d._blocks is None
+    Y = rng.normal(size=(T, 4))
+    beta = d.solve(Y)
+    assert "Psi" in d.__dict__
+    ref = np.linalg.lstsq(d.Psi, Y, rcond=None)[0].T.reshape(beta.shape)
+    assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_design_solve_matches_lstsq_on_an_ill_conditioned_design():
     rng = np.random.default_rng(12)
     T, r, N = 2048, 3, 5
@@ -278,6 +333,13 @@ def test_loadings_scale_coefficient_only():
     assert np.array_equal(Lambda[:, 1, 0], np.zeros(8))
 
 
+def test_loadings_reject_coefficients_of_another_width():
+    basis = evaluate_basis("haar", 2, 8)
+    for beta in (np.ones((1, 1, 5)), np.ones((1, 4))):
+        with pytest.raises(ShapeError):
+            loadings_from_coeffs(beta, basis)
+
+
 def test_loadings_match_per_curve_reconstruction():
     rng = np.random.default_rng(11)
     basis = evaluate_basis("d8", 3, 48)
@@ -285,8 +347,7 @@ def test_loadings_match_per_curve_reconstruction():
     Lambda = loadings_from_coeffs(beta, basis)
     for m in range(4):
         for n in range(2):
-            assert_allclose(Lambda[:, m, n], reconstruct(beta[m, n], basis),
-                            atol=0.0)
+            assert_allclose(Lambda[:, m, n], basis.B @ beta[m, n], atol=0.0)
 
 
 # ---------------------------------------------------------------- residual cov

@@ -10,6 +10,16 @@ from numpy.testing import assert_allclose
 
 import tvload.sim as sim
 from tvload.errors import NumericError, ParameterError, RegistryError, ShapeError
+from tvload.factors import (
+    make_panel,
+    nonstationary_factors,
+    pca_factors,
+    restore_level,
+    scale_only,
+    standardize,
+)
+from tvload.gls import fit_iterative
+from tvload.metrics import loading_mse, procrustes_rotation, r2_factors
 from tvload.sim import (
     DgpConfig,
     DiagonalUniformCov,
@@ -19,12 +29,12 @@ from tvload.sim import (
     gen_noise_cov,
     loading_library,
     read_grid_json,
-    refit_replication,
     run_experiment,
     simulate_dgp,
     write_detail_csv,
     write_report_csv,
 )
+from tvload.wavelet import evaluate_basis, select_resolution
 
 
 # ---------------------------------------------------------------- noise covariance
@@ -232,20 +242,49 @@ def test_run_experiment_report_contents():
 def test_run_experiment_median_rep_is_reproducible():
     cfg = DgpConfig(N=6, T=128, r=2)
     rep = run_experiment(cfg, n_reps=5, seed=9)
-    fit, ds = refit_replication(cfg, "haar", 9, rep.median_rep)
-    from tvload.metrics import loading_mse
-
+    basis = evaluate_basis("haar", select_resolution(128), 128)
+    _, _, fit, ds = sim._run_one_rep(cfg, sim._loading_field(cfg), basis, 9, rep.median_rep)
     assert loading_mse(fit.Lambda, ds.Lambda) == rep.mse_median
+
+
+@pytest.mark.parametrize("family,T,theta", [("haar", 128, 0.5), ("d8", 96, 1.0)])
+def test_run_experiment_equals_a_loop_of_fresh_simulations(family, T, theta):
+    # the cell's shared loading field and basis change no replication's scores
+    cfg = DgpConfig(N=6, T=T, r=2, theta=(theta, theta))
+    basis = evaluate_basis(family, select_resolution(T), T)
+    rep = run_experiment(cfg, family=family, n_reps=4, seed=3, n_threads=2)
+    for k, r2, mse in rep.replications:
+        ds = simulate_dgp(dataclasses.replace(cfg, seed=(3, k)))
+        panel = make_panel(ds.Y)
+        if theta < 1.0:
+            work = standardize(panel)
+            est = restore_level(work, pca_factors(work, 2))
+        else:
+            est = nonstationary_factors(scale_only(panel), 2, k=1, d=1, dprime=1)
+        aligned = dataclasses.replace(est, F=procrustes_rotation(ds.F, est.F).F_rotated_rescaled)
+        fit = fit_iterative(panel, aligned, basis)
+        assert r2 == r2_factors(ds.F, aligned.F)
+        assert mse == loading_mse(fit.Lambda, ds.Lambda)
+
+
+def test_shared_loading_field_is_read_only():
+    cfg = DgpConfig(N=5, T=64, r=2)
+    Lambda = sim._loading_field(cfg)
+    with pytest.raises(ValueError):
+        Lambda[0, 0, 0] = 1.0
+    ds = simulate_dgp(cfg)
+    assert np.array_equal(ds.Lambda, Lambda)
+    assert not ds.Lambda.flags.writeable
 
 
 @pytest.mark.parametrize("n_threads", [1, 3])
 def test_run_experiment_failure_budget(monkeypatch, n_threads):
     real = sim._run_one_rep
 
-    def flaky(config, family, seed, rep, *args, **kwargs):
+    def flaky(config, Lambda, basis, seed, rep):
         if rep % 2 == 0:
             raise RuntimeError("boom")
-        return real(config, family, seed, rep, *args, **kwargs)
+        return real(config, Lambda, basis, seed, rep)
 
     monkeypatch.setattr(sim, "_run_one_rep", flaky)
     with pytest.raises(NumericError) as err:
@@ -256,6 +295,17 @@ def test_run_experiment_failure_budget(monkeypatch, n_threads):
 def test_run_experiment_validation():
     with pytest.raises(ParameterError):
         run_experiment(DgpConfig(N=6, T=128, r=2), n_reps=0)
+
+
+@pytest.mark.parametrize("family,J", [("symlet", None), ("haar", 8)])
+def test_a_basis_that_cannot_be_built_fails_the_cell_not_each_replication(
+        monkeypatch, family, J):
+    def never(*args, **kwargs):
+        raise AssertionError("a replication ran without a basis")
+
+    monkeypatch.setattr(sim, "_run_one_rep", never)
+    with pytest.raises(ParameterError):
+        run_experiment(DgpConfig(N=6, T=128, r=2), family=family, n_reps=3, J=J)
 
 
 # ---------------------------------------------------------------- grid files

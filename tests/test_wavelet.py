@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from tvload.errors import ParameterError, ShapeError
+from tvload.errors import ParameterError
 from tvload.wavelet import (
-    CoefficientVector,
     WaveletFamily,
     daubechies8_table,
     evaluate_basis,
     haar_eval,
-    reconstruct,
     select_resolution,
-    write_basis_csv,
 )
 from tvload.wavelet import _D8_H
 
@@ -227,7 +224,7 @@ def test_nesting_zero_padded_coefficients(family):
     rng = np.random.default_rng(11)
     c = rng.normal(size=2**3)
     padded = np.concatenate([c, np.zeros(2**4 - 2**3)])
-    assert_allclose(reconstruct(padded, fine), reconstruct(c, coarse), atol=0.0)
+    assert_allclose(fine.B @ padded, coarse.B @ c, atol=0.0)
 
 
 @pytest.mark.parametrize("family", ["haar", "d8"])
@@ -238,41 +235,9 @@ def test_least_squares_round_trip(family):
     rng = np.random.default_rng(3)
     for _ in range(5):
         c = rng.normal(size=b.n_columns)
-        y = reconstruct(c, b)
+        y = b.B @ c
         c_hat, *_ = np.linalg.lstsq(b.B, y, rcond=None)
         assert_allclose(c_hat, c, atol=1e-10)
-
-
-def test_reconstruct_length_mismatch():
-    b = evaluate_basis("haar", 2, 8)
-    with pytest.raises(ShapeError):
-        reconstruct(np.ones(5), b)
-
-
-def test_coefficient_vector_round_trip():
-    vec = np.arange(8.0)
-    cv = CoefficientVector.from_flat(vec)
-    assert cv.J == 3
-    assert cv.alpha00 == 0.0
-    assert cv.beta[(2, 3)] == 7.0
-    assert np.array_equal(cv.flatten(), vec)
-
-
-def test_coefficient_vector_rejects_non_power_of_two():
-    with pytest.raises(ShapeError):
-        CoefficientVector.from_flat(np.ones(6))
-
-
-def test_basis_csv_dump_round_trips(tmp_path):
-    b = evaluate_basis("d8", 2, 16)
-    path = tmp_path / "basis.csv"
-    write_basis_csv(b, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,u,phi,psi_0_0,psi_1_0,psi_1_1"
-    assert len(lines) == 17
-    row = lines[5].split(",")
-    assert int(row[0]) == 5
-    assert float(row[3]) == b.B[4, 1]  # full-precision round trip
 
 
 def test_basis_is_cached_and_read_only():

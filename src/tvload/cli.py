@@ -12,7 +12,6 @@ bit-exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -22,9 +21,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._table import write_table
+from ._table import read_table, write_table
 from .bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
-from .errors import MissingDataError, ParameterError, TvloadError
+from .errors import MissingDataError, ParameterError, ShapeError, TvloadError
 from .factors import (
     FactorEstimate,
     nonstationary_factors,
@@ -91,24 +90,27 @@ def _write_factors_csv(path, F) -> None:
                 rows=range(1, T + 1))
 
 
-def _read_table_csv(path) -> np.ndarray:
-    """The numeric columns after the first of a headed CSV table."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return np.array([[float(x) for x in rec[1:]] for rec in reader])
+def _read_values(path, shape) -> np.ndarray:
+    """The values of a labelled CSV table, which must have the given shape."""
+    values = read_table(path)[2]
+    if values.shape != shape:
+        raise ShapeError(f"{path}: a table of shape {values.shape}, expected {shape}")
+    return values
 
 
 # ---------------------------------------------------------------- estimate
 
 
 def cmd_estimate(args) -> int:
+    if args.r is not None and args.r_max is not None:
+        raise ParameterError("--r-max applies only without --r, which fixes the number of factors")
     panel = read_panel_csv(args.input)
 
     if args.nonstationary:
         work = scale_only(panel)
         standardization = "scale-only"
-        method = f"GeneralizedCovariance({args.k},{args.d},{args.dprime})"
+        # the lag-covariance scale T^-(2d+d') is fixed at d = d' = 1
+        method = f"GeneralizedCovariance({args.k},1,1)"
     else:
         work = standardize(panel)
         standardization = "center-scale"
@@ -123,7 +125,7 @@ def cmd_estimate(args) -> int:
         pass_r = "pass --r to fit a chosen number of factors"
         try:
             sel = select_num_factors(panel, args.r_max,
-                                     first_difference_panel=args.first_difference)
+                                     first_difference_panel=args.nonstationary)
         except ParameterError as exc:
             raise ParameterError(f"{exc}; {pass_r}") from None
         if sel.r == 0:
@@ -137,7 +139,7 @@ def cmd_estimate(args) -> int:
         r = sel.r
         selection = {"r": sel.r, "r_max": sel.r_max}
     if args.nonstationary:
-        est = nonstationary_factors(work, r, k=args.k, d=args.d, dprime=args.dprime)
+        est = nonstationary_factors(work, r, k=args.k)
     else:
         est = pca_factors(work, r)
 
@@ -154,9 +156,6 @@ def cmd_estimate(args) -> int:
             "J": int(J),
             "nonstationary": bool(args.nonstationary),
             "k": args.k,
-            "d": args.d,
-            "dprime": args.dprime,
-            "first_difference": bool(args.first_difference),
         },
         "input": {
             "path": os.path.abspath(args.input),
@@ -290,24 +289,19 @@ def _reload_estimate(run_dir):
         raise ParameterError(f"input panel changed since the estimate run: {input_path}")
 
     panel = read_panel_csv(input_path)
-    if report["standardization"] == "scale-only":
-        work = scale_only(panel)
-    else:
-        work = standardize(panel)
+    work = scale_only(panel) if params["nonstationary"] else standardize(panel)
     basis = evaluate_basis(params["family"], params["J"], work.T)
-    F = _read_table_csv(os.path.join(run_dir, "factors.csv"))
     est = FactorEstimate(
-        F=F,
+        F=_read_values(os.path.join(run_dir, "factors.csv"), (work.T, params["r"])),
         eigenvalues=np.array(report["eigenvalues"]),
         method="lag_covariance" if params["nonstationary"] else "pca",
         r=params["r"],
-        params={"k": params["k"], "d": params["d"], "dprime": params["dprime"]}
-        if params["nonstationary"] else {},
+        params={"k": params["k"]} if params["nonstationary"] else {},
     )
     beta = read_coefficients_csv(
         os.path.join(run_dir, "coefficients.csv"), panel.series_ids, basis, params["r"]
     )
-    gamma = _read_table_csv(os.path.join(run_dir, "residual_covariance.csv"))
+    gamma = _read_values(os.path.join(run_dir, "residual_covariance.csv"), (work.N, work.N))
     fit = GlsFit(
         beta=beta,
         Lambda=loadings_from_coeffs(beta, basis),
@@ -368,10 +362,9 @@ _FLAGS = {
                       help="worker threads (default: CPU count)"),
     "--family": dict(choices=["haar", "d8"], default="haar"),
     "--J": dict(type=int, default=None, help="resolution override"),
-    "--nonstationary": dict(action="store_true"),
+    "--nonstationary": dict(action="store_true", help="integrated factors: lag-covariance "
+                            "extraction, rank selection on the differenced panel"),
     "--k": dict(type=int, default=1),
-    "--d": dict(type=int, default=1),
-    "--dprime": dict(type=int, default=1),
     "--first-difference": dict(action="store_true"),
     "--r": dict(type=int, default=None),
     "--r-max": dict(type=int, default=None),
@@ -384,8 +377,7 @@ _FLAGS = {
 # command: (handler, help, whether --input is required, flags it reads)
 _COMMANDS = {
     "estimate": (cmd_estimate, "extract factors and fit loading curves", True,
-                 "--input --output-dir --family --J --nonstationary --k --d --dprime "
-                 "--first-difference --r --r-max"),
+                 "--input --output-dir --family --J --nonstationary --k --r --r-max"),
     "select-r": (cmd_select_r, "choose the number of factors", True,
                  "--input --output-dir --r-max --first-difference"),
     "simulate": (cmd_simulate, "run the Monte Carlo experiment grid", False,

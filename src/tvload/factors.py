@@ -9,14 +9,13 @@ constant with a subsample-stability rule.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._table import write_table
+from ._table import read_table, write_table
 from .errors import (
     DegenerateSeriesError,
     MissingDataError,
@@ -103,41 +102,8 @@ def read_panel_csv(path) -> Panel:
     Any empty or non-numeric cell is reported as missing data together with
     its row and column; there is no imputation.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingDataError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise ShapeError(f"{path}: need a label column plus at least one series")
-        series_ids = tuple(h.strip() for h in header[1:])
-        rows: list[list[float]] = []
-        bad: list[tuple[int, str]] = []
-        for i, rec in enumerate(reader):
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            if len(rec) != len(header):
-                raise ShapeError(
-                    f"{path}: row {i + 2} has {len(rec)} fields, expected {len(header)}"
-                )
-            vals = []
-            for c, cell in enumerate(rec[1:]):
-                txt = cell.strip()
-                try:
-                    v = float(txt) if txt else float("nan")
-                except ValueError:
-                    v = float("nan")
-                if not math.isfinite(v):
-                    bad.append((i + 2, series_ids[c]))
-                vals.append(v)
-            rows.append(vals)
-    if bad:
-        spots = ", ".join(f"(row {r}, column {c})" for r, c in bad[:10])
-        raise MissingDataError(
-            f"{path}: {len(bad)} missing or non-numeric cells: {spots}"
-        )
-    return make_panel(np.asarray(rows, dtype=float), series_ids)
+    header, _, values = read_table(path)
+    return make_panel(values, [h.strip() for h in header[1:]])
 
 
 def write_panel_csv(panel: Panel, path) -> None:
@@ -302,35 +268,31 @@ def restore_level(work: Panel, est: FactorEstimate) -> FactorEstimate:
     return replace(est, F=est.F + (work.means / work.sds) @ W)
 
 
-def generalized_covariance(panel: Panel, k: int, d: int, dprime: int) -> np.ndarray:
+def generalized_covariance(panel: Panel, k: int) -> np.ndarray:
     """Normalized lag-k covariance for integrated panels, symmetrized.
 
-    Computes T^-(2d+d') * sum_{t=k+1..T} (Y_{t-k} - Ybar)(Y_t - Ybar)' and
-    returns the symmetric part (C + C')/2.
+    Computes T^-3 * sum_{t=k+1..T} (Y_{t-k} - Ybar)(Y_t - Ybar)' and returns
+    the symmetric part (C + C')/2.  The T^-3 scale suits I(1) factors, whose
+    cross products grow like T^3; a scale only rescales the eigenvalues and
+    leaves the eigenvectors, and so the factors, unchanged.
 
     Parameters
     ----------
     panel : Panel
     k : int
         Lag, 0 <= k < T.
-    d, dprime : int
-        Nonnegative normalization orders; the scale factor is T^-(2d+d').
     """
     Y = panel.values
     T = Y.shape[0]
     if not 0 <= k < T:
         raise ParameterError(f"lag k={k} outside 0..T-1={T - 1}")
-    if d < 0 or dprime < 0:
-        raise ParameterError(f"normalization orders must be nonnegative, got d={d}, d'={dprime}")
     Z = Y - Y.mean(axis=0)
     C = Z[: T - k].T @ Z[k:]
-    C *= float(T) ** (-(2 * d + dprime))
+    C *= float(T) ** -3
     return 0.5 * (C + C.T)
 
 
-def nonstationary_factors(
-    panel: Panel, r: int, k: int = 1, d: int = 1, dprime: int = 1
-) -> FactorEstimate:
+def nonstationary_factors(panel: Panel, r: int, k: int = 1) -> FactorEstimate:
     """Factors for integrated panels from the lag-covariance eigenvectors.
 
     The r leading orthonormal eigenvectors L of the symmetrized normalized
@@ -341,22 +303,16 @@ def nonstationary_factors(
     panel : Panel
     r : int
         Number of factors, 1 <= r <= N.
-    k, d, dprime : int
-        Lag and normalization orders of the covariance.
+    k : int
+        Lag of the covariance.
     """
     Y = panel.values
     N = Y.shape[1]
     if not 1 <= r <= N:
         raise ParameterError(f"r={r} outside 1..N={N}")
-    w, V = _eigh_descending(generalized_covariance(panel, k, d, dprime))
+    w, V = _eigh_descending(generalized_covariance(panel, k))
     F = Y @ _fix_signs(V[:, :r])
-    return FactorEstimate(
-        F=F,
-        eigenvalues=w,
-        method="lag_covariance",
-        r=r,
-        params={"k": k, "d": d, "dprime": dprime},
-    )
+    return FactorEstimate(F=F, eigenvalues=w, method="lag_covariance", r=r, params={"k": k})
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,12 @@ sums; every other basis forms them from Psi, built once when first needed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._table import write_table
+from ._table import read_table, write_table
 from .errors import NumericError, ParameterError, RankDeficiencyError, ShapeError
 from .factors import FactorEstimate, Panel
 from .wavelet import WaveletBasis, WaveletFamily
@@ -396,17 +395,21 @@ def write_coefficients_csv(fit: GlsFit, panel: Panel, basis: WaveletBasis, path)
 
 
 def read_coefficients_csv(path, series_ids, basis: WaveletBasis, r: int) -> np.ndarray:
-    """Inverse of ``write_coefficients_csv``; returns beta with shape (N, r, 2^J)."""
+    """Inverse of ``write_coefficients_csv``; returns beta with shape (N, r, 2^J).
+
+    A line naming no coefficient, or a coefficient left out, raises ``ShapeError``.
+    """
     pos = {sid: m for m, sid in enumerate(series_ids)}
-    col = {jk: c for c, jk in enumerate(basis.column_index)}
+    factor = {str(i + 1): i for i in range(r)}
+    col = {(str(j), str(k)): c for c, (j, k) in enumerate(basis.column_index)}
+    _, keys, values = read_table(path, n_keys=3)
     beta = np.full((len(series_ids), r, basis.n_columns), np.nan)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            m = pos[rec["series"]]
-            i = int(rec["factor"]) - 1
-            c = col[(int(rec["level_j"]), int(rec["shift_k"]))]
-            beta[m, i, c] = float(rec["beta"])
+    for (sid, i, j, k), value in zip(keys, values[:, 0]):
+        try:
+            beta[pos[sid], factor[i], col[j, k]] = value
+        except KeyError:
+            raise ShapeError(f"{path}: no coefficient (series, factor, level_j, shift_k) = "
+                             f"{(sid, i, j, k)}") from None
     if np.isnan(beta).any():
         raise ShapeError(f"{path}: incomplete coefficient table")
     return beta

@@ -388,7 +388,7 @@ def _run_one_rep(config: DgpConfig, Lambda: np.ndarray, basis: WaveletBasis,
         work = standardize(panel)
         est = restore_level(work, pca_factors(work, cfg.r))
     else:
-        est = nonstationary_factors(scale_only(panel), cfg.r, k=1, d=1, dprime=1)
+        est = nonstationary_factors(scale_only(panel), cfg.r)
     rot = procrustes_rotation(ds.F, est.F)
     aligned = replace(est, F=rot.F_rotated_rescaled)
     fit = fit_iterative(panel, aligned, basis)

@@ -8,6 +8,7 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 import tvload
 from tvload.cli import _resolve_threads, _reload_estimate, build_parser, main
 from tvload.factors import (
+    generalized_covariance,
     make_panel,
+    nonstationary_factors,
     pca_factors,
     read_panel_csv,
     select_num_factors,
@@ -59,7 +62,7 @@ def test_resolve_threads():
 
 _OPTIONS = {
     "estimate": {"--input", "--output-dir", "--family", "--J", "--nonstationary", "--k",
-                 "--d", "--dprime", "--first-difference", "--r", "--r-max"},
+                 "--r", "--r-max"},
     "select-r": {"--input", "--output-dir", "--r-max", "--first-difference"},
     "simulate": {"--input", "--output-dir", "--seed", "--threads", "--J", "--reps"},
     "bootstrap": {"--input", "--output-dir", "--seed", "--threads", "--B", "--level",
@@ -76,7 +79,7 @@ def _options(command):
 
 def test_the_parser_exposes_exactly_the_pinned_flags():
     assert {command: _options(command) for command in _OPTIONS} == _OPTIONS
-    assert sum(map(len, _OPTIONS.values())) == 28
+    assert sum(map(len, _OPTIONS.values())) == 25
 
 
 def test_the_readme_flag_table_matches_the_parser():
@@ -99,6 +102,8 @@ def test_library_entry_points_take_only_the_pinned_parameters():
 
     assert params(make_panel) == ["values", "series_ids"]
     assert params(select_num_factors) == ["panel", "r_max", "first_difference_panel"]
+    assert params(generalized_covariance) == ["panel", "k"]
+    assert params(nonstationary_factors) == ["panel", "r", "k"]
     assert params(regularize_covariance) == ["gamma", "force_shrink"]
 
 
@@ -251,15 +256,15 @@ def test_reports_record_only_parameters_that_shape_outputs(tmp_path, panel_csv):
     def params(run):
         return set(json.loads((run / "report.json").read_text())["parameters"])
 
-    assert params(est) == {"input", "r", "family", "J", "nonstationary", "k", "d", "dprime",
-                           "first_difference"}
+    assert params(est) == {"input", "r", "family", "J", "nonstationary", "k"}
     assert params(sel) == {"input", "r_max", "first_difference"}
     assert params(boot) == {"input", "B", "level", "seed", "refit_factors"}
 
-    # estimate runs written before seed, threads, delta and max_iter were
-    # dropped still reload
+    # estimate runs written before seed, threads, delta, max_iter, d, dprime
+    # and first_difference were dropped still reload
     report = json.loads((est / "report.json").read_text())
-    report["parameters"].update(seed=0, threads=2, delta=1e-6, max_iter=50)
+    report["parameters"].update(seed=0, threads=2, delta=1e-6, max_iter=50, d=1, dprime=1,
+                                first_difference=False)
     (est / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     old = tmp_path / "boot_old"
     assert main(["bootstrap", "--input", str(est), "--output-dir", str(old), "--B", "4",
@@ -282,9 +287,9 @@ def test_rank_selection_that_finds_no_factor_asks_for_r(tmp_path, capsys):
 @pytest.mark.parametrize("shape, argv", [
     ((64, 1), ["estimate"]),
     ((64, 1), ["select-r"]),
-    ((3, 10), ["estimate", "--first-difference"]),
+    ((3, 10), ["estimate", "--nonstationary"]),
     ((3, 10), ["select-r", "--first-difference"]),
-    ((4, 10), ["estimate", "--first-difference"]),
+    ((4, 10), ["estimate", "--nonstationary"]),
     ((4, 10), ["select-r", "--first-difference"]),
 ], ids=str)
 def test_the_default_r_max_comes_from_the_panel_the_selection_scans(
@@ -293,7 +298,8 @@ def test_the_default_r_max_comes_from_the_panel_the_selection_scans(
     write_panel_csv(make_panel(np.random.default_rng(1).normal(size=shape)), path)
     out = tmp_path / "out"
     code = main([argv[0], "--input", str(path), "--output-dir", str(out), *argv[1:]])
-    T, N = shape[0] - ("--first-difference" in argv), shape[1]
+    differenced = "--first-difference" in argv or "--nonstationary" in argv
+    T, N = shape[0] - differenced, shape[1]
     if code == 0:
         assert min(T, N) >= 2
         report = json.loads((out / "report.json").read_text())
@@ -316,6 +322,29 @@ def test_estimate_auto_selects_rank(tmp_path, panel_csv):
     report = json.loads((out / "report.json").read_text())
     assert report["selection"] == {"r": 2, "r_max": 5}
     assert report["parameters"]["r"] == 2
+
+
+def test_estimate_rejects_r_max_alongside_r(tmp_path, panel_csv, capsys):
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(out),
+                 "--r", "2", "--r-max", "5"]) == 1
+    rec = _err(capsys)
+    assert rec["error"] == "ParameterError"
+    assert "--r-max applies only without --r" in rec["message"]
+    assert not out.exists()
+
+
+def test_estimate_nonstationary_selects_the_rank_on_the_differenced_panel(tmp_path):
+    # the levels of this random-walk panel select r=4
+    path = tmp_path / "rw.csv"
+    cfg = DgpConfig(N=20, T=1024, r=2, theta=(1.0, 1.0), seed=5)
+    write_panel_csv(make_panel(simulate_dgp(cfg).Y), path)
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", str(path), "--output-dir", str(out),
+                 "--nonstationary"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["selection"] == {"r": 2, "r_max": 8}
+    assert report["method"] == "GeneralizedCovariance(1,1,1)"
 
 
 def test_estimate_nonstationary_branch(tmp_path, panel_csv):
@@ -521,10 +550,39 @@ def test_short_grid_is_rejected_before_rank_selection(tmp_path, monkeypatch, cap
     monkeypatch.setattr(tvload.cli, "select_num_factors", select)
     out = tmp_path / "est"
     assert main(["estimate", "--input", str(path), "--output-dir", str(out),
-                 "--first-difference"]) == 1
+                 "--nonstationary"]) == 1
     rec = _err(capsys)
     assert rec["error"] == "ParameterError"
     assert "grid too short for a wavelet basis" in rec["message"]
+    assert not out.exists()
+
+
+def _damage(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = edit(lines[2])
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("name, edit, error", [
+    ("factors.csv", lambda line: line.rsplit(",", 1)[0] + "\n", "ShapeError"),
+    ("factors.csv", lambda line: "", "ShapeError"),
+    ("coefficients.csv", lambda line: "zz" + line[line.index(","):], "ShapeError"),
+    ("residual_covariance.csv", lambda line: re.sub(",[^,]*", ",abc", line, count=1),
+     "MissingDataError"),
+], ids=["truncated row", "missing row", "unknown series", "non-numeric cell"])
+def test_bootstrap_reports_a_damaged_estimate_run(tmp_path, panel_csv, capsys, name, edit, error):
+    est = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),
+                 "--r", "2", "--J", "3"]) == 0
+    _damage(est / name, edit)
+    capsys.readouterr()
+    out = tmp_path / "boot"
+    assert main(["bootstrap", "--input", str(est), "--output-dir", str(out), "--B", "4",
+                 "--threads", "1"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    rec = json.loads(line)
+    assert rec["error"] == error
+    assert name in rec["message"]
     assert not out.exists()
 
 
@@ -536,8 +594,7 @@ def test_estimate_asks_for_r_when_only_the_trivial_plateau_is_stable(tmp_path, c
     sel = select_num_factors(read_panel_csv(path))
     assert sel.r == sel.r_max == 8
     out = tmp_path / "est"
-    assert main(["estimate", "--input", str(path), "--output-dir", str(out),
-                 "--nonstationary"]) == 1
+    assert main(["estimate", "--input", str(path), "--output-dir", str(out)]) == 1
     rec = _err(capsys)
     assert rec["error"] == "ParameterError"
     assert "trivial plateau at r_max=8" in rec["message"]

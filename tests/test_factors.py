@@ -28,6 +28,7 @@ from tvload.factors import (
     write_panel_csv,
 )
 from tvload.gls import build_design, common_component, gls_step, loadings_from_coeffs
+from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis
 
 
@@ -286,36 +287,34 @@ def test_restore_level_validation():
 
 def test_generalized_covariance_constant_panel_is_zero():
     p = make_panel(np.tile([3.0, -1.0], (8, 1)) + 1e-9 * np.eye(8, 2))
-    C = generalized_covariance(p, 1, 1, 1)
+    C = generalized_covariance(p, 1)
     assert np.max(np.abs(C)) <= 1e-12
 
 
 def test_generalized_covariance_k0_equals_scaled_sample_covariance():
     rng = np.random.default_rng(10)
     p = _random_panel(rng, 37, 5)
-    C = generalized_covariance(p, 0, 0, 0)
-    oracle = (p.T - 0) * np.cov(p.values.T, ddof=0) * p.T / p.T
+    C = generalized_covariance(p, 0)
     dev = p.values - p.values.mean(axis=0)
-    assert_allclose(C, dev.T @ dev, atol=1e-10)
-    assert_allclose(C, p.T * np.cov(p.values.T, ddof=0), atol=1e-10)
-    del oracle
+    assert_allclose(C, dev.T @ dev / p.T**3, atol=1e-15)
+    assert_allclose(C, np.cov(p.values.T, ddof=0) / p.T**2, atol=1e-15)
 
 
 def test_generalized_covariance_hand_panel_k1():
-    # 3x2 panel, k=1, d=1, d'=1: brute-force T^-3 scaled cross products
+    # 3x2 panel, k=1: brute-force T^-3 scaled cross products
     Y = np.array([[1.0, 2.0], [3.0, 5.0], [2.0, 4.0]])
     p = make_panel(Y)
     T = 3
     dev = Y - Y.mean(axis=0)
     raw = sum(np.outer(dev[t - 1], dev[t]) for t in range(1, T)) / T**3
-    C = generalized_covariance(p, 1, 1, 1)
+    C = generalized_covariance(p, 1)
     assert_allclose(C, (raw + raw.T) / 2.0, atol=1e-15)
 
 
 def test_generalized_covariance_lag_bound():
     p = make_panel(np.random.default_rng(11).normal(size=(6, 2)))
     with pytest.raises(ParameterError):
-        generalized_covariance(p, 6, 1, 1)
+        generalized_covariance(p, 6)
 
 
 def test_nonstationary_factors_recover_random_walk():
@@ -326,13 +325,13 @@ def test_nonstationary_factors_recover_random_walk():
     corr = np.corrcoef(est.F[:, 0], f)[0, 1]
     assert abs(corr) >= 0.9999
     assert est.method == "lag_covariance"
-    assert est.params == {"k": 1, "d": 1, "dprime": 1}
+    assert est.params == {"k": 1}
 
 
 def test_nonstationary_factor_weights_are_orthonormal():
     rng = np.random.default_rng(13)
     p = _random_panel(rng, 60, 6)
-    est = nonstationary_factors(p, 2, k=1, d=0, dprime=0)
+    est = nonstationary_factors(p, 2, k=1)
     # recover the eigenvector block: F = Y L with L orthonormal
     L, *_ = np.linalg.lstsq(p.values, est.F, rcond=None)
     assert_allclose(L.T @ L, np.eye(2), atol=1e-10)
@@ -413,3 +412,18 @@ def test_select_first_difference_handles_random_walk_panel():
     Y = F @ lam.T + 0.3 * rng.normal(size=(400, 15))
     sel = select_num_factors(make_panel(Y), 5, first_difference_panel=True)
     assert sel.r == 1
+
+
+@pytest.mark.parametrize("T", [512, 1024])
+def test_select_on_simulated_integrated_and_stationary_panels(T):
+    # PANIC (Bai and Ng 2004): integrated factors are counted on the
+    # differenced panel; stationary ones on the levels
+    def chosen(theta, differenced):
+        return [select_num_factors(
+            make_panel(simulate_dgp(DgpConfig(N=20, T=T, r=2, theta=(theta, theta),
+                                              seed=seed)).Y),
+            first_difference_panel=differenced).r for seed in range(20)]
+
+    assert chosen(1.0, True).count(2) >= 19
+    for theta in (0.0, 0.5):
+        assert chosen(theta, False).count(2) >= 19

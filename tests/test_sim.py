@@ -260,7 +260,7 @@ def test_run_experiment_equals_a_loop_of_fresh_simulations(family, T, theta):
             work = standardize(panel)
             est = restore_level(work, pca_factors(work, 2))
         else:
-            est = nonstationary_factors(scale_only(panel), 2, k=1, d=1, dprime=1)
+            est = nonstationary_factors(scale_only(panel), 2)
         aligned = dataclasses.replace(est, F=procrustes_rotation(ds.F, est.F).F_rotated_rescaled)
         fit = fit_iterative(panel, aligned, basis)
         assert r2 == r2_factors(ds.F, aligned.F)

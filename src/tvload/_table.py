@@ -5,9 +5,14 @@ the key's fixed fields, then the row's values for that key, printed with 17
 significant digits (which round-trips float64).  The text of every line
 except its values is rendered once per file; a block of rows is then filled
 by a single ``template % values`` call, so a large file streams out without
-per-value Python calls or a copy of the whole file in memory.  Fixed fields
-follow the ``csv`` module's minimal quoting, so an id containing a comma or
-a quote reads back through ``csv.reader``.
+per-value Python calls or a copy of the whole file in memory.  A run of rows
+whose values are bitwise equal to the row before them is formatted once, and
+each of its rows only joins its label in; a Haar loading field on a dyadic
+grid is constant on each of its 2^J blocks, so its T rows hold about 2^J
+runs (a BLAS product can still split a block in the last bit).
+Equal bits print equal text, so the bytes are those of formatting every row.
+Fixed fields follow the ``csv`` module's minimal quoting, so an id containing
+a comma or a quote reads back through ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -41,28 +46,43 @@ def write_table(path, header, values, keys=((),), rows=None, tail=()) -> None:
     values = np.asarray(values, dtype=float)
     n_rows, n_keys, n_cols = values.shape
     end = "".join("," + _literal(f) for f in tail)
-    head = "" if rows is None else "%s,"
-    row_template = "".join(
-        head + ",".join([_literal(f) for f in key] + ["%.17g"] * n_cols) + end + "\n"
-        for key in keys
-    )
+    # the text of each key's line after the row label; a row is its label joined with them
+    sep, head = ("", "") if rows is None else (",", "%s")
+    key_templates = [sep + ",".join([_literal(f) for f in key] + ["%.17g"] * n_cols) + end + "\n"
+                     for key in keys]
+    row_template = "".join(head + t for t in key_templates)
     per_call = max(1, _BLOCK_LINES // max(n_keys, 1))
     block_template = row_template * per_call
-    # the label slot takes the label itself: %s prints an int as str() does
-    labels = None if rows is None else np.array(
-        [quote_field(x) if isinstance(x, str) else x for x in rows], dtype=object)
+    labels = None if rows is None else np.array([quote_field(str(x)) for x in rows], dtype=object)
     width = n_cols + (labels is not None)
     args = np.empty((per_call * n_keys, width), dtype=object)
+    # rows bitwise equal to the row before them; 0.0 and -0.0 print apart
+    bits = values.reshape(n_rows, n_keys * n_cols).view(np.uint64)
+    same = (bits[1:] == bits[:-1]).all(axis=1)
+    in_run = np.r_[same, False] | np.r_[False, same]
+    # segments: each run of equal rows, and each stretch of rows outside runs
+    cuts = np.flatnonzero(~same & (in_run[1:] | in_run[:-1])) + 1
+    bounds = [0, *cuts.tolist(), n_rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(quote_field(str(name)) for name in header) + "\n")
-        for start in range(0, n_rows, per_call):
-            stop = min(start + per_call, n_rows)
-            block = args[: (stop - start) * n_keys]
-            if labels is not None:
-                block[:, 0] = np.repeat(labels[start:stop], n_keys)
-            block[:, width - n_cols:] = values[start:stop].reshape(-1, n_cols)
-            template = block_template if stop - start == per_call else row_template * (stop - start)
-            fh.write(template % tuple(block.ravel().tolist()))
+        for first, last in zip(bounds[:-1], bounds[1:]):
+            if in_run[first]:
+                # one formatting of the run's values; each row only joins its label in
+                filled = (t % tuple(v) for t, v in zip(key_templates, values[first].tolist()))
+                parts = ["", *filled]
+                for start in range(first, last, per_call):
+                    stop = min(start + per_call, last)
+                    texts = [""] * (stop - start) if labels is None else labels[start:stop]
+                    fh.write("".join([label.join(parts) for label in texts]))
+                continue
+            for start in range(first, last, per_call):
+                stop = min(start + per_call, last)
+                block = args[: (stop - start) * n_keys]
+                if labels is not None:
+                    block[:, 0] = np.repeat(labels[start:stop], n_keys)
+                block[:, width - n_cols:] = values[start:stop].reshape(-1, n_cols)
+                template = block_template if stop - start == per_call else row_template * (stop - start)
+                fh.write(template % tuple(block.ravel().tolist()))
 
 
 def _literal(field) -> str:

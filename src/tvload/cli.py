@@ -203,6 +203,8 @@ def cmd_select_r(args) -> int:
         "input": {"path": os.path.abspath(args.input), "sha256": _sha256(args.input),
                   "T": panel.T, "N": panel.N},
         "chosen_r": int(sel.r),
+        # only the under-penalized plateau at r_max was stable: no real selection
+        "trivial_plateau": bool(sel.r == sel.r_max),
         "c_grid": [float(c) for c in sel.c_grid],
         "r_full_by_c": [int(x) for x in sel.r_full],
         "subsample_variance_by_c": [float(v) for v in sel.variance],
@@ -271,6 +273,27 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- bootstrap
 
 
+def _report_field(report, report_path, key, kind):
+    """The value at a dotted ``key`` of a run report, which must be a ``kind``;
+    a ``list`` must hold numbers.  A missing or mistyped key raises
+    ``ParameterError`` naming the file and the key."""
+    value = report
+    for name in key.split("."):
+        if not isinstance(value, dict) or name not in value:
+            raise ParameterError(f"{report_path}: no {key!r} key")
+        value = value[name]
+    # bool is an int subclass: true is no integer, and 1 is no bool
+    if kind is list:
+        ok = isinstance(value, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    else:
+        ok = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+    if not ok:
+        expected = "a list of numbers" if kind is list else f"a {kind.__name__}"
+        raise ParameterError(f"{report_path}: {key!r} is not {expected}")
+    return value
+
+
 def _reload_estimate(run_dir):
     """Rebuild panel, basis, factors and fit from an estimate run directory."""
     report_path = os.path.join(run_dir, "report.json")
@@ -278,37 +301,43 @@ def _reload_estimate(run_dir):
         raise ParameterError(f"not an estimate run directory (no report.json): {run_dir}")
     with open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    if report.get("command") != "estimate":
-        raise ParameterError(f"{report_path} was written by {report.get('command')!r}, "
-                             "need an estimate run")
-    params = report["parameters"]
-    input_path = report["input"]["path"]
+    command = report.get("command") if isinstance(report, dict) else None
+    if command != "estimate":
+        raise ParameterError(f"{report_path} was written by {command!r}, need an estimate run")
+    field = functools.partial(_report_field, report, report_path)
+    family, J, r, k = (field("parameters.family", str), field("parameters.J", int),
+                       field("parameters.r", int), field("parameters.k", int))
+    nonstationary = field("parameters.nonstationary", bool)
+    input_path, input_sha256 = field("input.path", str), field("input.sha256", str)
+    eigenvalues = field("eigenvalues", list)
+    n_iter, deltas, converged = (field("iterations", int), field("deltas", list),
+                                 field("converged", bool))
     if not os.path.exists(input_path):
         raise MissingDataError(f"original input panel not found: {input_path}")
-    if _sha256(input_path) != report["input"]["sha256"]:
+    if _sha256(input_path) != input_sha256:
         raise ParameterError(f"input panel changed since the estimate run: {input_path}")
 
     panel = read_panel_csv(input_path)
-    work = scale_only(panel) if params["nonstationary"] else standardize(panel)
-    basis = evaluate_basis(params["family"], params["J"], work.T)
+    work = scale_only(panel) if nonstationary else standardize(panel)
+    basis = evaluate_basis(family, J, work.T)
     est = FactorEstimate(
-        F=_read_values(os.path.join(run_dir, "factors.csv"), (work.T, params["r"])),
-        eigenvalues=np.array(report["eigenvalues"]),
-        method="lag_covariance" if params["nonstationary"] else "pca",
-        r=params["r"],
-        params={"k": params["k"]} if params["nonstationary"] else {},
+        F=_read_values(os.path.join(run_dir, "factors.csv"), (work.T, r)),
+        eigenvalues=np.array(eigenvalues),
+        method="lag_covariance" if nonstationary else "pca",
+        r=r,
+        params={"k": k} if nonstationary else {},
     )
     beta = read_coefficients_csv(
-        os.path.join(run_dir, "coefficients.csv"), panel.series_ids, basis, params["r"]
+        os.path.join(run_dir, "coefficients.csv"), panel.series_ids, basis, r
     )
     gamma = _read_values(os.path.join(run_dir, "residual_covariance.csv"), (work.N, work.N))
     fit = GlsFit(
         beta=beta,
         Lambda=loadings_from_coeffs(beta, basis),
         Gamma_e=gamma,
-        n_iter=report["iterations"],
-        deltas=tuple(report["deltas"]),
-        converged=report["converged"],
+        n_iter=n_iter,
+        deltas=tuple(deltas),
+        converged=converged,
     )
     return panel, work, basis, est, fit, report
 

@@ -365,6 +365,7 @@ def test_select_r_reports_the_chosen_rank(tmp_path, panel_csv):
                  "--r-max", "4"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["chosen_r"] == 2
+    assert report["trivial_plateau"] is False
     lines = (out / "ic_values.csv").read_text().splitlines()
     assert lines[0] == "c,r,ic"
 
@@ -586,6 +587,50 @@ def test_bootstrap_reports_a_damaged_estimate_run(tmp_path, panel_csv, capsys, n
     assert not out.exists()
 
 
+def _drop(key):
+    def edit(report):
+        *path, last = key.split(".")
+        for name in path:
+            report = report[name]
+        del report[last]
+    return edit
+
+
+def _set_J(value):
+    def edit(report):
+        report["parameters"]["J"] = value
+    return edit
+
+
+_REPORT_KEYS = ["parameters.family", "parameters.J", "parameters.r", "parameters.k",
+                "parameters.nonstationary", "parameters", "input.path", "input.sha256",
+                "input", "eigenvalues", "iterations", "deltas", "converged"]
+
+
+@pytest.mark.parametrize("key, edit", [
+    *((key, _drop(key)) for key in _REPORT_KEYS),
+    ("parameters.J", _set_J("x")),
+    ("parameters.J", _set_J(True)),
+], ids=[*(f"no {key}" for key in _REPORT_KEYS), "J is a string", "J is a bool"])
+def test_bootstrap_reports_a_damaged_estimate_report(tmp_path, panel_csv, capsys, key, edit):
+    est = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),
+                 "--r", "2", "--J", "3"]) == 0
+    report = json.loads((est / "report.json").read_text())
+    edit(report)
+    (est / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    out = tmp_path / "boot"
+    assert main(["bootstrap", "--input", str(est), "--output-dir", str(out), "--B", "4",
+                 "--threads", "1"]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    rec = json.loads(line)
+    assert rec["error"] == "ParameterError"
+    # a missing object is named by the first key read from it
+    assert "report.json" in rec["message"] and f"'{key}" in rec["message"]
+    assert not out.exists()
+
+
 def test_estimate_asks_for_r_when_only_the_trivial_plateau_is_stable(tmp_path, capsys):
     # on this random-walk panel the levels selection falls back to r_max
     path = tmp_path / "rw.csv"
@@ -602,7 +647,9 @@ def test_estimate_asks_for_r_when_only_the_trivial_plateau_is_stable(tmp_path, c
     assert not out.exists()
     # select-r still reports the fallback, and --r still fits
     assert main(["select-r", "--input", str(path), "--output-dir", str(tmp_path / "sel")]) == 0
-    assert json.loads((tmp_path / "sel" / "report.json").read_text())["chosen_r"] == 8
+    report = json.loads((tmp_path / "sel" / "report.json").read_text())
+    assert report["chosen_r"] == 8
+    assert report["trivial_plateau"] is True
     assert main(["estimate", "--input", str(path), "--output-dir", str(out),
                  "--nonstationary", "--r", "2"]) == 0
 

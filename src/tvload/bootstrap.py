@@ -11,7 +11,8 @@ one design, factored once, serves all draws.  A refitted curve is the basis
 times its 2^J wavelet coefficients, so a draw keeps only those coefficients,
 N*r*2^J values where its loading field has T*N*r.  The bands are formed one
 curve at a time from them, so the draws take B*N*r*2^J + T*B values at most,
-not B*T*N*r.
+not B*T*N*r.  On a Haar basis with a dyadic grid every curve is constant
+on its 2^J blocks, so its bands are formed on the block rows alone.
 """
 
 from __future__ import annotations
@@ -152,9 +153,9 @@ def residual_bootstrap(
     )
     # Curve-major: store[c] holds every draw's coefficients of curve c, one
     # row per draw, so each curve's field comes out of one product with the
-    # basis.  B @ store[c].T hands BLAS the operand layout of
-    # loadings_from_coeffs, so every value equals the draw's own Lambda bit
-    # for bit; B @ (2^J x draws) sums in another order.
+    # rows loadings_from_coeffs evaluates: the K = 2^J block rows of a Haar
+    # basis on a dyadic grid, whose sorted quantiles are then repeated over
+    # each block, else all T rows of the basis.
     N, r, p = fit.beta.shape
     store = np.empty((N * r, B, p))
     kept = 0
@@ -173,15 +174,18 @@ def residual_bootstrap(
             f"{len(failed)} of {B} bootstrap draws failed; first: "
             f"{failed[0] if failed else 'none'}"
         )
-    T = basis.T
-    lo = np.empty((T, N * r))
-    hi = np.empty((T, N * r))
-    field = np.empty((T, kept))  # curve c in every draw, reused for each c
+    A = basis.block_rows
+    rows = basis.B if A is None else A
+    lo = np.empty((len(rows), N * r))
+    hi = np.empty((len(rows), N * r))
+    field = np.empty((len(rows), kept))  # curve c in every draw, reused for each c
     for c in range(N * r):
-        np.matmul(basis.B, store[c, :kept].T, out=field)
+        np.matmul(rows, store[c, :kept].T, out=field)
         field.sort(axis=1)
         lo[:, c] = _sorted_quantile(field, (1.0 - level) / 2.0)
         hi[:, c] = _sorted_quantile(field, (1.0 + level) / 2.0)
+    if A is not None:
+        lo, hi = (np.repeat(x, basis.T // len(A), axis=0) for x in (lo, hi))
     return BandSet(level=level, lower=lo.reshape(fit.Lambda.shape),
                    upper=hi.reshape(fit.Lambda.shape), B=B, failed=tuple(failed))
 

@@ -15,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -168,6 +169,7 @@ def cmd_estimate(args) -> int:
         "standardization": standardization,
         "selection": selection,
         "eigenvalues": [float(v) for v in est.eigenvalues],
+        **_spectrum_diagnostics(est.eigenvalues, r),
         "design_gram_condition": design.gram_condition,
         "iterations": fit.n_iter,
         "deltas": [float(d) for d in fit.deltas],
@@ -183,6 +185,22 @@ def cmd_estimate(args) -> int:
     print(f"estimate: r={r} J={J} family={args.family} iterations={fit.n_iter} "
           f"-> {args.output_dir}")
     return 0
+
+
+def _spectrum_diagnostics(eigenvalues, r: int) -> dict:
+    """The eigengap lambda_r / lambda_{r+1} and the r factors' share of the spectrum.
+
+    Each is None where its denominator is not positive, or missing.
+    """
+    w = [float(v) for v in eigenvalues]
+
+    def ratio(num, den):
+        return num / den if den > 0.0 else None
+
+    return {
+        "eigengap": ratio(w[r - 1], w[r]) if r < len(w) else None,
+        "factor_variance_share": ratio(math.fsum(w[:r]), math.fsum(w)),
+    }
 
 
 # ---------------------------------------------------------------- select-r

@@ -10,11 +10,14 @@ Psi = [B * F_1 | ... | B * F_r].  Because all series share the same Psi, the
 GLS weighting by Gamma_e^-1 (x) I_T collapses exactly onto per-series least
 squares.  The feasible GLS fit therefore takes two passes, the identity
 weight and then the regularized residual covariance, and the second
-reproduces the first; the fit records that movement rather than hides it.
+reproduces the first; the fit records that movement rather than hides it,
+and builds the loading field once when the coefficients did not move.
 
 A design keeps the factors and the basis, not Psi.  On a Haar basis whose
 2^J dyadic blocks tile the grid, Psi'Psi and Psi'Y come from per-block factor
-sums; every other basis forms them from Psi, built once when first needed.
+sums, and a loading field from the 2^J block rows, so it is exactly constant
+on each block; every other basis forms them from Psi, built once when first
+needed, and the field from the full basis matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from ._table import read_table, write_table
 from .errors import NumericError, ParameterError, RankDeficiencyError, ShapeError
 from .factors import FactorEstimate, Panel
-from .wavelet import WaveletBasis, WaveletFamily
+from .wavelet import WaveletBasis
 
 __all__ = [
     "DesignBlock",
@@ -77,15 +80,6 @@ class DesignBlock:
         F, B = self.F, self.basis.B
         return (F[:, :, None] * B[:, None, :]).reshape(F.shape[0], -1)
 
-    @cached_property
-    def _blocks(self) -> np.ndarray | None:
-        """The K x 2^J block rows A of a Haar basis on a dyadic grid, else None."""
-        basis = self.basis
-        K = basis.n_columns
-        if basis.family is not WaveletFamily.HAAR or basis.T % K:
-            return None
-        return basis.B[:: basis.T // K]
-
     def _by_block(self, X: np.ndarray) -> np.ndarray:
         """Per-block products F_k'X_k of a T x n matrix, shape (K, r, n)."""
         K = self.basis.n_columns
@@ -93,7 +87,7 @@ class DesignBlock:
         return Fk.transpose(0, 2, 1) @ X.reshape(K, Fk.shape[1], -1)
 
     def _gram(self) -> np.ndarray:
-        A = self._blocks
+        A = self.basis.block_rows
         if A is None:
             return self.Psi.T @ self.Psi
         r, p = self.r, A.shape[1]
@@ -103,7 +97,7 @@ class DesignBlock:
         return G.reshape(r, r, p, p).transpose(0, 2, 1, 3).reshape(r * p, r * p)
 
     def _cross(self, Y: np.ndarray) -> np.ndarray:
-        A = self._blocks
+        A = self.basis.block_rows
         if A is None:
             return self.Psi.T @ Y
         W = self._by_block(Y)  # (K, r, N)
@@ -276,14 +270,22 @@ def gls_step(
 
 
 def loadings_from_coeffs(beta: np.ndarray, basis: WaveletBasis) -> np.ndarray:
-    """Evaluate every loading curve on the grid: result is T x N x r."""
+    """Evaluate every loading curve on the grid: result is T x N x r.
+
+    A Haar basis on a dyadic grid evaluates its 2^J block rows and repeats
+    each over its block, so the field is exactly constant on every block;
+    every other basis multiplies the full T x 2^J matrix.
+    """
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 3 or beta.shape[2] != basis.n_columns:
         raise ShapeError(
             f"beta must be (N, r, {basis.n_columns}), got {beta.shape}"
         )
     T, p = basis.B.shape
-    return (basis.B @ beta.reshape(-1, p).T).reshape(T, beta.shape[0], beta.shape[1])
+    coeffs = beta.reshape(-1, p).T
+    A = basis.block_rows
+    field = basis.B @ coeffs if A is None else np.repeat(A @ coeffs, T // len(A), axis=0)
+    return field.reshape(T, beta.shape[0], beta.shape[1])
 
 
 def common_component(Lambda: np.ndarray, factors: FactorEstimate | np.ndarray) -> np.ndarray:
@@ -336,8 +338,17 @@ def fit_iterative(
     movement of the loading field sum_t ||Lambda_1(t) - Lambda_2(t)||_F as
     ``deltas[0]`` and counts as converged when it is below
     ``CONVERGENCE_TOL``.  With the Kronecker weight structure pass 2
-    reproduces pass 1, so the movement is 0.0 and the residual covariance
-    of pass 1 is already that of the fit; otherwise it is computed again.
+    reproduces the pass-1 coefficients bit for bit; the fit then keeps the
+    pass-1 loading field and residual covariance, and the movement is 0.0.
+    Otherwise the field is built again, and so is the covariance if the
+    field moved.
+
+    On factors extracted from the panel itself, Gamma_e is singular by
+    construction: F = Z W lies in the span of the panel's columns, and a
+    basis holding the constant (Haar's scale column) puts every factor path
+    in the span of Psi, so the residuals annihilate W (E W = 0) and Gamma_e
+    has rank N - r.  Its regularization therefore shrinks at least once on
+    every such fit.
 
     Parameters
     ----------
@@ -357,14 +368,17 @@ def fit_iterative(
     """
     if design is None:
         design = build_design(factors, basis)
-    first = loadings_from_coeffs(gls_step(panel, design, np.eye(panel.N)), basis)
-    gamma = residual_cov(panel, first, factors)
+    first_beta = gls_step(panel, design, np.eye(panel.N))
+    Lambda = loadings_from_coeffs(first_beta, basis)
+    gamma = residual_cov(panel, Lambda, factors)
     weight = regularize_covariance(gamma, force_shrink=panel.T < panel.N)
     beta = gls_step(panel, design, weight)
-    Lambda = loadings_from_coeffs(beta, basis)
-    move = float(np.sqrt(((Lambda - first) ** 2).sum(axis=(1, 2))).sum())
-    if move != 0.0:
-        gamma = residual_cov(panel, Lambda, factors)
+    move = 0.0
+    if not np.array_equal(beta, first_beta):
+        first, Lambda = Lambda, loadings_from_coeffs(beta, basis)
+        move = float(np.sqrt(((Lambda - first) ** 2).sum(axis=(1, 2))).sum())
+        if move != 0.0:
+            gamma = residual_cov(panel, Lambda, factors)
     return GlsFit(
         beta=beta,
         Lambda=Lambda,

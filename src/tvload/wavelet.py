@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -254,6 +254,9 @@ class WaveletBasis:
     ``B`` has shape (T, 2^J): the scale column first, then wavelet columns in
     (level, shift) order as recorded in ``column_index`` (the scale column is
     tagged (-1, 0)).
+
+    A Haar basis on a grid that K = 2^J divides is constant on K dyadic
+    blocks of T/K rows; ``block_rows`` then holds the row A_k of each block.
     """
 
     family: WaveletFamily
@@ -265,6 +268,14 @@ class WaveletBasis:
     @property
     def n_columns(self) -> int:
         return self.B.shape[1]
+
+    @cached_property
+    def block_rows(self) -> np.ndarray | None:
+        """The K x 2^J rows A with ``B == repeat(A, T // K, axis=0)``, else None."""
+        K = self.n_columns
+        if self.family is not WaveletFamily.HAAR or self.T % K:
+            return None
+        return self.B[:: self.T // K]
 
 
 def evaluate_basis(

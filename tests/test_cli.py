@@ -19,13 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvload
-from tvload.cli import _resolve_threads, _reload_estimate, build_parser, main
+from tvload.cli import (
+    _reload_estimate,
+    _resolve_threads,
+    _spectrum_diagnostics,
+    build_parser,
+    main,
+)
 from tvload.factors import (
     generalized_covariance,
     make_panel,
     nonstationary_factors,
     pca_factors,
     read_panel_csv,
+    scale_only,
     select_num_factors,
     standardize,
     write_panel_csv,
@@ -223,6 +230,38 @@ def test_estimate_reports_the_conditioning_of_the_design(tmp_path, panel_csv):
     Psi = build_design(est, basis).Psi
     cond = np.linalg.cond(Psi.T @ Psi)
     assert abs(report["design_gram_condition"] - cond) <= 1e-8 * cond
+
+
+@pytest.mark.parametrize("nonstationary", [False, True])
+def test_estimate_reports_the_eigengap_and_the_factor_variance_share(
+        tmp_path, panel_csv, nonstationary):
+    out = tmp_path / "est"
+    flags = ["--nonstationary"] if nonstationary else []
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(out),
+                 "--r", "2", "--J", "3", *flags]) == 0
+    report = json.loads((out / "report.json").read_text())
+    # the spectrum recomputed from the panel, not read back from the report
+    panel = read_panel_csv(panel_csv)
+    work = scale_only(panel) if nonstationary else standardize(panel)
+    S = (generalized_covariance(work, 1) if nonstationary
+         else work.values.T @ work.values / (work.N * work.T))
+    w = np.linalg.eigvalsh(S)[::-1]
+    # the lag covariance is indefinite: a negative lambda_3 leaves no eigengap
+    want = {"eigengap": w[1] / w[2] if w[2] > 0 else None,
+            "factor_variance_share": w[:2].sum() / w.sum() if w.sum() > 0 else None}
+    assert (want["eigengap"] is None) == nonstationary
+    for key, value in want.items():
+        assert report[key] == (None if value is None else pytest.approx(value, rel=1e-9)), key
+
+
+def test_spectrum_diagnostics_are_null_without_a_positive_denominator():
+    assert _spectrum_diagnostics([4.0, 2.0, 1.0, 1.0], 2) == {
+        "eigengap": 2.0, "factor_variance_share": 0.75}
+    assert _spectrum_diagnostics([4.0, 2.0, 0.0], 2)["eigengap"] is None
+    assert _spectrum_diagnostics([4.0, 2.0, -1.0], 2)["eigengap"] is None
+    assert _spectrum_diagnostics([4.0, 2.0], 2)["eigengap"] is None  # no lambda_{r+1}
+    assert _spectrum_diagnostics([1.0, -1.0, -2.0], 1) == {
+        "eigengap": None, "factor_variance_share": None}
 
 
 def test_no_environment_variable_sets_the_worker_threads(tmp_path, panel_csv, monkeypatch):

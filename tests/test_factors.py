@@ -1,6 +1,7 @@
 """Panel handling, principal-component and lag-covariance factor extraction."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +64,22 @@ def test_panel_csv_round_trip(tmp_path):
     q = read_panel_csv(path)
     assert q.series_ids == ("x", "y", "z")
     assert np.array_equal(q.values, p.values)  # .17g is lossless for float64
+
+
+def test_reading_a_panel_peaks_under_two_and_a_half_times_its_values(tmp_path):
+    # the cells are parsed into one packed buffer, not a list of Python floats
+    rng = np.random.default_rng(1)
+    path = tmp_path / "p.csv"
+    write_panel_csv(make_panel(rng.normal(size=(2048, 100))), path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        panel = read_panel_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert panel.values.shape == (2048, 100)
+    assert peak <= 2.5 * panel.values.nbytes
 
 
 def test_read_panel_csv_rejects_duplicate_series_ids(tmp_path):

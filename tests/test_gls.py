@@ -1,5 +1,7 @@
 """Design assembly, Kronecker-factored GLS, and the iterated loading fit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,6 +28,7 @@ from tvload.gls import (
     write_covariance_csv,
     write_loadings_csv,
 )
+from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis, select_resolution
 
 
@@ -190,7 +193,7 @@ def test_haar_block_products_match_the_dense_design(T, r):
     rng = np.random.default_rng(16)
     basis = evaluate_basis("haar", select_resolution(T), T)
     # the basis is constant on the 2^J dyadic blocks, each with its block row
-    A = basis.B[:: T // basis.n_columns]
+    A = basis.block_rows
     assert np.array_equal(np.repeat(A, T // basis.n_columns, axis=0), basis.B)
     d = build_design(_factors(np.cumsum(rng.normal(size=(T, r)), axis=0)), basis)
     Y = rng.normal(size=(T, 7))
@@ -215,7 +218,7 @@ def test_other_designs_solve_through_psi_and_match_lstsq(family, T):
     rng = np.random.default_rng(18)
     basis = evaluate_basis(family, select_resolution(T), T)
     d = build_design(_factors(rng.normal(size=(T, 2))), basis)
-    assert d._blocks is None
+    assert basis.block_rows is None
     Y = rng.normal(size=(T, 4))
     beta = d.solve(Y)
     assert "Psi" in d.__dict__
@@ -348,6 +351,34 @@ def test_loadings_match_per_curve_reconstruction():
     for m in range(4):
         for n in range(2):
             assert_allclose(Lambda[:, m, n], basis.B @ beta[m, n], atol=0.0)
+
+
+def _basis_product(beta, basis):
+    T, p = basis.B.shape
+    return (basis.B @ beta.reshape(-1, p).T).reshape(T, *beta.shape[:2])
+
+
+def test_haar_field_on_a_dyadic_grid_is_exactly_block_constant():
+    rng = np.random.default_rng(12)
+    T, N, r, J = 2048, 100, 3, 6
+    basis = evaluate_basis("haar", J, T)
+    beta = rng.normal(size=(N, r, 2**J))
+    Lambda = loadings_from_coeffs(beta, basis)
+    bits = Lambda.reshape(T, -1).view(np.uint64)
+    assert len(np.unique(bits, axis=0)) == 2**J
+    blocks = bits.reshape(2**J, T // 2**J, -1)
+    assert (blocks == blocks[:, :1]).all()
+    ref = _basis_product(beta, basis)
+    assert np.max(np.abs(Lambda - ref)) <= 1e-15 * np.max(np.abs(Lambda))
+
+
+@pytest.mark.parametrize("family,T,J", [("d8", 512, 5), ("d8", 777, 4), ("haar", 777, 5)])
+def test_other_fields_are_the_basis_product_bit_for_bit(family, T, J):
+    rng = np.random.default_rng(13)
+    basis = evaluate_basis(family, J, T)
+    assert basis.block_rows is None
+    beta = rng.normal(size=(6, 2, 2**J))
+    assert np.array_equal(loadings_from_coeffs(beta, basis), _basis_product(beta, basis))
 
 
 # ---------------------------------------------------------------- residual cov
@@ -489,6 +520,60 @@ def test_fit_keeps_the_first_pass_covariance_when_nothing_moves(monkeypatch):
     assert fit.converged and fit.n_iter == 2
     assert len(covs) == 1
     assert np.array_equal(fit.Gamma_e, residual_cov(panel, fit.Lambda, fac))
+
+
+def _wide_fit_inputs():
+    rng = np.random.default_rng(23)
+    T, N, r = 2048, 100, 3
+    F = rng.normal(size=(T, r))
+    panel = standardize(make_panel(F @ rng.normal(size=(r, N)) + rng.normal(size=(T, N))))
+    return panel, pca_factors(panel, r), evaluate_basis("haar", 6, T)
+
+
+def test_fit_peaks_under_twice_the_loading_field():
+    panel, fac, basis = _wide_fit_inputs()
+    fit_iterative(panel, fac, basis)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit = fit_iterative(panel, fac, basis)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * fit.Lambda.nbytes
+
+
+def test_kronecker_fit_builds_one_field_from_two_solves(monkeypatch):
+    panel, fac, basis = _wide_fit_inputs()
+    calls = {"gls_step": 0, "loadings_from_coeffs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tvload.gls, name, counted(name, getattr(tvload.gls, name)))
+    fit = fit_iterative(panel, fac, basis)
+    assert calls == {"gls_step": 2, "loadings_from_coeffs": 1}
+    assert fit.deltas == (0.0,) and fit.n_iter == 2 and fit.converged
+    assert np.array_equal(fit.Lambda, loadings_from_coeffs(fit.beta, basis))
+
+
+def test_extracted_factor_residual_covariance_has_rank_n_minus_r():
+    # F = Z W lies in the span of the panel, and Haar's scale column puts every
+    # factor path in the span of Psi, so the residuals annihilate W
+    N, T, r = 20, 1024, 2
+    panel = standardize(make_panel(simulate_dgp(DgpConfig(N=N, T=T, r=r, seed=7)).Y))
+    fac = pca_factors(panel, r)
+    fit = fit_iterative(panel, fac, evaluate_basis("haar", select_resolution(T), T))
+    w = np.linalg.eigvalsh(fit.Gamma_e)
+    assert np.sum(w < 1e-12 * w[-1]) == r
+    assert w[r] > 1e-6 * w[-1]
+    # so the regularization cannot pass it through unshrunk
+    sym = 0.5 * (fit.Gamma_e + fit.Gamma_e.T)
+    assert not np.array_equal(regularize_covariance(fit.Gamma_e), sym)
 
 
 def test_fit_flags_a_second_pass_that_moves(monkeypatch):

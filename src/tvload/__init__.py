@@ -41,7 +41,6 @@ from .gls import (
     fit_iterative,
     gls_step,
     loadings_from_coeffs,
-    regularize_covariance,
     residual_cov,
 )
 from .metrics import loading_mse, median_path, procrustes_rotation, r2_factors
@@ -108,7 +107,6 @@ __all__ = [
     "build_design",
     "gls_step",
     "fit_iterative",
-    "regularize_covariance",
     "loadings_from_coeffs",
     "common_component",
     "residual_cov",

@@ -2,17 +2,21 @@
 
 Whole cross-section residual vectors are resampled with replacement over the
 grid, synthetic panels are refitted with the factors and basis held fixed,
-and pointwise quantile bands are read off the refitted loading curves.  Each
-draw owns an RNG derived from (seed, draw index), so results do not depend
-on execution order and any draw can be reproduced in isolation.
+and pointwise quantile bands are read off the refitted loading curves.  The
+bands are therefore conditional on the factors: on extracted factors they
+leave out the extraction error, and cover the true curves less often than
+their level says.  Each draw owns an RNG derived from (seed, draw index), so
+results do not depend on execution order and any draw can be reproduced in
+isolation.
 
 With the factors fixed every draw is the same linear map of its panel, so
-one design, factored once, serves all draws.  A refitted curve is the basis
-times its 2^J wavelet coefficients, so a draw keeps only those coefficients,
-N*r*2^J values where its loading field has T*N*r.  The bands are formed one
-curve at a time from them, so the draws take B*N*r*2^J + T*B values at most,
-not B*T*N*r.  On a Haar basis with a dyadic grid every curve is constant
-on its 2^J blocks, so its bands are formed on the block rows alone.
+one design, factored once, serves all draws, and a draw costs its fit's two
+solves.  A refitted curve is the basis times its 2^J wavelet coefficients,
+so a draw keeps only those coefficients, N*r*2^J values where its loading
+field has T*N*r.  The bands are formed one curve at a time from them, so the
+draws take B*N*r*2^J + T*B values at most, not B*T*N*r.  On a Haar basis
+with a dyadic grid every curve is constant on its 2^J blocks, so its bands
+are formed on the block rows alone.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from ._table import write_table
 from .errors import NumericError, ParameterError
-from .factors import FactorEstimate, Panel, make_panel, nonstationary_factors, pca_factors
+from .factors import FactorEstimate, Panel, make_panel
 from .gls import build_design, common_component, fit_iterative
 from .wavelet import WaveletBasis
 
@@ -45,20 +49,11 @@ class BandSet:
 
 
 def _one_draw(b, seed, E, X_hat, panel, factors, basis, design):
-    """Wavelet coefficients, shape (N, r, 2^J), refitted to bootstrap panel b.
-
-    ``design`` is None when the factors are re-extracted from every draw.
-    """
+    """Wavelet coefficients, shape (N, r, 2^J), refitted to bootstrap panel b."""
     rng = np.random.default_rng([seed, b])
     idx = rng.integers(0, E.shape[0], size=E.shape[0])
     panel_star = make_panel(X_hat + E[idx], panel.series_ids)
-    f_star = factors
-    if design is None:
-        if factors.method == "pca":
-            f_star = pca_factors(panel_star, factors.r)
-        else:
-            f_star = nonstationary_factors(panel_star, factors.r, **factors.params)
-    return fit_iterative(panel_star, f_star, basis, design=design).beta
+    return fit_iterative(panel_star, factors, basis, design=design).beta
 
 
 def _outcome(b, **args):
@@ -98,7 +93,6 @@ def residual_bootstrap(
     B: int = 100,
     level: float = 0.95,
     seed: int = 0,
-    refit_factors: bool = False,
     n_threads: int = 1,
 ) -> BandSet:
     """Bootstrap pointwise bands around the estimated loading curves.
@@ -106,7 +100,8 @@ def residual_bootstrap(
     Every draw keeps its wavelet coefficients, not its loading field, and the
     bands are formed one curve at a time from them: the draws take at most
     B*N*r*2^J + T*B float64 values, T/2^J times fewer than the B*T*N*r of
-    the draws' loading fields.
+    the draws' loading fields.  The factors are held fixed, so the bands are
+    conditional on them.
 
     Parameters
     ----------
@@ -115,7 +110,7 @@ def residual_bootstrap(
     fit : GlsFit
         Point estimate whose residuals are resampled.
     factors : FactorEstimate
-        Held fixed across draws unless ``refit_factors`` is set.
+        Held fixed across draws.
     basis : WaveletBasis
     B : int
         Number of draws, >= 1.
@@ -124,9 +119,6 @@ def residual_bootstrap(
         with linear interpolation.
     seed : int
         Base seed; draw b uses an RNG derived from (seed, b).
-    refit_factors : bool
-        Experimental: re-extract factors from every synthetic panel with the
-        original method.  Off by default.
     n_threads : int
         Worker threads of the pool the draws run in (at least one); results
         do not depend on it because of per-draw seeding.
@@ -149,7 +141,7 @@ def residual_bootstrap(
 
     draw = functools.partial(
         _outcome, seed=seed, E=E, X_hat=X_hat, panel=panel, factors=factors, basis=basis,
-        design=None if refit_factors else build_design(factors, basis),
+        design=build_design(factors, basis),
     )
     # Curve-major: store[c] holds every draw's coefficients of curve c, one
     # row per draw, so each curve's field comes out of one product with the

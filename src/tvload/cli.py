@@ -146,6 +146,9 @@ def cmd_estimate(args) -> int:
 
     design = build_design(est, basis)
     fit = fit_iterative(work, est, basis, design=design)
+    # Build the residual covariance, and with it the loading field, before the
+    # writers run: built inside them, the two raise the command's peak RSS.
+    gamma = fit.Gamma_e
 
     report = {
         "command": "estimate",
@@ -180,7 +183,7 @@ def cmd_estimate(args) -> int:
         "loadings.csv": lambda path: write_loadings_csv(fit, panel, path),
         "coefficients.csv": lambda path: write_coefficients_csv(fit, panel, basis, path),
         "residual_covariance.csv":
-            lambda path: write_covariance_csv(fit.Gamma_e, panel.series_ids, path),
+            lambda path: write_covariance_csv(gamma, panel.series_ids, path),
     })
     print(f"estimate: r={r} J={J} family={args.family} iterations={fit.n_iter} "
           f"-> {args.output_dir}")
@@ -366,7 +369,6 @@ def cmd_bootstrap(args) -> int:
     bands = residual_bootstrap(
         work, fit, est, basis,
         B=args.B, level=args.level, seed=args.seed,
-        refit_factors=args.refit_factors,
         n_threads=threads,
     )
     report = {
@@ -377,7 +379,6 @@ def cmd_bootstrap(args) -> int:
             "B": args.B,
             "level": args.level,
             "seed": args.seed,
-            "refit_factors": bool(args.refit_factors),
         },
         "estimate_run": {
             "path": os.path.abspath(args.input),
@@ -418,7 +419,6 @@ _FLAGS = {
     "--B": dict(type=int, default=100),
     "--level": dict(type=float, default=0.95),
     "--reps": dict(type=int, default=100, help="replications per cell"),
-    "--refit-factors": dict(action="store_true"),
 }
 
 # command: (handler, help, whether --input is required, flags it reads)
@@ -430,7 +430,7 @@ _COMMANDS = {
     "simulate": (cmd_simulate, "run the Monte Carlo experiment grid", False,
                  "--input --output-dir --seed --threads --J --reps"),
     "bootstrap": (cmd_bootstrap, "confidence bands from an estimate run", True,
-                  "--input --output-dir --seed --threads --B --level --refit-factors"),
+                  "--input --output-dir --seed --threads --B --level"),
 }
 
 

@@ -9,15 +9,18 @@ Stacking series by series, the regression design is I_N (x) Psi with
 Psi = [B * F_1 | ... | B * F_r].  Because all series share the same Psi, the
 GLS weighting by Gamma_e^-1 (x) I_T collapses exactly onto per-series least
 squares.  The feasible GLS fit therefore takes two passes, the identity
-weight and then the regularized residual covariance, and the second
-reproduces the first; the fit records that movement rather than hides it,
-and builds the loading field once when the coefficients did not move.
+weight and then the diagonal of the pass-1 residual covariance, and the
+second reproduces the first; the fit records that movement rather than
+hides it.  The loading field and the residual covariance of a fit are built
+when first read, so a caller that keeps only the coefficients, as every
+bootstrap draw does, pays for the two solves alone.
 
 A design keeps the factors and the basis, not Psi.  On a Haar basis whose
 2^J dyadic blocks tile the grid, Psi'Psi and Psi'Y come from per-block factor
-sums, and a loading field from the 2^J block rows, so it is exactly constant
-on each block; every other basis forms them from Psi, built once when first
-needed, and the field from the full basis matrix.
+sums, and a loading field or fitted panel from the 2^J block rows, so a
+field is exactly constant on each block; every other basis forms them from
+Psi, built once when first needed, and the field from the full basis
+matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "DesignBlock",
     "GlsFit",
     "build_design",
-    "regularize_covariance",
     "gls_step",
     "loadings_from_coeffs",
     "common_component",
@@ -121,6 +123,17 @@ class DesignBlock:
         X = Linv.T @ (Linv @ self._cross(Y))  # (r*2^J) x N
         return X.T.reshape(Y.shape[1], self.r, self.basis.n_columns)
 
+    def fitted(self, beta: np.ndarray) -> np.ndarray:
+        """The fitted panel Psi beta of coefficients shaped (N, r, 2^J), T x N."""
+        N, r, p = beta.shape
+        A = self.basis.block_rows
+        if A is None:
+            return self.Psi @ beta.reshape(N, r * p).T
+        # block k is its factor rows F_k times its r x N loadings A_k beta
+        K = len(A)
+        loadings = (A @ beta.transpose(2, 1, 0).reshape(p, r * N)).reshape(K, r, N)
+        return (self.F.reshape(K, -1, r) @ loadings).reshape(-1, N)
+
     @property
     def gram_condition(self) -> float:
         """2-norm condition number of Psi'Psi, the squared one of its Cholesky factor."""
@@ -140,40 +153,6 @@ def build_design(factors: FactorEstimate, basis: WaveletBasis) -> DesignBlock:
             f"factor grid length {F.shape[0]} does not match basis grid {basis.T}"
         )
     return DesignBlock(F=F, basis=basis)
-
-
-# Shrinkage weight of one round, the condition number that ends the rounds,
-# and the number of rounds before the last-resort ridge.
-_SHRINK = 0.1
-_COND_MAX = 1e8
-_MAX_ROUNDS = 200
-
-
-def regularize_covariance(gamma: np.ndarray, force_shrink: bool = False) -> np.ndarray:
-    """Shrink a residual covariance toward its diagonal until well conditioned.
-
-    Applies gamma <- 0.9 * gamma + 0.1 * diag(gamma) while the condition
-    number exceeds 1e8 (or once unconditionally when ``force_shrink``), for
-    at most 200 rounds, and adds a tiny ridge as a last resort for matrices
-    whose diagonal itself is degenerate (e.g. all-zero residuals).
-    """
-    G = 0.5 * (gamma + gamma.T)
-    shrunk = 0
-    while True:
-        w = np.linalg.eigvalsh(G)
-        ok = w[0] > 0.0 and w[-1] / w[0] <= _COND_MAX
-        if ok and (shrunk > 0 or not force_shrink):
-            return G
-        if shrunk >= _MAX_ROUNDS:
-            break
-        G = (1.0 - _SHRINK) * G + _SHRINK * np.diag(np.diag(G))
-        shrunk += 1
-    ridge = max(float(np.mean(np.diag(G))), 1.0) * 1e-10
-    G = G + ridge * np.eye(G.shape[0])
-    w = np.linalg.eigvalsh(G)
-    if w[0] <= 0.0:
-        raise NumericError("residual covariance cannot be regularized to positive definite")
-    return G
 
 
 def _report_rank_deficiency(design: DesignBlock) -> None:
@@ -304,21 +283,44 @@ def residual_cov(panel: Panel, Lambda: np.ndarray, factors: FactorEstimate) -> n
     return E.T @ E / panel.T
 
 
-@dataclass(frozen=True)
 class GlsFit:
     """Two-pass loading fit.
 
     ``beta[m, i]`` holds series m's coefficients for factor i in basis-column
-    order; ``Lambda[t, m, i]`` is the loading curve on the grid; ``deltas``
-    records the loading-field movement of the second pass.
+    order; ``Lambda[t, m, i]`` is the loading curve on the grid; ``Gamma_e``
+    is the residual covariance sum_t e_t e_t' / T of the fitted model;
+    ``deltas`` records the loading-field movement of the second pass.
+
+    A fit that ``fit_iterative`` returns builds ``Lambda`` and ``Gamma_e``
+    when each is first read, through ``loadings_from_coeffs`` and
+    ``residual_cov``, and keeps them; a fit built from given arrays keeps
+    those.  Two threads that read a missing field at once may each build it,
+    bit for bit the same.
     """
 
-    beta: np.ndarray
-    Lambda: np.ndarray
-    Gamma_e: np.ndarray
-    n_iter: int
-    deltas: tuple[float, ...]
-    converged: bool
+    def __init__(self, beta: np.ndarray, Lambda: np.ndarray | None,
+                 Gamma_e: np.ndarray | None, n_iter: int, deltas: tuple[float, ...],
+                 converged: bool):
+        self.beta = beta
+        self._Lambda = Lambda
+        self._Gamma_e = Gamma_e
+        self.n_iter = n_iter
+        self.deltas = deltas
+        self.converged = converged
+        self._model = None  # (panel, factors, basis) a missing field is built from
+
+    @property
+    def Lambda(self) -> np.ndarray:
+        if self._Lambda is None:
+            self._Lambda = loadings_from_coeffs(self.beta, self._model[2])
+        return self._Lambda
+
+    @property
+    def Gamma_e(self) -> np.ndarray:
+        if self._Gamma_e is None:
+            panel, factors, _ = self._model
+            self._Gamma_e = residual_cov(panel, self.Lambda, factors)
+        return self._Gamma_e
 
 
 # Second-pass movement below which a fit counts as converged.
@@ -333,22 +335,18 @@ def fit_iterative(
 ) -> GlsFit:
     """Fit the loading curves by two-pass feasible GLS.
 
-    Pass 1 solves with the identity weight; pass 2 solves with the residual
-    covariance of pass 1, regularized.  The fit records the summed Frobenius
-    movement of the loading field sum_t ||Lambda_1(t) - Lambda_2(t)||_F as
-    ``deltas[0]`` and counts as converged when it is below
-    ``CONVERGENCE_TOL``.  With the Kronecker weight structure pass 2
-    reproduces the pass-1 coefficients bit for bit; the fit then keeps the
-    pass-1 loading field and residual covariance, and the movement is 0.0.
-    Otherwise the field is built again, and so is the covariance if the
-    field moved.
+    Pass 1 solves with the identity weight.  Pass 2 solves with the diagonal
+    of the pass-1 residual covariance, diag(E'E / T) with E = Y - Psi beta_1,
+    and 1 wherever a residual variance is not positive, as on a series the
+    model fits exactly.  The Kronecker weight structure makes pass 2
+    reproduce the pass-1 coefficients bit for bit, and the movement is then
+    0.0.  Otherwise the fit records the summed Frobenius movement of the
+    loading field sum_t ||Lambda_1(t) - Lambda_2(t)||_F as ``deltas[0]``, and
+    counts as converged when it is below ``CONVERGENCE_TOL``.
 
-    On factors extracted from the panel itself, Gamma_e is singular by
-    construction: F = Z W lies in the span of the panel's columns, and a
-    basis holding the constant (Haar's scale column) puts every factor path
-    in the span of Psi, so the residuals annihilate W (E W = 0) and Gamma_e
-    has rank N - r.  Its regularization therefore shrinks at least once on
-    every such fit.
+    The fit's ``Lambda`` and ``Gamma_e`` are built when first read, from the
+    pass-2 coefficients, so a caller that reads only ``beta`` pays for the
+    two solves and the pass-2 weight alone.
 
     Parameters
     ----------
@@ -369,24 +367,18 @@ def fit_iterative(
     if design is None:
         design = build_design(factors, basis)
     first_beta = gls_step(panel, design, np.eye(panel.N))
-    Lambda = loadings_from_coeffs(first_beta, basis)
-    gamma = residual_cov(panel, Lambda, factors)
-    weight = regularize_covariance(gamma, force_shrink=panel.T < panel.N)
-    beta = gls_step(panel, design, weight)
-    move = 0.0
+    E = design.fitted(first_beta)
+    np.subtract(panel.values, E, out=E)  # the pass-1 residuals, in place
+    variance = np.einsum("tm,tm->m", E, E) / panel.T
+    beta = gls_step(panel, design, np.diag(np.where(variance > 0.0, variance, 1.0)))
+    Lambda, move = None, 0.0
     if not np.array_equal(beta, first_beta):
-        first, Lambda = Lambda, loadings_from_coeffs(beta, basis)
+        first, Lambda = loadings_from_coeffs(first_beta, basis), loadings_from_coeffs(beta, basis)
         move = float(np.sqrt(((Lambda - first) ** 2).sum(axis=(1, 2))).sum())
-        if move != 0.0:
-            gamma = residual_cov(panel, Lambda, factors)
-    return GlsFit(
-        beta=beta,
-        Lambda=Lambda,
-        Gamma_e=gamma,
-        n_iter=2,
-        deltas=(move,),
-        converged=move < CONVERGENCE_TOL,
-    )
+    fit = GlsFit(beta=beta, Lambda=Lambda, Gamma_e=None, n_iter=2, deltas=(move,),
+                 converged=move < CONVERGENCE_TOL)
+    fit._model = (panel, factors, basis)
+    return fit
 
 
 # ---------------------------------------------------------------- artifacts

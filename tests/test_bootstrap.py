@@ -7,9 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import tvload.bootstrap as bt
+import tvload.gls
 from tvload.bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
 from tvload.errors import NumericError, ParameterError
-from tvload.factors import FactorEstimate, make_panel, pca_factors
+from tvload.factors import FactorEstimate, make_panel
 from tvload.gls import common_component, fit_iterative, loadings_from_coeffs
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis, select_resolution
@@ -32,21 +33,20 @@ def _noisy_fit(seed, T=64, N=5, r=1, J=3, noise=1.0, family="haar"):
     return panel, fac, basis, fit_iterative(panel, fac, basis)
 
 
-def _reference_bands(panel, fit, fac, basis, B, level, seed, skip=(), refit=False):
-    """The per-draw rule, one full refit each: resample whole residual rows
-    with the draw's own RNG, refit with fit_iterative (on factors extracted
-    again from the draw's panel when ``refit``), stack, np.quantile."""
+def _draw_panel(panel, fit, fac, seed, b):
+    """Bootstrap panel b: the fitted common component plus whole residual rows
+    resampled with the draw's own RNG."""
     X_hat = common_component(fit.Lambda, fac)
     E = panel.values - X_hat
-    draws = []
-    for b in range(1, B + 1):
-        if b in skip:
-            continue
-        rng = np.random.default_rng([seed, b])
-        idx = rng.integers(0, E.shape[0], size=E.shape[0])
-        star = make_panel(X_hat + E[idx], panel.series_ids)
-        f_star = pca_factors(star, fac.r) if refit else fac
-        draws.append(fit_iterative(star, f_star, basis).Lambda)
+    idx = np.random.default_rng([seed, b]).integers(0, E.shape[0], size=E.shape[0])
+    return make_panel(X_hat + E[idx], panel.series_ids)
+
+
+def _reference_bands(panel, fit, fac, basis, B, level, seed, skip=()):
+    """The per-draw rule, one full refit each: refit every bootstrap panel
+    with fit_iterative, stack the loading fields, np.quantile."""
+    draws = [fit_iterative(_draw_panel(panel, fit, fac, seed, b), fac, basis).Lambda
+             for b in range(1, B + 1) if b not in skip]
     stack = np.stack(draws, axis=0)
     return np.quantile(stack, [(1.0 - level) / 2.0, (1.0 + level) / 2.0],
                        axis=0, method="linear")
@@ -93,31 +93,13 @@ def test_thread_pool_matches_serial_execution():
     assert np.array_equal(serial.upper, pooled.upper)
 
 
-def test_thread_pool_matches_serial_execution_with_refit_factors():
-    panel, fac, basis, fit = _noisy_fit(3)
-    serial = residual_bootstrap(panel, fit, fac, basis, B=12, seed=5, n_threads=1,
-                                refit_factors=True)
-    pooled = residual_bootstrap(panel, fit, fac, basis, B=12, seed=5, n_threads=4,
-                                refit_factors=True)
-    assert np.array_equal(serial.lower, pooled.lower)
-    assert np.array_equal(serial.upper, pooled.upper)
-
-
-def test_refit_factors_flag_changes_the_draws():
-    panel, fac, basis, fit = _noisy_fit(4)
-    fixed = residual_bootstrap(panel, fit, fac, basis, B=10, seed=3)
-    refit = residual_bootstrap(panel, fit, fac, basis, B=10, seed=3,
-                               refit_factors=True)
-    assert not np.array_equal(fixed.lower, refit.lower)
-
-
 # ---------------------------------------------------------------- fixed-factor path
 
 
 @pytest.mark.parametrize("family, T, N, r, J", [
     ("haar", 64, 5, 2, 3),
     ("d8", 64, 5, 2, 3),
-    ("haar", 16, 24, 1, 2),  # T < N: the residual covariance is force-shrunk
+    ("haar", 16, 24, 1, 2),  # T < N: the residual covariance is singular
 ])
 def test_fixed_factor_bands_match_the_per_draw_refits(family, T, N, r, J):
     panel, fac, basis, fit = _noisy_fit(10, T=T, N=N, r=r, J=J, family=family)
@@ -148,24 +130,44 @@ def test_fixed_factor_bands_leave_out_failed_draws(monkeypatch):
 
 
 def test_refit_bands_leave_out_failed_draws_pooled_or_serial(monkeypatch):
+    # draws 4 and 9 fail inside their fit, whichever thread runs them
     panel, fac, basis, fit = _noisy_fit(12, T=64, N=6, r=2)
-    real = bt._one_draw
+    bad = [_draw_panel(panel, fit, fac, 8, b).values for b in (4, 9)]
+    real = bt.fit_iterative
 
-    def flaky(b, **kwargs):
-        if b in (4, 9):
-            raise RuntimeError("draw exploded")
-        return real(b, **kwargs)
+    def flaky(panel_star, *args, **kwargs):
+        if any(np.array_equal(panel_star.values, values) for values in bad):
+            raise RuntimeError("fit exploded")
+        return real(panel_star, *args, **kwargs)
 
-    monkeypatch.setattr(bt, "_one_draw", flaky)
     lo, hi = _reference_bands(panel, fit, fac, basis, B=30, level=0.9, seed=8,
-                              skip=(4, 9), refit=True)
+                              skip=(4, 9))
+    monkeypatch.setattr(bt, "fit_iterative", flaky)
     tol = 1e-12 * np.max(np.abs(fit.Lambda))
     for n_threads in (1, 3):
         bands = residual_bootstrap(panel, fit, fac, basis, B=30, level=0.9, seed=8,
-                                   refit_factors=True, n_threads=n_threads)
+                                   n_threads=n_threads)
         assert [b for b, _ in bands.failed] == [4, 9]
         assert np.max(np.abs(bands.lower - lo)) <= tol
         assert np.max(np.abs(bands.upper - hi)) <= tol
+
+
+def test_a_draw_makes_its_two_solves_and_builds_no_field(monkeypatch):
+    panel, fac, basis, fit = _noisy_fit(14, T=64, N=5, r=2)
+    calls = dict.fromkeys(["gls_step", "loadings_from_coeffs", "residual_cov"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tvload.gls, name, counted(name, getattr(tvload.gls, name)))
+    B = 12
+    residual_bootstrap(panel, fit, fac, basis, B=B, seed=3, n_threads=2)
+    # the one field is the point estimate's own, built when the bootstrap reads it
+    assert calls == {"gls_step": 2 * B, "loadings_from_coeffs": 1, "residual_cov": 0}
 
 
 def test_draws_keep_coefficients_not_loading_fields():

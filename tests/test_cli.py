@@ -37,7 +37,7 @@ from tvload.factors import (
     standardize,
     write_panel_csv,
 )
-from tvload.gls import build_design, fit_iterative, regularize_covariance
+from tvload.gls import build_design, fit_iterative
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis
 
@@ -72,8 +72,7 @@ _OPTIONS = {
                  "--r", "--r-max"},
     "select-r": {"--input", "--output-dir", "--r-max", "--first-difference"},
     "simulate": {"--input", "--output-dir", "--seed", "--threads", "--J", "--reps"},
-    "bootstrap": {"--input", "--output-dir", "--seed", "--threads", "--B", "--level",
-                  "--refit-factors"},
+    "bootstrap": {"--input", "--output-dir", "--seed", "--threads", "--B", "--level"},
 }
 
 
@@ -86,7 +85,7 @@ def _options(command):
 
 def test_the_parser_exposes_exactly_the_pinned_flags():
     assert {command: _options(command) for command in _OPTIONS} == _OPTIONS
-    assert sum(map(len, _OPTIONS.values())) == 25
+    assert sum(map(len, _OPTIONS.values())) == 24
 
 
 def test_the_readme_flag_table_matches_the_parser():
@@ -103,7 +102,7 @@ def test_the_readme_flag_table_matches_the_parser():
 
 
 def test_library_entry_points_take_only_the_pinned_parameters():
-    # the penalty grid, the subpanels and the shrinkage schedule are constants
+    # the penalty grid and the subpanels are constants
     def params(func):
         return list(inspect.signature(func).parameters)
 
@@ -111,7 +110,6 @@ def test_library_entry_points_take_only_the_pinned_parameters():
     assert params(select_num_factors) == ["panel", "r_max", "first_difference_panel"]
     assert params(generalized_covariance) == ["panel", "k"]
     assert params(nonstationary_factors) == ["panel", "r", "k"]
-    assert params(regularize_covariance) == ["gamma", "force_shrink"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -123,6 +121,7 @@ def test_library_entry_points_take_only_the_pinned_parameters():
     ["simulate", "--max-iter", "2"],
     ["bootstrap", "--J", "3"],
     ["bootstrap", "--delta", "1"],
+    ["bootstrap", "--refit-factors"],
     # a prefix of a flag the command does read is not taken as that flag
     ["select-r", "--r", "3"],
     ["simulate", "--r", "2"],
@@ -297,7 +296,7 @@ def test_reports_record_only_parameters_that_shape_outputs(tmp_path, panel_csv):
 
     assert params(est) == {"input", "r", "family", "J", "nonstationary", "k"}
     assert params(sel) == {"input", "r_max", "first_difference"}
-    assert params(boot) == {"input", "B", "level", "seed", "refit_factors"}
+    assert params(boot) == {"input", "B", "level", "seed"}
 
     # estimate runs written before seed, threads, delta, max_iter, d, dprime
     # and first_difference were dropped still reload

@@ -22,7 +22,6 @@ from tvload.gls import (
     gls_step,
     loadings_from_coeffs,
     read_coefficients_csv,
-    regularize_covariance,
     residual_cov,
     write_coefficients_csv,
     write_covariance_csv,
@@ -224,6 +223,18 @@ def test_other_designs_solve_through_psi_and_match_lstsq(family, T):
     assert "Psi" in d.__dict__
     ref = np.linalg.lstsq(d.Psi, Y, rcond=None)[0].T.reshape(beta.shape)
     assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("family,T", [("haar", 256), ("haar", 200), ("d8", 256)])
+def test_fitted_panel_is_psi_times_the_coefficients(family, T):
+    rng = np.random.default_rng(25)
+    basis = evaluate_basis(family, 3, T)
+    fac = _factors(rng.normal(size=(T, 2)))
+    beta = rng.normal(size=(5, 2, basis.n_columns))
+    got = build_design(fac, basis).fitted(beta)
+    ref = common_component(loadings_from_coeffs(beta, basis), fac)
+    assert got.shape == (T, 5)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_design_solve_matches_lstsq_on_an_ill_conditioned_design():
@@ -439,34 +450,6 @@ def test_common_component_matches_loop_oracle():
             assert abs(X[t, m] - Lambda[t, m] @ fac.F[t]) <= 1e-12
 
 
-# ---------------------------------------------------------------- regularization
-
-
-def test_regularize_passes_well_conditioned_matrix_through():
-    G = np.diag([1.0, 2.0, 3.0])
-    assert np.array_equal(regularize_covariance(G), G)
-
-
-def test_regularize_fixes_singular_matrix():
-    G = np.ones((4, 4))  # rank one
-    R = regularize_covariance(G)
-    w = np.linalg.eigvalsh(R)
-    assert w[0] > 0
-    assert_allclose(np.diag(R), np.diag(G))  # shrink preserves the diagonal
-
-
-def test_regularize_force_shrink_applies_at_least_once():
-    G = 0.5 * np.ones((3, 3)) + 0.5 * np.eye(3)
-    R = regularize_covariance(G, force_shrink=True)
-    assert not np.allclose(R, G)
-    assert np.linalg.eigvalsh(R)[0] > 0
-
-
-def test_regularize_handles_all_zero_residuals():
-    R = regularize_covariance(np.zeros((3, 3)))
-    assert np.linalg.eigvalsh(R)[0] > 0
-
-
 # ---------------------------------------------------------------- iteration
 
 
@@ -504,22 +487,34 @@ def test_fit_invariants():
     assert all(d >= 0.0 and np.isfinite(d) for d in fit.deltas)
 
 
+def _count_calls(monkeypatch, names):
+    """Count the calls fit_iterative and GlsFit make to the named gls functions."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(tvload.gls, name, counted(name, getattr(tvload.gls, name)))
+    return calls
+
+
 def test_fit_keeps_the_first_pass_covariance_when_nothing_moves(monkeypatch):
     rng = np.random.default_rng(20)
     basis, fac, _, _, clean = _random_instance(rng)
     panel = make_panel(clean.values + 0.5 * rng.normal(size=clean.values.shape))
-    covs = []
-
-    def counted_cov(*args):
-        covs.append(residual_cov(*args))
-        return covs[-1]
-
-    monkeypatch.setattr(tvload.gls, "residual_cov", counted_cov)
+    calls = _count_calls(monkeypatch, ["residual_cov", "loadings_from_coeffs"])
     fit = fit_iterative(panel, fac, basis)
     assert fit.deltas == (0.0,)
     assert fit.converged and fit.n_iter == 2
-    assert len(covs) == 1
-    assert np.array_equal(fit.Gamma_e, residual_cov(panel, fit.Lambda, fac))
+    assert calls == {"residual_cov": 0, "loadings_from_coeffs": 0}
+    gamma = fit.Gamma_e
+    assert fit.Gamma_e is gamma and fit.Lambda is fit.Lambda
+    assert calls == {"residual_cov": 1, "loadings_from_coeffs": 1}
+    assert np.array_equal(gamma, residual_cov(panel, fit.Lambda, fac))
 
 
 def _wide_fit_inputs():
@@ -545,20 +540,14 @@ def test_fit_peaks_under_twice_the_loading_field():
 
 def test_kronecker_fit_builds_one_field_from_two_solves(monkeypatch):
     panel, fac, basis = _wide_fit_inputs()
-    calls = {"gls_step": 0, "loadings_from_coeffs": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(tvload.gls, name, counted(name, getattr(tvload.gls, name)))
+    calls = _count_calls(monkeypatch, ["gls_step", "loadings_from_coeffs", "residual_cov"])
     fit = fit_iterative(panel, fac, basis)
-    assert calls == {"gls_step": 2, "loadings_from_coeffs": 1}
+    assert calls == {"gls_step": 2, "loadings_from_coeffs": 0, "residual_cov": 0}
+    field = fit.Lambda
+    assert fit.Lambda is field
+    assert calls == {"gls_step": 2, "loadings_from_coeffs": 1, "residual_cov": 0}
     assert fit.deltas == (0.0,) and fit.n_iter == 2 and fit.converged
-    assert np.array_equal(fit.Lambda, loadings_from_coeffs(fit.beta, basis))
+    assert np.array_equal(field, loadings_from_coeffs(fit.beta, basis))
 
 
 def test_extracted_factor_residual_covariance_has_rank_n_minus_r():
@@ -571,15 +560,14 @@ def test_extracted_factor_residual_covariance_has_rank_n_minus_r():
     w = np.linalg.eigvalsh(fit.Gamma_e)
     assert np.sum(w < 1e-12 * w[-1]) == r
     assert w[r] > 1e-6 * w[-1]
-    # so the regularization cannot pass it through unshrunk
-    sym = 0.5 * (fit.Gamma_e + fit.Gamma_e.T)
-    assert not np.array_equal(regularize_covariance(fit.Gamma_e), sym)
 
 
 def test_fit_flags_a_second_pass_that_moves(monkeypatch):
     # the Kronecker weight cancels, so only a perturbed solver can move pass 2
     rng = np.random.default_rng(19)
-    basis, fac, _, _, panel = _random_instance(rng)
+    basis, fac, _, _, clean = _random_instance(rng)
+    # noise keeps the residual variances above rounding level
+    panel = make_panel(clean.values + 0.5 * rng.normal(size=clean.values.shape))
     weights = []
 
     def moving_step(panel, design, gamma_e, sigma_full=None):
@@ -590,11 +578,36 @@ def test_fit_flags_a_second_pass_that_moves(monkeypatch):
     fit = fit_iterative(panel, fac, basis)
     assert len(weights) == 2
     assert np.array_equal(weights[0], np.eye(panel.N))
+    # pass 2 weighs each series by its pass-1 residual variance
     first = loadings_from_coeffs(gls_step(panel, build_design(fac, basis), weights[0]), basis)
-    assert np.array_equal(weights[1], regularize_covariance(residual_cov(panel, first, fac)))
+    variance = np.diag(residual_cov(panel, first, fac))
+    assert np.count_nonzero(weights[1] - np.diag(np.diag(weights[1]))) == 0
+    assert_allclose(np.diag(weights[1]), variance, rtol=1e-12, atol=0.0)
     assert not fit.converged and fit.n_iter == 2
     assert fit.deltas[0] > 0
+    assert np.array_equal(fit.Lambda, loadings_from_coeffs(fit.beta, basis))
     assert np.array_equal(fit.Gamma_e, residual_cov(panel, fit.Lambda, fac))
+
+
+def test_second_pass_weighs_an_exactly_fitted_series_by_one(monkeypatch):
+    # an all-zero series has zero coefficients and zero residuals
+    rng = np.random.default_rng(24)
+    basis, fac, _, _, clean = _random_instance(rng)
+    values = clean.values + rng.normal(size=clean.values.shape)
+    values[:, 1] = 0.0
+    panel = make_panel(values)
+    weights = []
+
+    def recorded_step(panel, design, gamma_e, sigma_full=None):
+        weights.append(gamma_e)
+        return gls_step(panel, design, gamma_e, sigma_full)
+
+    monkeypatch.setattr(tvload.gls, "gls_step", recorded_step)
+    fit = fit_iterative(panel, fac, basis)
+    variance = np.diag(weights[1])
+    assert variance[1] == 1.0
+    assert np.all(variance > 0.0) and np.count_nonzero(variance == 1.0) == 1
+    assert np.all(fit.beta[1] == 0.0) and fit.deltas == (0.0,)
 
 
 # ---------------------------------------------------------------- artifacts

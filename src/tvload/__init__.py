@@ -41,7 +41,6 @@ from .gls import (
     fit_iterative,
     gls_step,
     loadings_from_coeffs,
-    residual_cov,
 )
 from .metrics import loading_mse, median_path, procrustes_rotation, r2_factors
 from .sim import (
@@ -109,7 +108,6 @@ __all__ = [
     "fit_iterative",
     "loadings_from_coeffs",
     "common_component",
-    "residual_cov",
     # metrics
     "procrustes_rotation",
     "r2_factors",

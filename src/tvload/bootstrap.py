@@ -31,7 +31,7 @@ import numpy as np
 from ._table import write_table
 from .errors import NumericError, ParameterError
 from .factors import FactorEstimate, Panel, make_panel
-from .gls import build_design, common_component, fit_iterative
+from .gls import build_design, fit_iterative
 from .wavelet import WaveletBasis
 
 __all__ = ["BandSet", "residual_bootstrap", "write_bands_csv", "write_plot_csv"]
@@ -136,12 +136,13 @@ def residual_bootstrap(
         raise ParameterError(f"need at least one draw, got B={B}")
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
-    X_hat = common_component(fit.Lambda, factors)
+    design = build_design(factors, basis)
+    X_hat = design.fitted(fit.beta)
     E = panel.values - X_hat
 
     draw = functools.partial(
         _outcome, seed=seed, E=E, X_hat=X_hat, panel=panel, factors=factors, basis=basis,
-        design=build_design(factors, basis),
+        design=design,
     )
     # Curve-major: store[c] holds every draw's coefficients of curve c, one
     # row per draw, so each curve's field comes out of one product with the
@@ -178,8 +179,8 @@ def residual_bootstrap(
         hi[:, c] = _sorted_quantile(field, (1.0 + level) / 2.0)
     if A is not None:
         lo, hi = (np.repeat(x, basis.T // len(A), axis=0) for x in (lo, hi))
-    return BandSet(level=level, lower=lo.reshape(fit.Lambda.shape),
-                   upper=hi.reshape(fit.Lambda.shape), B=B, failed=tuple(failed))
+    return BandSet(level=level, lower=lo.reshape(-1, N, r), upper=hi.reshape(-1, N, r),
+                   B=B, failed=tuple(failed))
 
 
 def write_bands_csv(bands: BandSet, fit, panel: Panel, path) -> None:

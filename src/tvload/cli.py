@@ -38,7 +38,6 @@ from .gls import (
     GlsFit,
     build_design,
     fit_iterative,
-    loadings_from_coeffs,
     read_coefficients_csv,
     write_coefficients_csv,
     write_covariance_csv,
@@ -91,14 +90,6 @@ def _write_factors_csv(path, F) -> None:
                 rows=range(1, T + 1))
 
 
-def _read_values(path, shape) -> np.ndarray:
-    """The values of a labelled CSV table, which must have the given shape."""
-    values = read_table(path)[2]
-    if values.shape != shape:
-        raise ShapeError(f"{path}: a table of shape {values.shape}, expected {shape}")
-    return values
-
-
 # ---------------------------------------------------------------- estimate
 
 
@@ -144,11 +135,7 @@ def cmd_estimate(args) -> int:
     else:
         est = pca_factors(work, r)
 
-    design = build_design(est, basis)
-    fit = fit_iterative(work, est, basis, design=design)
-    # Build the residual covariance, and with it the loading field, before the
-    # writers run: built inside them, the two raise the command's peak RSS.
-    gamma = fit.Gamma_e
+    fit = fit_iterative(work, est, basis)
 
     report = {
         "command": "estimate",
@@ -173,7 +160,7 @@ def cmd_estimate(args) -> int:
         "selection": selection,
         "eigenvalues": [float(v) for v in est.eigenvalues],
         **_spectrum_diagnostics(est.eigenvalues, r),
-        "design_gram_condition": design.gram_condition,
+        "design_gram_condition": fit.design.gram_condition,
         "iterations": fit.n_iter,
         "deltas": [float(d) for d in fit.deltas],
         "converged": fit.converged,
@@ -183,7 +170,7 @@ def cmd_estimate(args) -> int:
         "loadings.csv": lambda path: write_loadings_csv(fit, panel, path),
         "coefficients.csv": lambda path: write_coefficients_csv(fit, panel, basis, path),
         "residual_covariance.csv":
-            lambda path: write_covariance_csv(gamma, panel.series_ids, path),
+            lambda path: write_covariance_csv(fit.Gamma_e, panel.series_ids, path),
     })
     print(f"estimate: r={r} J={J} family={args.family} iterations={fit.n_iter} "
           f"-> {args.output_dir}")
@@ -331,8 +318,7 @@ def _reload_estimate(run_dir):
     nonstationary = field("parameters.nonstationary", bool)
     input_path, input_sha256 = field("input.path", str), field("input.sha256", str)
     eigenvalues = field("eigenvalues", list)
-    n_iter, deltas, converged = (field("iterations", int), field("deltas", list),
-                                 field("converged", bool))
+    deltas = field("deltas", list)
     if not os.path.exists(input_path):
         raise MissingDataError(f"original input panel not found: {input_path}")
     if _sha256(input_path) != input_sha256:
@@ -341,8 +327,12 @@ def _reload_estimate(run_dir):
     panel = read_panel_csv(input_path)
     work = scale_only(panel) if nonstationary else standardize(panel)
     basis = evaluate_basis(family, J, work.T)
+    factors_path = os.path.join(run_dir, "factors.csv")
+    F = read_table(factors_path)[2]
+    if F.shape != (work.T, r):
+        raise ShapeError(f"{factors_path}: a table of shape {F.shape}, expected {(work.T, r)}")
     est = FactorEstimate(
-        F=_read_values(os.path.join(run_dir, "factors.csv"), (work.T, r)),
+        F=F,
         eigenvalues=np.array(eigenvalues),
         method="lag_covariance" if nonstationary else "pca",
         r=r,
@@ -351,15 +341,7 @@ def _reload_estimate(run_dir):
     beta = read_coefficients_csv(
         os.path.join(run_dir, "coefficients.csv"), panel.series_ids, basis, r
     )
-    gamma = _read_values(os.path.join(run_dir, "residual_covariance.csv"), (work.N, work.N))
-    fit = GlsFit(
-        beta=beta,
-        Lambda=loadings_from_coeffs(beta, basis),
-        Gamma_e=gamma,
-        n_iter=n_iter,
-        deltas=tuple(deltas),
-        converged=converged,
-    )
+    fit = GlsFit(beta, build_design(est, basis), work, deltas)
     return panel, work, basis, est, fit, report
 
 

@@ -11,9 +11,10 @@ GLS weighting by Gamma_e^-1 (x) I_T collapses exactly onto per-series least
 squares.  The feasible GLS fit therefore takes two passes, the identity
 weight and then the diagonal of the pass-1 residual covariance, and the
 second reproduces the first; the fit records that movement rather than
-hides it.  The loading field and the residual covariance of a fit are built
-when first read, so a caller that keeps only the coefficients, as every
-bootstrap draw does, pays for the two solves alone.
+hides it.  A fit is its coefficients beta and its design: the loading field
+and the residual covariance are built from them, and from the panel, when
+first read, so a caller that keeps only the coefficients, as every bootstrap
+draw does, pays for the two solves alone.
 
 A design keeps the factors and the basis, not Psi.  On a Haar basis whose
 2^J dyadic blocks tile the grid, Psi'Psi and Psi'Y come from per-block factor
@@ -42,7 +43,6 @@ __all__ = [
     "gls_step",
     "loadings_from_coeffs",
     "common_component",
-    "residual_cov",
     "fit_iterative",
     "write_loadings_csv",
     "write_coefficients_csv",
@@ -268,7 +268,11 @@ def loadings_from_coeffs(beta: np.ndarray, basis: WaveletBasis) -> np.ndarray:
 
 
 def common_component(Lambda: np.ndarray, factors: FactorEstimate | np.ndarray) -> np.ndarray:
-    """Fitted common part: X[t, m] = sum_i Lambda[t, m, i] * F[t, i]."""
+    """Fitted common part of a built field: X[t, m] = sum_i Lambda[t, m, i] * F[t, i].
+
+    ``DesignBlock.fitted`` gives the same panel from the coefficients, without
+    the field; this form is kept as its reference.
+    """
     F = factors.F if isinstance(factors, FactorEstimate) else np.asarray(factors, float)
     if Lambda.shape[0] != F.shape[0] or Lambda.shape[2] != F.shape[1]:
         raise ShapeError(
@@ -277,54 +281,47 @@ def common_component(Lambda: np.ndarray, factors: FactorEstimate | np.ndarray) -
     return np.matmul(Lambda, F[:, :, None])[:, :, 0]
 
 
-def residual_cov(panel: Panel, Lambda: np.ndarray, factors: FactorEstimate) -> np.ndarray:
-    """Residual covariance sum_t e_t e_t' / T of the fitted model."""
-    E = panel.values - common_component(Lambda, factors)
-    return E.T @ E / panel.T
-
-
-class GlsFit:
-    """Two-pass loading fit.
-
-    ``beta[m, i]`` holds series m's coefficients for factor i in basis-column
-    order; ``Lambda[t, m, i]`` is the loading curve on the grid; ``Gamma_e``
-    is the residual covariance sum_t e_t e_t' / T of the fitted model;
-    ``deltas`` records the loading-field movement of the second pass.
-
-    A fit that ``fit_iterative`` returns builds ``Lambda`` and ``Gamma_e``
-    when each is first read, through ``loadings_from_coeffs`` and
-    ``residual_cov``, and keeps them; a fit built from given arrays keeps
-    those.  Two threads that read a missing field at once may each build it,
-    bit for bit the same.
-    """
-
-    def __init__(self, beta: np.ndarray, Lambda: np.ndarray | None,
-                 Gamma_e: np.ndarray | None, n_iter: int, deltas: tuple[float, ...],
-                 converged: bool):
-        self.beta = beta
-        self._Lambda = Lambda
-        self._Gamma_e = Gamma_e
-        self.n_iter = n_iter
-        self.deltas = deltas
-        self.converged = converged
-        self._model = None  # (panel, factors, basis) a missing field is built from
-
-    @property
-    def Lambda(self) -> np.ndarray:
-        if self._Lambda is None:
-            self._Lambda = loadings_from_coeffs(self.beta, self._model[2])
-        return self._Lambda
-
-    @property
-    def Gamma_e(self) -> np.ndarray:
-        if self._Gamma_e is None:
-            panel, factors, _ = self._model
-            self._Gamma_e = residual_cov(panel, self.Lambda, factors)
-        return self._Gamma_e
+def _residuals(panel: Panel, design: DesignBlock, beta: np.ndarray) -> np.ndarray:
+    """The residual panel E = Y - Psi beta, T x N."""
+    E = design.fitted(beta)
+    return np.subtract(panel.values, E, out=E)
 
 
 # Second-pass movement below which a fit counts as converged.
 CONVERGENCE_TOL = 1e-6
+
+
+class GlsFit:
+    """Two-pass loading fit, fully described by its coefficients and its design.
+
+    ``beta[m, i]`` holds series m's coefficients for factor i in basis-column
+    order; ``deltas`` records the loading-field movement of the second pass.
+    ``Lambda[t, m, i]``, the loading curve on the grid, and ``Gamma_e``, the
+    residual covariance E'E / T with E = Y - Psi beta, are built from
+    (beta, design, panel) when each is first read, and kept.
+    """
+
+    n_iter = 2  # the fit is always the identity pass and the weighted pass
+
+    def __init__(self, beta: np.ndarray, design: DesignBlock, panel: Panel,
+                 deltas: tuple[float, ...]):
+        self.beta = beta
+        self.design = design
+        self.panel = panel
+        self.deltas = tuple(deltas)
+
+    @property
+    def converged(self) -> bool:
+        return self.deltas[0] < CONVERGENCE_TOL
+
+    @cached_property
+    def Lambda(self) -> np.ndarray:
+        return loadings_from_coeffs(self.beta, self.design.basis)
+
+    @cached_property
+    def Gamma_e(self) -> np.ndarray:
+        E = _residuals(self.panel, self.design, self.beta)
+        return E.T @ E / self.panel.T
 
 
 def fit_iterative(
@@ -344,9 +341,9 @@ def fit_iterative(
     loading field sum_t ||Lambda_1(t) - Lambda_2(t)||_F as ``deltas[0]``, and
     counts as converged when it is below ``CONVERGENCE_TOL``.
 
-    The fit's ``Lambda`` and ``Gamma_e`` are built when first read, from the
-    pass-2 coefficients, so a caller that reads only ``beta`` pays for the
-    two solves and the pass-2 weight alone.
+    The fit keeps the pass-2 coefficients, the design and the panel, so a
+    caller that reads only ``beta`` pays for the two solves and the pass-2
+    weight alone.
 
     Parameters
     ----------
@@ -367,18 +364,14 @@ def fit_iterative(
     if design is None:
         design = build_design(factors, basis)
     first_beta = gls_step(panel, design, np.eye(panel.N))
-    E = design.fitted(first_beta)
-    np.subtract(panel.values, E, out=E)  # the pass-1 residuals, in place
+    E = _residuals(panel, design, first_beta)
     variance = np.einsum("tm,tm->m", E, E) / panel.T
     beta = gls_step(panel, design, np.diag(np.where(variance > 0.0, variance, 1.0)))
-    Lambda, move = None, 0.0
+    move = 0.0
     if not np.array_equal(beta, first_beta):
-        first, Lambda = loadings_from_coeffs(first_beta, basis), loadings_from_coeffs(beta, basis)
-        move = float(np.sqrt(((Lambda - first) ** 2).sum(axis=(1, 2))).sum())
-    fit = GlsFit(beta=beta, Lambda=Lambda, Gamma_e=None, n_iter=2, deltas=(move,),
-                 converged=move < CONVERGENCE_TOL)
-    fit._model = (panel, factors, basis)
-    return fit
+        step = loadings_from_coeffs(beta, basis) - loadings_from_coeffs(first_beta, basis)
+        move = float(np.sqrt((step ** 2).sum(axis=(1, 2))).sum())
+    return GlsFit(beta, design, panel, (move,))
 
 
 # ---------------------------------------------------------------- artifacts

@@ -30,7 +30,7 @@ from .factors import (
     scale_only,
     standardize,
 )
-from .gls import fit_iterative
+from .gls import fit_iterative, loadings_from_coeffs
 from .metrics import loading_mse, median_path, procrustes_rotation, r2_factors
 from .wavelet import WaveletBasis, evaluate_basis, select_resolution
 
@@ -379,7 +379,8 @@ class ExperimentReport:
 
 def _run_one_rep(config: DgpConfig, Lambda: np.ndarray, basis: WaveletBasis,
                  seed: int, rep: int):
-    """Replication rep of a cell whose loading field and basis are built."""
+    """Replication rep of a cell whose loading field and basis are built:
+    (R-squared, MSE, fitted loading field, simulated dataset)."""
     cfg = replace(config, seed=(seed, rep))
     ds = _draw(cfg, Lambda)
     panel = make_panel(ds.Y)
@@ -391,8 +392,9 @@ def _run_one_rep(config: DgpConfig, Lambda: np.ndarray, basis: WaveletBasis,
         est = nonstationary_factors(scale_only(panel), cfg.r)
     rot = procrustes_rotation(ds.F, est.F)
     aligned = replace(est, F=rot.F_rotated_rescaled)
-    fit = fit_iterative(panel, aligned, basis)
-    return r2_factors(ds.F, aligned.F), loading_mse(fit.Lambda, ds.Lambda), fit, ds
+    # keep only the coefficients: a fit holds its design, and with it Psi
+    Lambda_hat = loadings_from_coeffs(fit_iterative(panel, aligned, basis).beta, basis)
+    return r2_factors(ds.F, aligned.F), loading_mse(Lambda_hat, ds.Lambda), Lambda_hat, ds
 
 
 def run_experiment(
@@ -491,17 +493,36 @@ def default_grid() -> list[tuple[DgpConfig, str]]:
     return cells
 
 
+_CELL_KEYS = ("N", "T", "r", "theta", "family", "noise_cov", "cov", "loading_spec",
+              "factor_innovation_sds")
+
+
+def _check_keys(obj, allowed, what) -> None:
+    """Check that ``obj`` is a JSON object whose keys all lie in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in allowed:
+            raise ParameterError(f"unknown {what} key {key!r}; known keys: {', '.join(allowed)}")
+
+
 def _cov_from_json(obj) -> object:
-    kind = str(obj.get("kind", "")).lower()
+    kind = str(obj.get("kind", "")).lower() if isinstance(obj, dict) else ""
     if kind in ("toeplitz", "toep"):
+        _check_keys(obj, ("kind", "gamma"), "noise_cov")
         return ToeplitzCov(gamma=float(obj.get("gamma", 0.7)))
     if kind in ("diag", "diagonal", "diagonal_uniform"):
+        _check_keys(obj, ("kind", "lo", "hi"), "noise_cov")
         return DiagonalUniformCov(lo=float(obj.get("lo", 0.5)), hi=float(obj.get("hi", 1.5)))
     raise ParameterError(f"unknown noise covariance kind {obj!r}")
 
 
 def read_grid_json(path) -> list[tuple[DgpConfig, str]]:
-    """Parse a JSON array of design cells into (config, family) pairs."""
+    """Parse a JSON array of design cells into (config, family) pairs.
+
+    An unknown key of a cell, of its ``noise_cov`` or of a ``loading_spec``
+    entry is rejected by name.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
@@ -509,11 +530,16 @@ def read_grid_json(path) -> list[tuple[DgpConfig, str]]:
     cells = []
     for i, rec in enumerate(data):
         try:
+            if isinstance(rec, dict) and "seed" in rec:
+                raise ParameterError("a cell takes no 'seed' key: replication rep of every "
+                                     "cell draws from (--seed, rep)")
+            _check_keys(rec, _CELL_KEYS, "cell")
             theta = rec.get("theta")
             spec = None
             if "loading_spec" in rec and rec["loading_spec"] is not None:
                 spec = {}
                 for key, val in rec["loading_spec"].items():
+                    _check_keys(val, ("name", "params"), "loading_spec entry")
                     m, n = (int(x) for x in key.split(","))
                     spec[(m, n)] = (str(val["name"]), dict(val.get("params", {})))
             cfg = DgpConfig(
@@ -530,7 +556,6 @@ def read_grid_json(path) -> list[tuple[DgpConfig, str]]:
                     if rec.get("factor_innovation_sds") is not None
                     else None
                 ),
-                seed=int(rec.get("seed", 0)),
             )
             cfg.validate()
             cells.append((cfg, str(rec.get("family", "haar"))))

@@ -11,7 +11,7 @@ import tvload.gls
 from tvload.bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
 from tvload.errors import NumericError, ParameterError
 from tvload.factors import FactorEstimate, make_panel
-from tvload.gls import common_component, fit_iterative, loadings_from_coeffs
+from tvload.gls import fit_iterative, loadings_from_coeffs
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis, select_resolution
 
@@ -34,9 +34,9 @@ def _noisy_fit(seed, T=64, N=5, r=1, J=3, noise=1.0, family="haar"):
 
 
 def _draw_panel(panel, fit, fac, seed, b):
-    """Bootstrap panel b: the fitted common component plus whole residual rows
+    """Bootstrap panel b: the fitted panel Psi beta plus whole residual rows
     resampled with the draw's own RNG."""
-    X_hat = common_component(fit.Lambda, fac)
+    X_hat = fit.design.fitted(fit.beta)
     E = panel.values - X_hat
     idx = np.random.default_rng([seed, b]).integers(0, E.shape[0], size=E.shape[0])
     return make_panel(X_hat + E[idx], panel.series_ids)
@@ -154,7 +154,7 @@ def test_refit_bands_leave_out_failed_draws_pooled_or_serial(monkeypatch):
 
 def test_a_draw_makes_its_two_solves_and_builds_no_field(monkeypatch):
     panel, fac, basis, fit = _noisy_fit(14, T=64, N=5, r=2)
-    calls = dict.fromkeys(["gls_step", "loadings_from_coeffs", "residual_cov"], 0)
+    calls = dict.fromkeys(["gls_step", "loadings_from_coeffs", "fitted"], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -163,11 +163,13 @@ def test_a_draw_makes_its_two_solves_and_builds_no_field(monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(tvload.gls, name, counted(name, getattr(tvload.gls, name)))
+        owner = tvload.gls.DesignBlock if name == "fitted" else tvload.gls
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     B = 12
     residual_bootstrap(panel, fit, fac, basis, B=B, seed=3, n_threads=2)
-    # the one field is the point estimate's own, built when the bootstrap reads it
-    assert calls == {"gls_step": 2 * B, "loadings_from_coeffs": 1, "residual_cov": 0}
+    # one fitted panel for the point estimate's residuals, one per draw for its
+    # pass-2 weight, and no loading field at all
+    assert calls == {"gls_step": 2 * B, "loadings_from_coeffs": 0, "fitted": B + 1}
 
 
 def test_draws_keep_coefficients_not_loading_fields():

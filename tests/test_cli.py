@@ -4,10 +4,12 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -37,7 +39,7 @@ from tvload.factors import (
     standardize,
     write_panel_csv,
 )
-from tvload.gls import build_design, fit_iterative
+from tvload.gls import GlsFit, build_design, fit_iterative
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis
 
@@ -110,6 +112,19 @@ def test_library_entry_points_take_only_the_pinned_parameters():
     assert params(select_num_factors) == ["panel", "r_max", "first_difference_panel"]
     assert params(generalized_covariance) == ["panel", "k"]
     assert params(nonstationary_factors) == ["panel", "r", "k"]
+    # a fit is its coefficients and its design; Lambda and Gamma_e derive from them
+    assert params(GlsFit) == ["beta", "design", "panel", "deltas"]
+
+
+@pytest.mark.parametrize("module", ["tvload", *sorted(
+    f"tvload.{info.name}" for info in pkgutil.iter_modules(tvload.__path__))])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    names = getattr(mod, "__all__", [])
+    assert [name for name in names if not hasattr(mod, name)] == []
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,6 +488,22 @@ def test_bootstrap_consumes_an_estimate_run(tmp_path, panel_csv):
         assert (b1 / name).read_bytes() == (b2 / name).read_bytes(), name
 
 
+def test_bootstrap_reads_no_residual_covariance(tmp_path, panel_csv):
+    est = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),
+                 "--r", "2", "--J", "3"]) == 0
+    boot = ["bootstrap", "--input", str(est), "--B", "12", "--seed", "4", "--threads", "1"]
+    assert main([*boot, "--output-dir", str(tmp_path / "intact")]) == 0
+    (est / "residual_covariance.csv").unlink()
+    assert main([*boot, "--output-dir", str(tmp_path / "deleted")]) == 0
+    names = sorted(os.listdir(tmp_path / "intact"))
+    assert names == sorted(os.listdir(tmp_path / "deleted"))
+    assert "bands.csv" in names
+    for name in names:
+        intact = (tmp_path / "intact" / name).read_bytes()
+        assert intact == (tmp_path / "deleted" / name).read_bytes(), name
+
+
 _ID_TEXT = st.text(alphabet='ab,"% ', min_size=1, max_size=5).filter(lambda s: s == s.strip())
 
 
@@ -606,7 +637,7 @@ def _damage(path, edit):
     ("factors.csv", lambda line: line.rsplit(",", 1)[0] + "\n", "ShapeError"),
     ("factors.csv", lambda line: "", "ShapeError"),
     ("coefficients.csv", lambda line: "zz" + line[line.index(","):], "ShapeError"),
-    ("residual_covariance.csv", lambda line: re.sub(",[^,]*", ",abc", line, count=1),
+    ("factors.csv", lambda line: re.sub(",[^,]*", ",abc", line, count=1),
      "MissingDataError"),
 ], ids=["truncated row", "missing row", "unknown series", "non-numeric cell"])
 def test_bootstrap_reports_a_damaged_estimate_run(tmp_path, panel_csv, capsys, name, edit, error):
@@ -642,7 +673,7 @@ def _set_J(value):
 
 _REPORT_KEYS = ["parameters.family", "parameters.J", "parameters.r", "parameters.k",
                 "parameters.nonstationary", "parameters", "input.path", "input.sha256",
-                "input", "eigenvalues", "iterations", "deltas", "converged"]
+                "input", "eigenvalues", "deltas"]
 
 
 @pytest.mark.parametrize("key, edit", [

@@ -16,13 +16,13 @@ from tvload.errors import (
 )
 from tvload.factors import FactorEstimate, make_panel, pca_factors, standardize
 from tvload.gls import (
+    GlsFit,
     build_design,
     common_component,
     fit_iterative,
     gls_step,
     loadings_from_coeffs,
     read_coefficients_csv,
-    residual_cov,
     write_coefficients_csv,
     write_covariance_csv,
     write_loadings_csv,
@@ -395,26 +395,31 @@ def test_other_fields_are_the_basis_product_bit_for_bit(family, T, J):
 # ---------------------------------------------------------------- residual cov
 
 
+def _gamma_e(panel, fac, basis, beta):
+    """The residual covariance of the fit with coefficients beta."""
+    return GlsFit(beta, build_design(fac, basis), panel, (0.0,)).Gamma_e
+
+
 def test_residual_cov_zero_for_exact_fit():
     rng = np.random.default_rng(12)
     basis, fac, beta, Lambda, panel = _random_instance(rng)
-    G = residual_cov(panel, Lambda, fac)
+    G = _gamma_e(panel, fac, basis, beta)
     assert np.max(np.abs(G)) <= 1e-12
 
 
 def test_residual_cov_hand_case():
     # residuals e_1 = (1, 0), e_2 = (0, 1) against a zero model
     panel = make_panel(np.eye(2) + 0.0)
-    Lambda = np.zeros((2, 2, 1))
     fac = _factors(np.ones((2, 1)))
-    assert_allclose(residual_cov(panel, Lambda, fac), 0.5 * np.eye(2), atol=0.0)
+    G = _gamma_e(panel, fac, evaluate_basis("haar", 0, 2), np.zeros((2, 1, 1)))
+    assert_allclose(G, 0.5 * np.eye(2), atol=0.0)
 
 
 def test_residual_cov_matches_loop_oracle():
     rng = np.random.default_rng(13)
-    basis, fac, _, Lambda, clean = _random_instance(rng)
+    basis, fac, beta, Lambda, clean = _random_instance(rng)
     panel = make_panel(clean.values + rng.normal(size=clean.values.shape))
-    G = residual_cov(panel, Lambda, fac)
+    G = _gamma_e(panel, fac, basis, beta)
     T, N = panel.values.shape
     oracle = np.zeros((N, N))
     for t in range(T):
@@ -423,6 +428,21 @@ def test_residual_cov_matches_loop_oracle():
     assert_allclose(G, oracle / T, atol=1e-12)
     assert_allclose(G, G.T, atol=0.0)
     assert np.linalg.eigvalsh(G)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("family,T,J", [("haar", 512, 5), ("haar", 777, 5), ("d8", 512, 4)])
+def test_fit_residual_covariance_is_that_of_the_least_squares_residuals(family, T, J):
+    rng = np.random.default_rng(26)
+    N, r = 6, 2
+    basis = evaluate_basis(family, J, T)
+    F = rng.normal(size=(T, r))
+    Y = F @ rng.normal(size=(r, N)) + rng.normal(size=(T, N))
+    fit = fit_iterative(make_panel(Y), _factors(F), basis)
+    # an independent least-squares fit on Psi = [B * F_1 | ... | B * F_r]
+    Psi = np.hstack([basis.B * F[:, [i]] for i in range(r)])
+    E = Y - Psi @ np.linalg.lstsq(Psi, Y, rcond=None)[0]
+    ref = E.T @ E / T
+    assert np.max(np.abs(fit.Gamma_e - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------- common component
@@ -488,7 +508,7 @@ def test_fit_invariants():
 
 
 def _count_calls(monkeypatch, names):
-    """Count the calls fit_iterative and GlsFit make to the named gls functions."""
+    """Count the calls to the named gls functions, and to ``DesignBlock.fitted``."""
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -498,7 +518,8 @@ def _count_calls(monkeypatch, names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(tvload.gls, name, counted(name, getattr(tvload.gls, name)))
+        owner = tvload.gls.DesignBlock if name == "fitted" else tvload.gls
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     return calls
 
 
@@ -506,15 +527,18 @@ def test_fit_keeps_the_first_pass_covariance_when_nothing_moves(monkeypatch):
     rng = np.random.default_rng(20)
     basis, fac, _, _, clean = _random_instance(rng)
     panel = make_panel(clean.values + 0.5 * rng.normal(size=clean.values.shape))
-    calls = _count_calls(monkeypatch, ["residual_cov", "loadings_from_coeffs"])
+    calls = _count_calls(monkeypatch, ["fitted", "loadings_from_coeffs"])
     fit = fit_iterative(panel, fac, basis)
     assert fit.deltas == (0.0,)
     assert fit.converged and fit.n_iter == 2
-    assert calls == {"residual_cov": 0, "loadings_from_coeffs": 0}
+    # the one fitted panel so far is pass 1's, for the pass-2 weight
+    assert calls == {"fitted": 1, "loadings_from_coeffs": 0}
     gamma = fit.Gamma_e
     assert fit.Gamma_e is gamma and fit.Lambda is fit.Lambda
-    assert calls == {"residual_cov": 1, "loadings_from_coeffs": 1}
-    assert np.array_equal(gamma, residual_cov(panel, fit.Lambda, fac))
+    assert calls == {"fitted": 2, "loadings_from_coeffs": 1}
+    design = build_design(fac, basis)
+    E = panel.values - design.fitted(gls_step(panel, design, np.eye(panel.N)))
+    assert np.array_equal(gamma, E.T @ E / panel.T)
 
 
 def _wide_fit_inputs():
@@ -540,12 +564,12 @@ def test_fit_peaks_under_twice_the_loading_field():
 
 def test_kronecker_fit_builds_one_field_from_two_solves(monkeypatch):
     panel, fac, basis = _wide_fit_inputs()
-    calls = _count_calls(monkeypatch, ["gls_step", "loadings_from_coeffs", "residual_cov"])
+    calls = _count_calls(monkeypatch, ["gls_step", "loadings_from_coeffs", "fitted"])
     fit = fit_iterative(panel, fac, basis)
-    assert calls == {"gls_step": 2, "loadings_from_coeffs": 0, "residual_cov": 0}
+    assert calls == {"gls_step": 2, "loadings_from_coeffs": 0, "fitted": 1}
     field = fit.Lambda
     assert fit.Lambda is field
-    assert calls == {"gls_step": 2, "loadings_from_coeffs": 1, "residual_cov": 0}
+    assert calls == {"gls_step": 2, "loadings_from_coeffs": 1, "fitted": 1}
     assert fit.deltas == (0.0,) and fit.n_iter == 2 and fit.converged
     assert np.array_equal(field, loadings_from_coeffs(fit.beta, basis))
 
@@ -580,13 +604,16 @@ def test_fit_flags_a_second_pass_that_moves(monkeypatch):
     assert np.array_equal(weights[0], np.eye(panel.N))
     # pass 2 weighs each series by its pass-1 residual variance
     first = loadings_from_coeffs(gls_step(panel, build_design(fac, basis), weights[0]), basis)
-    variance = np.diag(residual_cov(panel, first, fac))
+    E = panel.values - common_component(first, fac)
+    variance = (E ** 2).sum(axis=0) / panel.T
     assert np.count_nonzero(weights[1] - np.diag(np.diag(weights[1]))) == 0
     assert_allclose(np.diag(weights[1]), variance, rtol=1e-12, atol=0.0)
     assert not fit.converged and fit.n_iter == 2
     assert fit.deltas[0] > 0
     assert np.array_equal(fit.Lambda, loadings_from_coeffs(fit.beta, basis))
-    assert np.array_equal(fit.Gamma_e, residual_cov(panel, fit.Lambda, fac))
+    E = panel.values - common_component(fit.Lambda, fac)
+    assert_allclose(fit.Gamma_e, E.T @ E / panel.T, rtol=0.0,
+                    atol=1e-12 * np.max(np.abs(fit.Gamma_e)))
 
 
 def test_second_pass_weighs_an_exactly_fitted_series_by_one(monkeypatch):

@@ -243,8 +243,8 @@ def test_run_experiment_median_rep_is_reproducible():
     cfg = DgpConfig(N=6, T=128, r=2)
     rep = run_experiment(cfg, n_reps=5, seed=9)
     basis = evaluate_basis("haar", select_resolution(128), 128)
-    _, _, fit, ds = sim._run_one_rep(cfg, sim._loading_field(cfg), basis, 9, rep.median_rep)
-    assert loading_mse(fit.Lambda, ds.Lambda) == rep.mse_median
+    _, _, Lambda, ds = sim._run_one_rep(cfg, sim._loading_field(cfg), basis, 9, rep.median_rep)
+    assert loading_mse(Lambda, ds.Lambda) == rep.mse_median
 
 
 @pytest.mark.parametrize("family,T,theta", [("haar", 128, 0.5), ("d8", 96, 1.0)])
@@ -326,7 +326,7 @@ def test_grid_json_round_trip(tmp_path):
         {
             "N": 5, "T": 64, "r": 1, "theta": [1.0], "family": "d8",
             "noise_cov": {"kind": "toeplitz", "gamma": 0.3},
-            "factor_innovation_sds": [0.5], "seed": 3,
+            "factor_innovation_sds": [0.5],
             "loading_spec": {
                 f"{m},1": {"name": "constant", "params": {"c": 1.0}}
                 for m in range(1, 6)
@@ -346,6 +346,28 @@ def test_grid_json_reports_bad_record_index(tmp_path):
     with pytest.raises(ParameterError) as err:
         read_grid_json(path)
     assert "record 1" in str(err.value)
+
+
+@pytest.mark.parametrize("cell, key", [
+    ({"N": 5, "T": 64, "famliy": "d8"}, "'famliy'"),
+    ({"N": 5, "T": 64, "thetaa": [0.5, 0.5]}, "'thetaa'"),
+    ({"N": 5, "T": 64, "noise_cov": {"kind": "toeplitz", "gama": 0.2}}, "'gama'"),
+    ({"N": 5, "T": 64, "noise_cov": {"kind": "diag", "gamma": 0.2}}, "'gamma'"),
+    ({"N": 2, "T": 64, "r": 1, "theta": [0.5], "loading_spec": {
+        "1,1": {"name": "constant", "parms": {"c": 5.0}}, "2,1": {"name": "constant"}}},
+     "'parms'"),
+    ({"N": 5, "T": 64, "seed": 3}, "--seed"),
+    (5, "JSON object"),
+    ({"N": 5, "T": 64, "noise_cov": "toeplitz"}, "noise covariance kind"),
+], ids=["cell key", "theta typo", "noise_cov key", "key of another kind", "loading_spec key",
+        "seed",
+        "cell not an object", "noise_cov not an object"])
+def test_grid_json_rejects_unknown_keys(tmp_path, cell, key):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([{"N": 5, "T": 64}, cell]))
+    with pytest.raises(ParameterError) as err:
+        read_grid_json(path)
+    assert "record 1" in str(err.value) and key in str(err.value)
 
 
 def test_grid_json_rejects_non_array(tmp_path):

@@ -183,19 +183,19 @@ def residual_bootstrap(
                    B=B, failed=tuple(failed))
 
 
-def write_bands_csv(bands: BandSet, fit, panel: Panel, path) -> None:
+def write_bands_csv(bands: BandSet, fit, path) -> None:
     """Band table: t,series,factor,lower,point,upper,level."""
     T, N, r = fit.Lambda.shape
-    keys = [(sid, i + 1) for sid in panel.series_ids for i in range(r)]
+    keys = [(sid, i + 1) for sid in fit.panel.series_ids for i in range(r)]
     values = np.stack([bands.lower, fit.Lambda, bands.upper], axis=-1).reshape(T, N * r, 3)
     write_table(path, ["t", "series", "factor", "lower", "point", "upper", "level"],
                 values, keys, rows=range(1, T + 1), tail=[format(float(bands.level), ".17g")])
 
 
-def write_plot_csv(bands: BandSet, fit, panel: Panel, series: str, factor: int, path) -> None:
+def write_plot_csv(bands: BandSet, fit, series: str, factor: int, path) -> None:
     """Single-curve plot data: t,point,lower,upper."""
     try:
-        m = panel.series_ids.index(series)
+        m = fit.panel.series_ids.index(series)
     except ValueError:
         raise ParameterError(f"unknown series {series!r}") from None
     i = factor - 1

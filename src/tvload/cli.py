@@ -54,8 +54,11 @@ from .wavelet import evaluate_basis, select_resolution
 
 
 def _resolve_threads(value) -> int:
-    """``--threads``, or the CPU count when it is not given; at least 1."""
-    return max(1, (os.cpu_count() or 1) if value is None else value)
+    """``--threads``, or else the number of CPUs this process may run on; at least 1."""
+    if value is None:
+        value = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+    return max(1, value)
 
 
 def _sha256(path) -> str:
@@ -167,10 +170,9 @@ def cmd_estimate(args) -> int:
     }
     _write_run(args.output_dir, report, {
         "factors.csv": lambda path: _write_factors_csv(path, est.F),
-        "loadings.csv": lambda path: write_loadings_csv(fit, panel, path),
-        "coefficients.csv": lambda path: write_coefficients_csv(fit, panel, basis, path),
-        "residual_covariance.csv":
-            lambda path: write_covariance_csv(fit.Gamma_e, panel.series_ids, path),
+        "loadings.csv": lambda path: write_loadings_csv(fit, path),
+        "coefficients.csv": lambda path: write_coefficients_csv(fit, path),
+        "residual_covariance.csv": lambda path: write_covariance_csv(fit, path),
     })
     print(f"estimate: r={r} J={J} family={args.family} iterations={fit.n_iter} "
           f"-> {args.output_dir}")
@@ -303,7 +305,8 @@ def _report_field(report, report_path, key, kind):
 
 
 def _reload_estimate(run_dir):
-    """Rebuild panel, basis, factors and fit from an estimate run directory."""
+    """Rebuild the factors and the fit, with its panel and basis, from an estimate
+    run directory; returns (factors, fit, report)."""
     report_path = os.path.join(run_dir, "report.json")
     if not os.path.exists(report_path):
         raise ParameterError(f"not an estimate run directory (no report.json): {run_dir}")
@@ -324,8 +327,7 @@ def _reload_estimate(run_dir):
     if _sha256(input_path) != input_sha256:
         raise ParameterError(f"input panel changed since the estimate run: {input_path}")
 
-    panel = read_panel_csv(input_path)
-    work = scale_only(panel) if nonstationary else standardize(panel)
+    work = (scale_only if nonstationary else standardize)(read_panel_csv(input_path))
     basis = evaluate_basis(family, J, work.T)
     factors_path = os.path.join(run_dir, "factors.csv")
     F = read_table(factors_path)[2]
@@ -339,17 +341,17 @@ def _reload_estimate(run_dir):
         params={"k": k} if nonstationary else {},
     )
     beta = read_coefficients_csv(
-        os.path.join(run_dir, "coefficients.csv"), panel.series_ids, basis, r
+        os.path.join(run_dir, "coefficients.csv"), work.series_ids, basis, r
     )
     fit = GlsFit(beta, build_design(est, basis), work, deltas)
-    return panel, work, basis, est, fit, report
+    return est, fit, report
 
 
 def cmd_bootstrap(args) -> int:
     threads = _resolve_threads(args.threads)
-    panel, work, basis, est, fit, est_report = _reload_estimate(args.input)
+    est, fit, est_report = _reload_estimate(args.input)
     bands = residual_bootstrap(
-        work, fit, est, basis,
+        fit.panel, fit, est, fit.design.basis,
         B=args.B, level=args.level, seed=args.seed,
         n_threads=threads,
     )
@@ -369,11 +371,11 @@ def cmd_bootstrap(args) -> int:
         "n_failed": len(bands.failed),
         "failed": [[b, msg] for b, msg in bands.failed],
     }
-    artifacts = {"bands.csv": lambda path: write_bands_csv(bands, fit, panel, path)}
-    for sid in panel.series_ids:
+    artifacts = {"bands.csv": lambda path: write_bands_csv(bands, fit, path)}
+    for sid in fit.panel.series_ids:
         for k in range(1, est.r + 1):
             artifacts[f"plot_{sid}_factor{k}.csv"] = functools.partial(
-                write_plot_csv, bands, fit, panel, sid, k)
+                write_plot_csv, bands, fit, sid, k)
     _write_run(args.output_dir, report, artifacts)
     print(f"bootstrap: B={args.B} level={args.level} failed={len(bands.failed)} "
           f"-> {args.output_dir}")
@@ -389,7 +391,7 @@ _FLAGS = {
     "--output-dir": dict(help="artifact directory, created once the run has succeeded"),
     "--seed": dict(type=int, default=0),
     "--threads": dict(type=int, default=None,
-                      help="worker threads (default: CPU count)"),
+                      help="worker threads (default: the CPUs this process may use)"),
     "--family": dict(choices=["haar", "d8"], default="haar"),
     "--J": dict(type=int, default=None, help="resolution override"),
     "--nonstationary": dict(action="store_true", help="integrated factors: lag-covariance "

@@ -47,7 +47,6 @@ class Panel:
 
     values: np.ndarray
     series_ids: tuple[str, ...]
-    standardized: bool = False
     means: np.ndarray | None = None
     sds: np.ndarray | None = None
 
@@ -125,15 +124,16 @@ def _series_sds(panel: Panel, verb: str) -> np.ndarray:
 def standardize(panel: Panel) -> Panel:
     """Center each series and scale it to unit sample standard deviation.
 
-    Idempotent: a panel already flagged as standardized is returned as is.
-    Constant series cannot be scaled and raise ``DegenerateSeriesError``.
+    Idempotent: a panel that carries centering means, which only this
+    function sets, is returned as is.  Constant series cannot be scaled and
+    raise ``DegenerateSeriesError``.
     """
-    if panel.standardized:
+    if panel.means is not None:
         return panel
     means = panel.values.mean(axis=0)
     sds = _series_sds(panel, "standardized")
     vals = (panel.values - means) / sds
-    return replace(panel, values=vals, standardized=True, means=means, sds=sds)
+    return replace(panel, values=vals, means=means, sds=sds)
 
 
 def scale_only(panel: Panel) -> Panel:

@@ -338,8 +338,9 @@ def fit_iterative(
     model fits exactly.  The Kronecker weight structure makes pass 2
     reproduce the pass-1 coefficients bit for bit, and the movement is then
     0.0.  Otherwise the fit records the summed Frobenius movement of the
-    loading field sum_t ||Lambda_1(t) - Lambda_2(t)||_F as ``deltas[0]``, and
-    counts as converged when it is below ``CONVERGENCE_TOL``.
+    loading field sum_t ||Lambda_1(t) - Lambda_2(t)||_F as ``deltas[0]``, read
+    off the one field of beta_2 - beta_1 on the design's basis, and counts as
+    converged when it is below ``CONVERGENCE_TOL``.
 
     The fit keeps the pass-2 coefficients, the design and the panel, so a
     caller that reads only ``beta`` pays for the two solves and the pass-2
@@ -351,6 +352,7 @@ def fit_iterative(
     factors : FactorEstimate
         Factors treated as observed regressors.
     basis : WaveletBasis
+        The basis of the design built when ``design`` is not given.
     design : DesignBlock, optional
         ``build_design(factors, basis)`` built beforehand, so that fits of
         several panels on the same factors share one factorization.
@@ -369,7 +371,7 @@ def fit_iterative(
     beta = gls_step(panel, design, np.diag(np.where(variance > 0.0, variance, 1.0)))
     move = 0.0
     if not np.array_equal(beta, first_beta):
-        step = loadings_from_coeffs(beta, basis) - loadings_from_coeffs(first_beta, basis)
+        step = loadings_from_coeffs(beta - first_beta, design.basis)
         move = float(np.sqrt((step ** 2).sum(axis=(1, 2))).sum())
     return GlsFit(beta, design, panel, (move,))
 
@@ -377,20 +379,20 @@ def fit_iterative(
 # ---------------------------------------------------------------- artifacts
 
 
-def write_loadings_csv(fit: GlsFit, panel: Panel, path) -> None:
+def write_loadings_csv(fit: GlsFit, path) -> None:
     """Long-format loading field: t,series,factor,lambda_hat."""
     T, N, r = fit.Lambda.shape
-    keys = [(sid, i + 1) for sid in panel.series_ids for i in range(r)]
+    keys = [(sid, i + 1) for sid in fit.panel.series_ids for i in range(r)]
     write_table(path, ["t", "series", "factor", "lambda_hat"],
                 fit.Lambda.reshape(T, N * r, 1), keys, rows=range(1, T + 1))
 
 
-def write_coefficients_csv(fit: GlsFit, panel: Panel, basis: WaveletBasis, path) -> None:
+def write_coefficients_csv(fit: GlsFit, path) -> None:
     """Coefficient table: series,factor,level_j,shift_k,beta (scale row has level_j=-1)."""
     N, r, p = fit.beta.shape
-    keys = [(i + 1, j, k) for i in range(r) for (j, k) in basis.column_index]
+    keys = [(i + 1, j, k) for i in range(r) for (j, k) in fit.design.basis.column_index]
     write_table(path, ["series", "factor", "level_j", "shift_k", "beta"],
-                fit.beta.reshape(N, r * p, 1), keys, rows=panel.series_ids)
+                fit.beta.reshape(N, r * p, 1), keys, rows=fit.panel.series_ids)
 
 
 def read_coefficients_csv(path, series_ids, basis: WaveletBasis, r: int) -> np.ndarray:
@@ -414,7 +416,7 @@ def read_coefficients_csv(path, series_ids, basis: WaveletBasis, r: int) -> np.n
     return beta
 
 
-def write_covariance_csv(gamma: np.ndarray, series_ids, path) -> None:
+def write_covariance_csv(fit: GlsFit, path) -> None:
     """Residual covariance as a labelled square table."""
-    write_table(path, ["series", *series_ids], np.asarray(gamma, dtype=float)[:, None, :],
-                rows=series_ids)
+    ids = fit.panel.series_ids
+    write_table(path, ["series", *ids], fit.Gamma_e[:, None, :], rows=ids)

@@ -30,7 +30,7 @@ from .factors import (
     scale_only,
     standardize,
 )
-from .gls import fit_iterative, loadings_from_coeffs
+from .gls import fit_iterative
 from .metrics import loading_mse, median_path, procrustes_rotation, r2_factors
 from .wavelet import WaveletBasis, evaluate_basis, select_resolution
 
@@ -378,9 +378,9 @@ class ExperimentReport:
 
 
 def _run_one_rep(config: DgpConfig, Lambda: np.ndarray, basis: WaveletBasis,
-                 seed: int, rep: int):
-    """Replication rep of a cell whose loading field and basis are built:
-    (R-squared, MSE, fitted loading field, simulated dataset)."""
+                 seed: int, rep: int) -> tuple[float, float]:
+    """(R-squared, MSE) of replication rep of a cell whose loading field and basis
+    are built."""
     cfg = replace(config, seed=(seed, rep))
     ds = _draw(cfg, Lambda)
     panel = make_panel(ds.Y)
@@ -392,9 +392,8 @@ def _run_one_rep(config: DgpConfig, Lambda: np.ndarray, basis: WaveletBasis,
         est = nonstationary_factors(scale_only(panel), cfg.r)
     rot = procrustes_rotation(ds.F, est.F)
     aligned = replace(est, F=rot.F_rotated_rescaled)
-    # keep only the coefficients: a fit holds its design, and with it Psi
-    Lambda_hat = loadings_from_coeffs(fit_iterative(panel, aligned, basis).beta, basis)
-    return r2_factors(ds.F, aligned.F), loading_mse(Lambda_hat, ds.Lambda), Lambda_hat, ds
+    Lambda_hat = fit_iterative(panel, aligned, basis).Lambda
+    return r2_factors(ds.F, aligned.F), loading_mse(Lambda_hat, ds.Lambda)
 
 
 def run_experiment(
@@ -441,8 +440,7 @@ def run_experiment(
     def outcome(rep: int):
         """Replication rep's (R-squared, MSE), or the exception that ended it."""
         try:
-            # keep only the scores, so fits do not pile up in the pool
-            return _run_one_rep(config, Lambda, basis, seed, rep)[:2]
+            return _run_one_rep(config, Lambda, basis, seed, rep)
         except Exception as exc:  # noqa: BLE001 - replication failures are data
             return exc
 
@@ -493,7 +491,7 @@ def default_grid() -> list[tuple[DgpConfig, str]]:
     return cells
 
 
-_CELL_KEYS = ("N", "T", "r", "theta", "family", "noise_cov", "cov", "loading_spec",
+_CELL_KEYS = ("N", "T", "r", "theta", "family", "noise_cov", "loading_spec",
               "factor_innovation_sds")
 
 
@@ -508,10 +506,10 @@ def _check_keys(obj, allowed, what) -> None:
 
 def _cov_from_json(obj) -> object:
     kind = str(obj.get("kind", "")).lower() if isinstance(obj, dict) else ""
-    if kind in ("toeplitz", "toep"):
+    if kind == "toeplitz":
         _check_keys(obj, ("kind", "gamma"), "noise_cov")
         return ToeplitzCov(gamma=float(obj.get("gamma", 0.7)))
-    if kind in ("diag", "diagonal", "diagonal_uniform"):
+    if kind == "diag":
         _check_keys(obj, ("kind", "lo", "hi"), "noise_cov")
         return DiagonalUniformCov(lo=float(obj.get("lo", 0.5)), hi=float(obj.get("hi", 1.5)))
     raise ParameterError(f"unknown noise covariance kind {obj!r}")
@@ -547,9 +545,7 @@ def read_grid_json(path) -> list[tuple[DgpConfig, str]]:
                 T=int(rec["T"]),
                 r=int(rec.get("r", 2)),
                 theta=None if theta is None else tuple(float(x) for x in theta),
-                noise_cov=_cov_from_json(
-                    rec.get("noise_cov", rec.get("cov", {"kind": "diag"}))
-                ),
+                noise_cov=_cov_from_json(rec.get("noise_cov", {"kind": "diag"})),
                 loading_spec=spec,
                 factor_innovation_sds=(
                     tuple(float(x) for x in rec["factor_innovation_sds"])

@@ -315,8 +315,8 @@ def test_criterion_09_bootstrap_nesting_and_determinism(tmp_path):
 
     again = residual_bootstrap(panel, fit, fac, basis, B=40, level=0.95, seed=11)
     p1, p2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
-    write_bands_csv(wide, fit, panel, p1)
-    write_bands_csv(again, fit, panel, p2)
+    write_bands_csv(wide, fit, p1)
+    write_bands_csv(again, fit, p2)
     identical = p1.read_bytes() == p2.read_bytes()
 
     ok = nested and identical

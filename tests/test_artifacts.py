@@ -66,43 +66,44 @@ def _id(text) -> str:
 # ---------------------------------------------------------------- reference writers
 
 
-def _ref_loadings(fit, panel, path):
+def _ref_loadings(fit, path):
     T, N, r = fit.Lambda.shape
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,series,factor,lambda_hat\n")
         for t in range(T):
             for m in range(N):
                 for i in range(r):
-                    sid = _id(panel.series_ids[m])
+                    sid = _id(fit.panel.series_ids[m])
                     fh.write(f"{t + 1},{sid},{i + 1},{_fmt(fit.Lambda[t, m, i])}\n")
 
 
-def _ref_coefficients(fit, panel, basis, path):
+def _ref_coefficients(fit, path):
     N, r, _ = fit.beta.shape
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("series,factor,level_j,shift_k,beta\n")
         for m in range(N):
             for i in range(r):
-                for c, (j, k) in enumerate(basis.column_index):
-                    sid = _id(panel.series_ids[m])
+                for c, (j, k) in enumerate(fit.design.basis.column_index):
+                    sid = _id(fit.panel.series_ids[m])
                     fh.write(f"{sid},{i + 1},{j},{k},{_fmt(fit.beta[m, i, c])}\n")
 
 
-def _ref_covariance(gamma, series_ids, path):
+def _ref_covariance(fit, path):
+    series_ids = fit.panel.series_ids
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["series", *map(_id, series_ids)]) + "\n")
         for m, sid in enumerate(series_ids):
-            fh.write(",".join([_id(sid), *(_fmt(v) for v in gamma[m])]) + "\n")
+            fh.write(",".join([_id(sid), *(_fmt(v) for v in fit.Gamma_e[m])]) + "\n")
 
 
-def _ref_bands(bands, fit, panel, path):
+def _ref_bands(bands, fit, path):
     T, N, r = fit.Lambda.shape
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,series,factor,lower,point,upper,level\n")
         for t in range(T):
             for m in range(N):
                 for i in range(r):
-                    fields = [str(t + 1), _id(panel.series_ids[m]), str(i + 1),
+                    fields = [str(t + 1), _id(fit.panel.series_ids[m]), str(i + 1),
                               _fmt(bands.lower[t, m, i]), _fmt(fit.Lambda[t, m, i]),
                               _fmt(bands.upper[t, m, i]), _fmt(bands.level)]
                     fh.write(",".join(fields) + "\n")
@@ -147,34 +148,35 @@ def _ref_detail(reports, path):
 SHAPES = [(2, 1, 1), (2, 3, 2), (16, 1, 3), (8, 4, 1), (64, 5, 2), (600, 1, 1)]
 
 
-def _fit(beta, Lambda, Gamma_e):
-    """A stand-in for a fit that holds the given arrays, which a real fit derives
-    from its coefficients, so the writers see values no fit would produce."""
-    return SimpleNamespace(beta=beta, Lambda=Lambda, Gamma_e=Gamma_e)
+def _fit(beta, Lambda, Gamma_e, panel, basis):
+    """A stand-in for a fit on ``panel`` and ``basis`` that holds the given arrays,
+    which a real fit derives from its coefficients, so the writers see values no
+    fit would produce."""
+    return SimpleNamespace(beta=beta, Lambda=Lambda, Gamma_e=Gamma_e, panel=panel,
+                           design=SimpleNamespace(basis=basis))
 
 
 def _fixture(T, N, r, seed):
     basis = evaluate_basis("haar", max(0, int(np.log2(T)) - 1), T)
     panel = make_panel(_awkward((T, N), seed), [f"s{m + 1}" for m in range(N)])
     fit = _fit(beta=_awkward((N, r, basis.n_columns), seed + 1),
-               Lambda=_awkward((T, N, r), seed + 2), Gamma_e=_awkward((N, N), seed + 3))
+               Lambda=_awkward((T, N, r), seed + 2), Gamma_e=_awkward((N, N), seed + 3),
+               panel=panel, basis=basis)
     bands = BandSet(level=AWKWARD[seed % len(AWKWARD)], lower=_awkward((T, N, r), seed + 4),
                     upper=_awkward((T, N, r), seed + 5), B=10)
-    return panel, basis, fit, bands
+    return fit, bands
 
 
-def _assert_fit_writers_match(tmp_path, panel, basis, fit, bands):
+def _assert_fit_writers_match(tmp_path, fit, bands):
     N, r = fit.Lambda.shape[1:]
     F = fit.Lambda[:, 0, :]
+    panel = fit.panel
     cases = [
-        (lambda p: write_loadings_csv(fit, panel, p), lambda p: _ref_loadings(fit, panel, p)),
-        (lambda p: write_coefficients_csv(fit, panel, basis, p),
-         lambda p: _ref_coefficients(fit, panel, basis, p)),
-        (lambda p: write_covariance_csv(fit.Gamma_e, panel.series_ids, p),
-         lambda p: _ref_covariance(fit.Gamma_e, panel.series_ids, p)),
-        (lambda p: write_bands_csv(bands, fit, panel, p),
-         lambda p: _ref_bands(bands, fit, panel, p)),
-        (lambda p: write_plot_csv(bands, fit, panel, panel.series_ids[-1], r, p),
+        (lambda p: write_loadings_csv(fit, p), lambda p: _ref_loadings(fit, p)),
+        (lambda p: write_coefficients_csv(fit, p), lambda p: _ref_coefficients(fit, p)),
+        (lambda p: write_covariance_csv(fit, p), lambda p: _ref_covariance(fit, p)),
+        (lambda p: write_bands_csv(bands, fit, p), lambda p: _ref_bands(bands, fit, p)),
+        (lambda p: write_plot_csv(bands, fit, panel.series_ids[-1], r, p),
          lambda p: _ref_plot(bands, fit, N - 1, r - 1, p)),
         (lambda p: write_panel_csv(panel, p),
          lambda p: _ref_grid(["t", *panel.series_ids], panel.values, p)),
@@ -212,9 +214,9 @@ def test_fit_writers_match_the_per_value_reference_on_repeated_rows(tmp_path, bo
     field = lambda seed: _piecewise((T, N, r), bounds, seed)
     panel = make_panel(_piecewise((T, N), bounds, 1), ids)
     fit = _fit(beta=_awkward((N, r, basis.n_columns), 2), Lambda=field(3),
-               Gamma_e=_awkward((N, N), 4))
+               Gamma_e=_awkward((N, N), 4), panel=panel, basis=basis)
     bands = BandSet(level=0.95, lower=field(5), upper=field(6), B=10)
-    _assert_fit_writers_match(tmp_path, panel, basis, fit, bands)
+    _assert_fit_writers_match(tmp_path, fit, bands)
 
 
 @pytest.mark.parametrize("rows", [None, ["x,y", 'q"', "7%", 3]])
@@ -246,8 +248,8 @@ def test_estimate_loadings_match_the_per_value_reference(tmp_path, family, T):
     run = tmp_path / "est"
     assert main(["estimate", "--input", str(panel_csv), "--output-dir", str(run),
                  "--r", "2", "--family", family]) == 0
-    panel, _, _, _, fit, _ = _reload_estimate(run)
-    _ref_loadings(fit, panel, tmp_path / "want.csv")
+    _, fit, _ = _reload_estimate(run)
+    _ref_loadings(fit, tmp_path / "want.csv")
     assert (run / "loadings.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

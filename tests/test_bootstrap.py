@@ -236,7 +236,7 @@ def test_band_csv_layout(tmp_path):
     panel, fac, basis, fit = _noisy_fit(7, T=16, N=2, J=2)
     bands = residual_bootstrap(panel, fit, fac, basis, B=8, seed=2)
     path = tmp_path / "bands.csv"
-    write_bands_csv(bands, fit, panel, path)
+    write_bands_csv(bands, fit, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,series,factor,lower,point,upper,level"
     assert len(lines) == 1 + 16 * 2 * 1
@@ -249,15 +249,15 @@ def test_plot_csv_selects_one_curve(tmp_path):
     panel, fac, basis, fit = _noisy_fit(8, T=16, N=3, J=2)
     bands = residual_bootstrap(panel, fit, fac, basis, B=8, seed=2)
     path = tmp_path / "plot.csv"
-    write_plot_csv(bands, fit, panel, "s2", 1, path)
+    write_plot_csv(bands, fit, "s2", 1, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,point,lower,upper"
     assert len(lines) == 17
     assert float(lines[3].split(",")[1]) == fit.Lambda[2, 1, 0]
     with pytest.raises(ParameterError):
-        write_plot_csv(bands, fit, panel, "nope", 1, tmp_path / "x.csv")
+        write_plot_csv(bands, fit, "nope", 1, tmp_path / "x.csv")
     with pytest.raises(ParameterError):
-        write_plot_csv(bands, fit, panel, "s2", 9, tmp_path / "x.csv")
+        write_plot_csv(bands, fit, "s2", 9, tmp_path / "x.csv")
 
 
 # ---------------------------------------------------------------- statistics

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvload
+from tvload.bootstrap import write_bands_csv, write_plot_csv
 from tvload.cli import (
     _reload_estimate,
     _resolve_threads,
@@ -39,7 +40,14 @@ from tvload.factors import (
     standardize,
     write_panel_csv,
 )
-from tvload.gls import GlsFit, build_design, fit_iterative
+from tvload.gls import (
+    GlsFit,
+    build_design,
+    fit_iterative,
+    write_coefficients_csv,
+    write_covariance_csv,
+    write_loadings_csv,
+)
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis
 
@@ -67,6 +75,21 @@ def test_resolve_threads():
     assert _resolve_threads(3) == 3
     assert _resolve_threads(-2) == 1
     assert _resolve_threads(None) >= 1
+
+
+def test_default_threads_count_the_cpus_the_process_may_run_on(monkeypatch):
+    # as under taskset -c 0 on a machine with more CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _resolve_threads(None) == 1
+    assert _resolve_threads(3) == 3
+
+
+@pytest.mark.parametrize("cpus, want", [(8, 8), (None, 1)])
+def test_default_threads_fall_back_to_the_cpu_count(monkeypatch, cpus, want):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _resolve_threads(None) == want
 
 
 _OPTIONS = {
@@ -114,6 +137,12 @@ def test_library_entry_points_take_only_the_pinned_parameters():
     assert params(nonstationary_factors) == ["panel", "r", "k"]
     # a fit is its coefficients and its design; Lambda and Gamma_e derive from them
     assert params(GlsFit) == ["beta", "design", "panel", "deltas"]
+    # a writer reads the ids, the basis and the field from the fit it is given
+    assert params(write_loadings_csv) == ["fit", "path"]
+    assert params(write_coefficients_csv) == ["fit", "path"]
+    assert params(write_covariance_csv) == ["fit", "path"]
+    assert params(write_bands_csv) == ["bands", "fit", "path"]
+    assert params(write_plot_csv) == ["bands", "fit", "series", "factor", "path"]
 
 
 @pytest.mark.parametrize("module", ["tvload", *sorted(
@@ -214,7 +243,7 @@ def test_estimate_roundtrip_is_bit_exact(tmp_path, panel_csv):
     out = tmp_path / "est"
     main(["estimate", "--input", panel_csv, "--output-dir", str(out),
           "--r", "2", "--J", "3"])
-    _, work, basis, est, fit, _ = _reload_estimate(str(out))
+    est, fit, _ = _reload_estimate(str(out))
 
     ref_work = standardize(read_panel_csv(panel_csv))
     ref_est = pca_factors(ref_work, 2)
@@ -240,8 +269,8 @@ def test_estimate_reports_the_conditioning_of_the_design(tmp_path, panel_csv):
     out = tmp_path / "est"
     assert main(["estimate", "--input", panel_csv, "--output-dir", str(out),
                  "--r", "2", "--family", "d8"]) == 0
-    _, _, basis, est, _, report = _reload_estimate(str(out))
-    Psi = build_design(est, basis).Psi
+    est, fit, report = _reload_estimate(str(out))
+    Psi = build_design(est, fit.design.basis).Psi
     cond = np.linalg.cond(Psi.T @ Psi)
     assert abs(report["design_gram_condition"] - cond) <= 1e-8 * cond
 
@@ -521,10 +550,10 @@ def test_series_ids_with_commas_and_quotes_round_trip(tmp_path_factory, ids):
     est = tmp / "est"
     assert main(["estimate", "--input", str(panel_csv), "--output-dir", str(est),
                  "--r", "1", "--J", "2"]) == 0
-    reloaded, work, basis, factors, fit, _ = _reload_estimate(str(est))
-    assert reloaded.series_ids == tuple(ids)
-    ref_est = pca_factors(work, 1)
-    ref = fit_iterative(work, ref_est, basis)
+    factors, fit, _ = _reload_estimate(str(est))
+    assert fit.panel.series_ids == tuple(ids)
+    ref_est = pca_factors(fit.panel, 1)
+    ref = fit_iterative(fit.panel, ref_est, fit.design.basis)
     assert np.array_equal(factors.F, ref_est.F)
     assert np.array_equal(fit.beta, ref.beta)
     assert np.array_equal(fit.Gamma_e, ref.Gamma_e)
@@ -756,8 +785,8 @@ def test_panel_edges_give_a_run_or_one_clean_error(tmp_path_factory, T, N, const
     if not _runs_or_fails_cleanly(["estimate", "--input", str(panel_csv), "--output-dir",
                                    str(est), "--r", "1"], est):
         return
-    panel, _, _, _, fit, _ = _reload_estimate(str(est))
-    assert panel.values.shape == (T, N) and fit.Lambda.shape == (T, N, 1)
+    _, fit, _ = _reload_estimate(str(est))
+    assert fit.panel.values.shape == (T, N) and fit.Lambda.shape == (T, N, 1)
     if _runs_or_fails_cleanly(["bootstrap", "--input", str(est), "--output-dir", str(boot),
                                "--B", "3", "--threads", "1"], boot):
         with open(boot / "bands.csv", newline="", encoding="utf-8") as fh:

@@ -113,13 +113,18 @@ def test_standardize_small_column():
     s = standardize(p)
     assert_allclose(s.values[:, 0], [-1.0, 0.0, 1.0])
     assert_allclose(s.means, [2.0, 9.0])
-    assert s.standardized
+    assert_allclose(s.sds, [1.0, 0.5])
 
 
 def test_standardize_is_idempotent():
     rng = np.random.default_rng(1)
     s = standardize(_random_panel(rng, 30, 4))
     assert standardize(s) is s
+    # a rescaled panel carries scales but no means, so it is still centered
+    scaled = scale_only(_random_panel(rng, 30, 4))
+    centered = standardize(scaled)
+    assert centered is not scaled
+    assert_allclose(centered.values.mean(axis=0), 0.0, atol=1e-12)
 
 
 def test_standardize_names_constant_series():

@@ -611,6 +611,9 @@ def test_fit_flags_a_second_pass_that_moves(monkeypatch):
     assert not fit.converged and fit.n_iter == 2
     assert fit.deltas[0] > 0
     assert np.array_equal(fit.Lambda, loadings_from_coeffs(fit.beta, basis))
+    # the movement is sum_t ||Lambda_2(t) - Lambda_1(t)||_F of the two passes' fields
+    step = fit.Lambda - first
+    assert_allclose(fit.deltas[0], np.sqrt((step ** 2).sum(axis=(1, 2))).sum(), rtol=1e-12)
     E = panel.values - common_component(fit.Lambda, fac)
     assert_allclose(fit.Gamma_e, E.T @ E / panel.T, rtol=0.0,
                     atol=1e-12 * np.max(np.abs(fit.Gamma_e)))
@@ -641,13 +644,21 @@ def test_second_pass_weighs_an_exactly_fitted_series_by_one(monkeypatch):
 
 
 def test_coefficients_csv_round_trip(tmp_path):
+    # rows are labelled with the fit's ids, columns with the (j, k) of its basis
     rng = np.random.default_rng(21)
     basis, fac, _, _, panel = _random_instance(rng)
-    fit = fit_iterative(panel, fac, basis)
-    path = tmp_path / "coef.csv"
-    write_coefficients_csv(fit, panel, basis, path)
-    beta = read_coefficients_csv(path, panel.series_ids, basis, fit.beta.shape[1])
-    assert np.array_equal(beta, fit.beta)  # .17g round-trips exactly
+    fits = [fit_iterative(panel, fac, basis)]
+    ids = ["a,b", 'say "hi"', 'c,"d"', "s4", "s5"]
+    for family, T, J in [("haar", 512, 5), ("haar", 777, 5), ("d8", 512, 4)]:
+        F = rng.normal(size=(T, 2))
+        Y = F @ rng.normal(size=(2, len(ids))) + rng.normal(size=(T, len(ids)))
+        fits.append(fit_iterative(make_panel(Y, ids), _factors(F), evaluate_basis(family, J, T)))
+    for k, fit in enumerate(fits):
+        path = tmp_path / f"coef{k}.csv"
+        write_coefficients_csv(fit, path)
+        beta = read_coefficients_csv(path, fit.panel.series_ids, fit.design.basis,
+                                     fit.beta.shape[1])
+        assert np.array_equal(beta, fit.beta), k  # .17g round-trips exactly
 
 
 def test_loadings_and_covariance_csv_headers(tmp_path):
@@ -656,8 +667,8 @@ def test_loadings_and_covariance_csv_headers(tmp_path):
     fit = fit_iterative(panel, fac, basis)
     lp = tmp_path / "load.csv"
     cp = tmp_path / "cov.csv"
-    write_loadings_csv(fit, panel, lp)
-    write_covariance_csv(fit.Gamma_e, panel.series_ids, cp)
+    write_loadings_csv(fit, lp)
+    write_covariance_csv(fit, cp)
     lines = lp.read_text().splitlines()
     assert lines[0] == "t,series,factor,lambda_hat"
     assert len(lines) == 1 + 16 * 2 * 1

@@ -243,8 +243,9 @@ def test_run_experiment_median_rep_is_reproducible():
     cfg = DgpConfig(N=6, T=128, r=2)
     rep = run_experiment(cfg, n_reps=5, seed=9)
     basis = evaluate_basis("haar", select_resolution(128), 128)
-    _, _, Lambda, ds = sim._run_one_rep(cfg, sim._loading_field(cfg), basis, 9, rep.median_rep)
-    assert loading_mse(Lambda, ds.Lambda) == rep.mse_median
+    r2, mse = sim._run_one_rep(cfg, sim._loading_field(cfg), basis, 9, rep.median_rep)
+    assert mse == rep.mse_median
+    assert (rep.median_rep, r2, mse) in rep.replications
 
 
 @pytest.mark.parametrize("family,T,theta", [("haar", 128, 0.5), ("d8", 96, 1.0)])
@@ -359,9 +360,15 @@ def test_grid_json_reports_bad_record_index(tmp_path):
     ({"N": 5, "T": 64, "seed": 3}, "--seed"),
     (5, "JSON object"),
     ({"N": 5, "T": 64, "noise_cov": "toeplitz"}, "noise covariance kind"),
+    # one spelling per key: a second noise key would be dropped beside noise_cov
+    ({"N": 5, "T": 64, "noise_cov": {"kind": "diag"},
+      "cov": {"kind": "toeplitz", "gamma": 0.9}}, "'cov'"),
+    ({"N": 5, "T": 64, "noise_cov": {"kind": "toep", "gamma": 0.5}}, "'toep'"),
+    ({"N": 5, "T": 64, "noise_cov": {"kind": "diagonal_uniform"}}, "'diagonal_uniform'"),
 ], ids=["cell key", "theta typo", "noise_cov key", "key of another kind", "loading_spec key",
         "seed",
-        "cell not an object", "noise_cov not an object"])
+        "cell not an object", "noise_cov not an object", "cov beside noise_cov",
+        "toep kind", "diagonal_uniform kind"])
 def test_grid_json_rejects_unknown_keys(tmp_path, cell, key):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps([{"N": 5, "T": 64}, cell]))

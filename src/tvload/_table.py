@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 
 import numpy as np
@@ -96,13 +97,67 @@ def read_table(path, n_keys=0):
 
     Returns the header, the keys and the values, a float array with one row
     per line.  A key is a line's label and ``n_keys`` fixed fields; a table
-    with none keeps no key, since its label names a position.  The values
-    are parsed into one packed float64 buffer that the array then wraps, so
-    a table costs its 8 bytes per value and no Python float per cell.
-    Blank lines are skipped.  A line with the wrong number of fields raises
+    with none keeps no key, since its label names a position.  Blank lines
+    are skipped.  A line with the wrong number of fields raises
     ``ShapeError``; every empty, non-numeric or non-finite value is reported,
     with its row and column, in one ``MissingDataError``.
+
+    A table without keys (a panel, ``factors.csv``) is first parsed by
+    numpy's C reader, and that result is kept only where it must equal the
+    checked parse: no quote, NUL or ASCII separator byte (0x1c-0x1f) in the
+    file, one field per header column on every line, and every value finite.
+    Its float conversion is the one ``float()`` uses, so the values are
+    bit-identical.  Every other table, and every cell the C reader rejects
+    (``1_0``, non-ASCII digits, an empty cell, a whitespace-only line), goes
+    through the checked parse, which gives the errors above.  That parse
+    fills one packed float64 buffer, so either way a table costs about its 8
+    bytes per value and no Python float per cell.
     """
+    if n_keys == 0:
+        table = _read_plain(path)
+        if table is not None:
+            return table
+    return _read_checked(path, n_keys)
+
+
+# Bytes the C reader takes otherwise than ``csv`` and ``float()``: a quote
+# (csv quoting), NUL, and the separators 0x1c-0x1f, which it strips from a
+# number as whitespace where ``float()`` rejects the cell.
+_CHECKED_ONLY = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Rows moved per copy when the label column is dropped in place.
+_SHIFT_ROWS = 64
+
+
+def _read_plain(path):
+    """A table without keys through ``np.loadtxt``, or None where only the
+    checked parse can say what it holds."""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            if any(byte in chunk for byte in _CHECKED_ONLY):
+                return None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        try:
+            with warnings.catch_warnings():
+                # a table without rows warns, and any warning means fall back
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, encoding="utf-8",
+                                   converters={0: lambda label: 0.0})
+        except (ValueError, Warning):  # the checked parse says what is wrong
+            return None
+    if len(header) < 2 or table.shape[1] != len(header) or not np.isfinite(table).all():
+        return None
+    # table[:, 1:], C-contiguous in the table's own buffer: each block of
+    # rows moves to a lower address, past the sources of the blocks after it
+    rows, width = table.shape
+    values = table.reshape(-1)[: rows * (width - 1)].reshape(rows, width - 1)
+    for start in range(0, rows, _SHIFT_ROWS):
+        values[start:start + _SHIFT_ROWS] = table[start:start + _SHIFT_ROWS, 1:]
+    return header, [], values
+
+
+def _read_checked(path, n_keys):
+    """``read_table`` through ``csv.reader`` and ``float()``, cell by cell."""
     start = 1 + n_keys
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -31,7 +31,7 @@ import numpy as np
 from ._table import write_table
 from .errors import NumericError, ParameterError
 from .factors import FactorEstimate, Panel, make_panel
-from .gls import build_design, fit_iterative
+from .gls import fit_iterative
 from .wavelet import WaveletBasis
 
 __all__ = ["BandSet", "residual_bootstrap", "write_bands_csv", "write_plot_csv"]
@@ -85,6 +85,20 @@ def _sorted_quantile(rows: np.ndarray, q: float) -> np.ndarray:
     return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
 
+def _check_is_the_fits(panel: Panel, factors: FactorEstimate, basis: WaveletBasis, fit) -> None:
+    """Raise ``ParameterError`` unless the panel, factors and basis are the fit's
+    own, or equal to them; draws on any other would give wrong bands."""
+    own = fit.design.basis
+    if basis is not own and (basis.family, basis.J, basis.T) != (own.family, own.J, own.T):
+        raise ParameterError(
+            f"basis {basis.family.value} J={basis.J} T={basis.T} is not the fit's "
+            f"({own.family.value} J={own.J} T={own.T})")
+    if panel is not fit.panel and not np.array_equal(panel.values, fit.panel.values):
+        raise ParameterError("panel is not the one the fit was computed on")
+    if factors.F is not fit.design.F and not np.array_equal(factors.F, fit.design.F):
+        raise ParameterError("factors are not the ones the fit was computed on")
+
+
 def residual_bootstrap(
     panel: Panel,
     fit,
@@ -110,8 +124,9 @@ def residual_bootstrap(
     fit : GlsFit
         Point estimate whose residuals are resampled.
     factors : FactorEstimate
-        Held fixed across draws.
+        The factors of the fit's design, held fixed across draws.
     basis : WaveletBasis
+        The basis of the fit's design.
     B : int
         Number of draws, >= 1.
     level : float
@@ -129,6 +144,9 @@ def residual_bootstrap(
 
     Raises
     ------
+    ParameterError
+        If the panel, the factors or the basis is not the fit's, before
+        any draw runs.
     NumericError
         If more than 10% of the draws fail.
     """
@@ -136,7 +154,8 @@ def residual_bootstrap(
         raise ParameterError(f"need at least one draw, got B={B}")
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
-    design = build_design(factors, basis)
+    _check_is_the_fits(panel, factors, basis, fit)
+    design = fit.design
     X_hat = design.fitted(fit.beta)
     E = panel.values - X_hat
 

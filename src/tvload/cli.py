@@ -19,11 +19,16 @@ import math
 import os
 import sys
 
+# One BLAS thread unless the caller sets one: the commands run many small
+# products, which BLAS threading slows down.  numpy reads these variables
+# when it loads, so they are set before the first numpy import.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 
 from . import __version__
 from ._table import read_table, write_table
-from .bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
 from .errors import MissingDataError, ParameterError, ShapeError, TvloadError
 from .factors import (
     FactorEstimate,
@@ -42,13 +47,6 @@ from .gls import (
     write_coefficients_csv,
     write_covariance_csv,
     write_loadings_csv,
-)
-from .sim import (
-    default_grid,
-    read_grid_json,
-    run_experiment,
-    write_detail_csv,
-    write_report_csv,
 )
 from .wavelet import evaluate_basis, select_resolution
 
@@ -237,6 +235,10 @@ def cmd_select_r(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # only this command runs sim, and through it metrics, so only it loads them
+    from .sim import (default_grid, read_grid_json, run_experiment, write_detail_csv,
+                      write_report_csv)
+
     threads = _resolve_threads(args.threads)
     cells = read_grid_json(args.input) if args.input else default_grid()
     reports = []
@@ -348,6 +350,9 @@ def _reload_estimate(run_dir):
 
 
 def cmd_bootstrap(args) -> int:
+    # only this command runs bootstrap, so only it loads it
+    from .bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
+
     threads = _resolve_threads(args.threads)
     est, fit, est_report = _reload_estimate(args.input)
     bands = residual_bootstrap(

@@ -194,7 +194,9 @@ def gls_step(
     the estimator is per-series least squares, ``design.solve(Y)``, on the
     Cholesky factor of Psi'Psi that ``design`` keeps for later steps; no
     NT-sized matrix is formed.  Gamma_e is still validated: it must be
-    finite, symmetric and admit a Cholesky factorization.  Passing
+    finite, symmetric and admit a Cholesky factorization.  A diagonal
+    Gamma_e, the only kind ``fit_iterative`` passes, is checked by its
+    diagonal alone, which must be positive.  Passing
     ``sigma_full`` (an NT x NT covariance, series-major ordering) bypasses the
     factorization and solves the dense normal equations through Cholesky
     factors of Sigma and of the whitened Gram matrix instead; it is an
@@ -223,14 +225,19 @@ def gls_step(
         raise ShapeError(f"gamma_e must be {N}x{N}, got {gamma_e.shape}")
     if not np.isfinite(gamma_e).all():
         raise ParameterError("gamma_e must be finite")
-    # np.allclose(gamma_e, gamma_e.T, atol=1e-10) written out: on finite
-    # entries it is this test, without allclose's inf and nan handling.
-    if not (np.abs(gamma_e - gamma_e.T) <= 1e-10 + 1e-5 * np.abs(gamma_e.T)).all():
-        raise ParameterError("gamma_e must be symmetric")
-    try:
-        np.linalg.cholesky(gamma_e)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("gamma_e is not positive definite") from exc
+    diagonal = np.diagonal(gamma_e)
+    if not np.array_equal(gamma_e, np.diag(diagonal)):
+        # np.allclose(gamma_e, gamma_e.T, atol=1e-10) written out: on finite
+        # entries it is this test, without allclose's inf and nan handling.
+        if not (np.abs(gamma_e - gamma_e.T) <= 1e-10 + 1e-5 * np.abs(gamma_e.T)).all():
+            raise ParameterError("gamma_e must be symmetric")
+        try:
+            np.linalg.cholesky(gamma_e)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError("gamma_e is not positive definite") from exc
+    elif not (diagonal > 0.0).all():
+        # a diagonal weight is positive definite exactly when its diagonal is positive
+        raise NumericError("gamma_e is not positive definite")
 
     p = design.basis.n_columns
     if sigma_full is not None:

@@ -211,6 +211,25 @@ def test_validation():
             residual_bootstrap(panel, fit, fac, basis, B=5, level=level)
 
 
+def test_a_panel_factors_or_basis_not_the_fits_is_rejected():
+    # a Haar J=4 fit, and the d8 J=4 basis with as many columns: this once ran
+    # and gave bands that held the point estimate at 65% of the grid
+    panel, fac, basis, fit = _noisy_fit(1, T=256, N=6, J=4)
+    others = [
+        (panel, fac, evaluate_basis("d8", 4, 256), "basis d8 J=4 T=256 is not the fit's"),
+        (make_panel(panel.values + 1.0), fac, basis, "panel is not"),
+        (panel, _true_factor_estimate(2.0 * fac.F), basis, "factors are not"),
+    ]
+    for other_panel, other_fac, other_basis, message in others:
+        with pytest.raises(ParameterError, match=message):
+            residual_bootstrap(other_panel, fit, other_fac, other_basis, B=20, seed=1)
+    # equal copies are the fit's own
+    ref = residual_bootstrap(panel, fit, fac, basis, B=5, seed=1)
+    copies = residual_bootstrap(make_panel(panel.values.copy()), fit,
+                                _true_factor_estimate(fac.F.copy()), basis, B=5, seed=1)
+    assert np.array_equal(copies.lower, ref.lower) and np.array_equal(copies.upper, ref.upper)
+
+
 def test_failed_draws_are_recorded_then_fatal(monkeypatch):
     panel, fac, basis, fit = _noisy_fit(6)
     real = bt._one_draw

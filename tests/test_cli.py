@@ -181,11 +181,64 @@ def test_an_unread_flag_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_env(**blas):
+    """This environment with the package's source on the path, the BLAS thread
+    variables removed, then set to ``blas``."""
+    src = str(Path(tvload.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(blas)
+    return env
+
+
+def _python(code, *args, env=None):
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env or _child_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert _python("import tvload, sys; print('numpy' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize("preset", [{}, dict.fromkeys(_BLAS_THREADS, "3")], ids=["unset", "set"])
+def test_the_commands_default_to_one_blas_thread(preset):
+    # python -m tvload.cli --version, then the variables it ran with
+    code = ("import os, runpy, sys\n"
+            "sys.argv = ['tvload', '--version']\n"
+            "try:\n"
+            "    runpy.run_module('tvload.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            f"print([os.environ.get(name) for name in {_BLAS_THREADS!r}])")
+    out = _python(code, env=_child_env(**preset)).splitlines()
+    assert out[0].startswith("tvload ")
+    assert out[1] == repr([preset.get(name, "1") for name in _BLAS_THREADS])
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, panel_csv):
+    est = str(tmp_path / "est")
+    code = ("import json, sys, tvload.cli\n"
+            "assert tvload.cli.main(json.loads(sys.argv[1])) == 0\n"
+            "print(sorted(m for m in ('tvload.sim', 'tvload.bootstrap', 'tvload.metrics')\n"
+            "             if m in sys.modules))")
+    for argv, loaded in [
+        (["estimate", "--input", panel_csv, "--output-dir", est, "--r", "2", "--J", "3"], []),
+        (["select-r", "--input", panel_csv, "--output-dir", str(tmp_path / "sel"),
+          "--r-max", "3"], []),
+        (["bootstrap", "--input", est, "--output-dir", str(tmp_path / "boot"), "--B", "4"],
+         ["tvload.bootstrap"]),
+    ]:
+        assert _python(code, json.dumps(argv)).splitlines()[-1] == str(loaded), argv[0]
+
+
 def test_commands_leave_scipy_unloaded(tmp_path, panel_csv):
     # scipy serves only the tests
-    src = str(Path(tvload.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env()
     scipy_loaded = "any(name.startswith('scipy') for name in sys.modules)"
     code = f"import sys, tvload.cli; sys.exit({scipy_loaded})"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -285,6 +285,26 @@ def test_gls_validates_gamma():
         gls_step(panel, d, np.diag(np.full(panel.N, np.inf)))
 
 
+def test_a_diagonal_weight_is_checked_by_its_diagonal(monkeypatch):
+    rng = np.random.default_rng(9)
+    basis, fac, _, _, panel = _random_instance(rng)
+    d = build_design(fac, basis)
+    for entry in (0.0, -0.0, -1.0):
+        weight = np.eye(panel.N)
+        weight[1, 1] = entry
+        with pytest.raises(NumericError, match="not positive definite"):
+            gls_step(panel, d, weight)
+    expected = d.solve(panel.values)
+
+    def cholesky(a):
+        raise AssertionError("a diagonal weight was factorized")
+
+    # the smallest positive diagonal is positive definite, and needs no factor
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    weight = np.diag(np.full(panel.N, 5e-324))
+    assert np.array_equal(gls_step(panel, d, weight), expected)
+
+
 def test_gls_symmetry_check_is_allclose_at_the_tolerance_edge():
     # |g - g'| <= 1e-10 + 1e-5 |g'|: an absolute edge near 0, a relative one
     # near 0.3, approached from both sides down to single ulps

@@ -5,12 +5,13 @@ the key's fixed fields, then the row's values for that key, printed with 17
 significant digits (which round-trips float64).  The text of every line
 except its values is rendered once per file; a block of rows is then filled
 by a single ``template % values`` call, so a large file streams out without
-per-value Python calls or a copy of the whole file in memory.  A run of rows
-whose values are bitwise equal to the row before them is formatted once, and
-each of its rows only joins its label in; a Haar loading field on a dyadic
-grid is exactly constant on each of its 2^J blocks, so its T rows hold at
-most 2^J runs.
-Equal bits print equal text, so the bytes are those of formatting every row.
+per-value Python calls or a copy of the whole file in memory.  A caller
+that holds its values once per run of equal rows, as a field on a wavelet
+basis is held, passes the run lengths: each run is formatted once, and each
+of its rows only joins its label in.  The writer compares no values; a
+Haar loading field on T points is 2^J runs, on any grid.  A run prints the
+text of formatting each of its rows, so the bytes are those of writing the
+rows out one by one.
 Fixed fields follow the ``csv`` module's minimal quoting, so an id containing
 a comma or a quote reads back through ``csv.reader``.
 """
@@ -38,15 +39,23 @@ def quote_field(text: str) -> str:
     return text
 
 
-def write_table(path, header, values, keys=((),), rows=None, tail=()) -> None:
-    """Write ``values[row, key, col]`` as one CSV line per (row, key).
+def write_table(path, header, values, keys=((),), rows=None, tail=(), run_lengths=None) -> None:
+    """Write ``values[run, key, col]`` as one CSV line per (row, key).
 
     A line reads: the row's label from ``rows`` (no label column when
     ``rows`` is None), the fields of ``keys[key]``, the values, then the
-    fixed ``tail`` fields.
+    fixed ``tail`` fields.  Value row k covers the next ``run_lengths[k]``
+    rows, one row each when ``run_lengths`` is None; the lengths must sum to
+    the number of row labels.
     """
     values = np.asarray(values, dtype=float)
-    n_rows, n_keys, n_cols = values.shape
+    n_runs, n_keys, n_cols = values.shape
+    lengths = np.ones(n_runs, dtype=np.intp) if run_lengths is None else np.asarray(run_lengths)
+    if lengths.shape != (n_runs,) or (lengths < 1).any():
+        raise ShapeError(f"{path}: {n_runs} value rows need as many positive run lengths")
+    if rows is not None and len(rows) != lengths.sum():
+        raise ShapeError(f"{path}: run lengths sum to {lengths.sum()}, "
+                         f"but there are {len(rows)} row labels")
     end = "".join("," + _literal(f) for f in tail)
     # the text of each key's line after the row label; a row is its label joined with them
     sep, head = ("", "") if rows is None else (",", "%s")
@@ -55,33 +64,37 @@ def write_table(path, header, values, keys=((),), rows=None, tail=()) -> None:
     row_template = "".join(head + t for t in key_templates)
     per_call = max(1, _BLOCK_LINES // max(n_keys, 1))
     block_template = row_template * per_call
-    labels = None if rows is None else np.array([quote_field(str(x)) for x in rows], dtype=object)
+    # digits never need quotes
+    labels = None if rows is None else np.array(
+        [str(x) for x in rows] if isinstance(rows, range) else
+        [quote_field(str(x)) for x in rows], dtype=object)
     width = n_cols + (labels is not None)
     args = np.empty((per_call * n_keys, width), dtype=object)
-    # rows bitwise equal to the row before them; 0.0 and -0.0 print apart
-    bits = values.reshape(n_rows, n_keys * n_cols).view(np.uint64)
-    same = (bits[1:] == bits[:-1]).all(axis=1)
-    in_run = np.r_[same, False] | np.r_[False, same]
-    # segments: each run of equal rows, and each stretch of rows outside runs
-    cuts = np.flatnonzero(~same & (in_run[1:] | in_run[:-1])) + 1
-    bounds = [0, *cuts.tolist(), n_rows]
+    # segments: each run of several rows, and each stretch of one-row runs
+    several = lengths > 1
+    heads = np.flatnonzero(several | np.r_[True, several[:-1]]).tolist()
+    label_at = (np.cumsum(lengths) - lengths).tolist()  # each run's first row
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(quote_field(str(name)) for name in header) + "\n")
-        for first, last in zip(bounds[:-1], bounds[1:]):
-            if in_run[first]:
+        for k, k_end in zip(heads, heads[1:] + [n_runs]):
+            first = label_at[k]
+            if several[k]:
                 # one formatting of the run's values; each row only joins its label in
-                filled = (t % tuple(v) for t, v in zip(key_templates, values[first].tolist()))
+                filled = (t % tuple(v) for t, v in zip(key_templates, values[k].tolist()))
                 parts = ["", *filled]
+                last = first + int(lengths[k])
                 for start in range(first, last, per_call):
                     stop = min(start + per_call, last)
                     texts = [""] * (stop - start) if labels is None else labels[start:stop]
                     fh.write("".join([label.join(parts) for label in texts]))
                 continue
-            for start in range(first, last, per_call):
-                stop = min(start + per_call, last)
+            # one-row runs: value row k + i is label row first + i
+            for start in range(k, k_end, per_call):
+                stop = min(start + per_call, k_end)
                 block = args[: (stop - start) * n_keys]
                 if labels is not None:
-                    block[:, 0] = np.repeat(labels[start:stop], n_keys)
+                    at = first + start - k
+                    block[:, 0] = np.repeat(labels[at:at + stop - start], n_keys)
                 block[:, width - n_cols:] = values[start:stop].reshape(-1, n_cols)
                 template = block_template if stop - start == per_call else row_template * (stop - start)
                 fh.write(template % tuple(block.ravel().tolist()))

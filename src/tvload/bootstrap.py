@@ -14,9 +14,9 @@ one design, factored once, serves all draws, and a draw costs its fit's two
 solves.  A refitted curve is the basis times its 2^J wavelet coefficients,
 so a draw keeps only those coefficients, N*r*2^J values where its loading
 field has T*N*r.  The bands are formed one curve at a time from them, so the
-draws take B*N*r*2^J + T*B values at most, not B*T*N*r.  On a Haar basis
-with a dyadic grid every curve is constant on its 2^J blocks, so its bands
-are formed on the block rows alone.
+draws take B*N*r*2^J + T*B values at most, not B*T*N*r.  Every curve is
+constant on each run of the basis (2^J runs on any Haar grid, T on d8), so
+its bands are formed, held and written once per run.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,20 +33,34 @@ from ._table import write_table
 from .errors import NumericError, ParameterError
 from .factors import FactorEstimate, Panel, make_panel
 from .gls import fit_iterative
-from .wavelet import WaveletBasis
+from .wavelet import WaveletBasis, expand_runs
 
 __all__ = ["BandSet", "residual_bootstrap", "write_bands_csv", "write_plot_csv"]
 
 
 @dataclass(frozen=True)
 class BandSet:
-    """Pointwise bootstrap bands for the loading field (shapes T x N x r)."""
+    """Pointwise bootstrap bands for the loading field, held once per basis run.
+
+    ``lower_rows`` and ``upper_rows`` have shape (runs, N, r), and row k
+    covers ``run_lengths[k]`` grid points; ``lower`` and ``upper`` are those
+    rows spread over the grid, T x N x r, built when first read.
+    """
 
     level: float
-    lower: np.ndarray
-    upper: np.ndarray
+    lower_rows: np.ndarray
+    upper_rows: np.ndarray
+    run_lengths: np.ndarray
     B: int
     failed: tuple[tuple[int, str], ...] = ()
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        return expand_runs(self.lower_rows, self.run_lengths)
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        return expand_runs(self.upper_rows, self.run_lengths)
 
 
 def _one_draw(b, seed, E, X_hat, panel, factors, basis, design):
@@ -165,9 +180,7 @@ def residual_bootstrap(
     )
     # Curve-major: store[c] holds every draw's coefficients of curve c, one
     # row per draw, so each curve's field comes out of one product with the
-    # rows loadings_from_coeffs evaluates: the K = 2^J block rows of a Haar
-    # basis on a dyadic grid, whose sorted quantiles are then repeated over
-    # each block, else all T rows of the basis.
+    # basis's run rows, the rows loading_rows evaluates.
     N, r, p = fit.beta.shape
     store = np.empty((N * r, B, p))
     kept = 0
@@ -186,8 +199,7 @@ def residual_bootstrap(
             f"{len(failed)} of {B} bootstrap draws failed; first: "
             f"{failed[0] if failed else 'none'}"
         )
-    A = basis.block_rows
-    rows = basis.B if A is None else A
+    rows = basis.run_rows
     lo = np.empty((len(rows), N * r))
     hi = np.empty((len(rows), N * r))
     field = np.empty((len(rows), kept))  # curve c in every draw, reused for each c
@@ -196,30 +208,30 @@ def residual_bootstrap(
         field.sort(axis=1)
         lo[:, c] = _sorted_quantile(field, (1.0 - level) / 2.0)
         hi[:, c] = _sorted_quantile(field, (1.0 + level) / 2.0)
-    if A is not None:
-        lo, hi = (np.repeat(x, basis.T // len(A), axis=0) for x in (lo, hi))
-    return BandSet(level=level, lower=lo.reshape(-1, N, r), upper=hi.reshape(-1, N, r),
-                   B=B, failed=tuple(failed))
+    return BandSet(level=level, lower_rows=lo.reshape(-1, N, r), upper_rows=hi.reshape(-1, N, r),
+                   run_lengths=basis.run_lengths, B=B, failed=tuple(failed))
 
 
 def write_bands_csv(bands: BandSet, fit, path) -> None:
-    """Band table: t,series,factor,lower,point,upper,level."""
-    T, N, r = fit.Lambda.shape
+    """Band table: t,series,factor,lower,point,upper,level, written from the run rows."""
+    runs, N, r = fit.Lambda_rows.shape
     keys = [(sid, i + 1) for sid in fit.panel.series_ids for i in range(r)]
-    values = np.stack([bands.lower, fit.Lambda, bands.upper], axis=-1).reshape(T, N * r, 3)
+    values = np.stack([bands.lower_rows, fit.Lambda_rows, bands.upper_rows], axis=-1)
     write_table(path, ["t", "series", "factor", "lower", "point", "upper", "level"],
-                values, keys, rows=range(1, T + 1), tail=[format(float(bands.level), ".17g")])
+                values.reshape(runs, N * r, 3), keys, rows=range(1, fit.design.basis.T + 1),
+                tail=[format(float(bands.level), ".17g")], run_lengths=bands.run_lengths)
 
 
 def write_plot_csv(bands: BandSet, fit, series: str, factor: int, path) -> None:
-    """Single-curve plot data: t,point,lower,upper."""
+    """Single-curve plot data: t,point,lower,upper, written from the run rows."""
     try:
         m = fit.panel.series_ids.index(series)
     except ValueError:
         raise ParameterError(f"unknown series {series!r}") from None
     i = factor - 1
-    if not 0 <= i < fit.Lambda.shape[2]:
-        raise ParameterError(f"factor index {factor} outside 1..{fit.Lambda.shape[2]}")
-    values = np.stack([fit.Lambda[:, m, i], bands.lower[:, m, i], bands.upper[:, m, i]], axis=-1)
+    if not 0 <= i < fit.Lambda_rows.shape[2]:
+        raise ParameterError(f"factor index {factor} outside 1..{fit.Lambda_rows.shape[2]}")
+    values = np.stack([fit.Lambda_rows[:, m, i], bands.lower_rows[:, m, i],
+                       bands.upper_rows[:, m, i]], axis=-1)
     write_table(path, ["t", "point", "lower", "upper"], values[:, None, :],
-                rows=range(1, len(values) + 1))
+                rows=range(1, fit.design.basis.T + 1), run_lengths=bands.run_lengths)

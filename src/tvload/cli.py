@@ -130,7 +130,8 @@ def cmd_estimate(args) -> int:
                 f"rank selection found only the trivial plateau at r_max={sel.r_max}; "
                 f"{pass_r}")
         r = sel.r
-        selection = {"r": sel.r, "r_max": sel.r_max}
+        selection = {"r": sel.r, "r_max": sel.r_max, "plateau_width": sel.plateau_width,
+                     "n_stable_intervals": len(sel.intervals)}
     if args.nonstationary:
         est = nonstationary_factors(work, r, k=args.k)
     else:
@@ -213,6 +214,9 @@ def cmd_select_r(args) -> int:
         "chosen_r": int(sel.r),
         # only the under-penalized plateau at r_max was stable: no real selection
         "trivial_plateau": bool(sel.r == sel.r_max),
+        # a narrow chosen plateau among many stable ones is a fragile choice
+        "plateau_width": sel.plateau_width,
+        "n_stable_intervals": len(sel.intervals),
         "c_grid": [float(c) for c in sel.c_grid],
         "r_full_by_c": [int(x) for x in sel.r_full],
         "subsample_variance_by_c": [float(v) for v in sel.variance],

@@ -322,7 +322,7 @@ class FactorSelection:
     ``r_max`` is the largest candidate the scan used; ``r_sub[s, i]`` is the
     minimizer on subsample s at penalty constant ``c_grid[i]``; ``intervals``
     lists the zero-variance plateaus as (c_lo, c_hi, r, width) tuples, widest
-    first.
+    first; ``plateau_width`` is the width of the one the selection chose.
     """
 
     r: int
@@ -333,6 +333,11 @@ class FactorSelection:
     variance: np.ndarray
     ic_full: np.ndarray
     intervals: tuple[tuple[float, float, int, float], ...]
+
+    @property
+    def plateau_width(self) -> float:
+        # the chosen plateau is the widest of its r, and intervals lists the widest first
+        return next(width for _, _, r, width in self.intervals if r == self.r)
 
 
 def _ic_minimizers(values: np.ndarray, r_max: int, c_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,10 +18,12 @@ draw does, pays for the two solves alone.
 
 A design keeps the factors and the basis, not Psi.  On a Haar basis whose
 2^J dyadic blocks tile the grid, Psi'Psi and Psi'Y come from per-block factor
-sums, and a loading field or fitted panel from the 2^J block rows, so a
-field is exactly constant on each block; every other basis forms them from
-Psi, built once when first needed, and the field from the full basis
-matrix.
+sums, and a fitted panel from the 2^J block rows; every other basis forms
+them from Psi, built once when first needed.  A loading field is held once
+per run of the basis (``WaveletBasis.run_rows``): 2^J rows on any Haar
+grid, dyadic or not, and T on d8.  So a field is exactly constant on each
+run, and the loadings artifact is written from those rows without the
+T x N x r field ever being built.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ import numpy as np
 from ._table import read_table, write_table
 from .errors import NumericError, ParameterError, RankDeficiencyError, ShapeError
 from .factors import FactorEstimate, Panel
-from .wavelet import WaveletBasis
+from .wavelet import WaveletBasis, expand_runs
 
 __all__ = [
     "DesignBlock",
     "GlsFit",
     "build_design",
     "gls_step",
+    "loading_rows",
     "loadings_from_coeffs",
     "common_component",
     "fit_iterative",
@@ -255,23 +258,29 @@ def gls_step(
     return design.solve(Y)
 
 
-def loadings_from_coeffs(beta: np.ndarray, basis: WaveletBasis) -> np.ndarray:
-    """Evaluate every loading curve on the grid: result is T x N x r.
+def loading_rows(beta: np.ndarray, basis: WaveletBasis) -> np.ndarray:
+    """Every loading curve at each run of the basis: shape (runs, N, r).
 
-    A Haar basis on a dyadic grid evaluates its 2^J block rows and repeats
-    each over its block, so the field is exactly constant on every block;
-    every other basis multiplies the full T x 2^J matrix.
+    Row k is the field on the ``basis.run_lengths[k]`` grid points of run k:
+    2^J rows on a Haar basis, T on d8.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.ndim != 3 or beta.shape[2] != basis.n_columns:
         raise ShapeError(
             f"beta must be (N, r, {basis.n_columns}), got {beta.shape}"
         )
-    T, p = basis.B.shape
-    coeffs = beta.reshape(-1, p).T
-    A = basis.block_rows
-    field = basis.B @ coeffs if A is None else np.repeat(A @ coeffs, T // len(A), axis=0)
-    return field.reshape(T, beta.shape[0], beta.shape[1])
+    rows = basis.run_rows
+    field = rows @ beta.reshape(-1, basis.n_columns).T
+    return field.reshape(len(rows), beta.shape[0], beta.shape[1])
+
+
+def loadings_from_coeffs(beta: np.ndarray, basis: WaveletBasis) -> np.ndarray:
+    """Evaluate every loading curve on the grid: result is T x N x r.
+
+    The field is ``loading_rows`` spread over the grid, so it is exactly
+    constant on every run of the basis.
+    """
+    return expand_runs(loading_rows(beta, basis), basis.run_lengths)
 
 
 def common_component(Lambda: np.ndarray, factors: FactorEstimate | np.ndarray) -> np.ndarray:
@@ -303,9 +312,11 @@ class GlsFit:
 
     ``beta[m, i]`` holds series m's coefficients for factor i in basis-column
     order; ``deltas`` records the loading-field movement of the second pass.
-    ``Lambda[t, m, i]``, the loading curve on the grid, and ``Gamma_e``, the
-    residual covariance E'E / T with E = Y - Psi beta, are built from
-    (beta, design, panel) when each is first read, and kept.
+    ``Lambda_rows``, the loading curves once per run of the basis,
+    ``Lambda[t, m, i]``, those rows spread over the grid, and ``Gamma_e``,
+    the residual covariance E'E / T with E = Y - Psi beta, are built from
+    (beta, design, panel) when each is first read, and kept.  ``Lambda`` is
+    ``Lambda_rows`` itself where every run is one point long, as on d8.
     """
 
     n_iter = 2  # the fit is always the identity pass and the weighted pass
@@ -322,8 +333,12 @@ class GlsFit:
         return self.deltas[0] < CONVERGENCE_TOL
 
     @cached_property
+    def Lambda_rows(self) -> np.ndarray:
+        return loading_rows(self.beta, self.design.basis)
+
+    @cached_property
     def Lambda(self) -> np.ndarray:
-        return loadings_from_coeffs(self.beta, self.design.basis)
+        return expand_runs(self.Lambda_rows, self.design.basis.run_lengths)
 
     @cached_property
     def Gamma_e(self) -> np.ndarray:
@@ -387,11 +402,13 @@ def fit_iterative(
 
 
 def write_loadings_csv(fit: GlsFit, path) -> None:
-    """Long-format loading field: t,series,factor,lambda_hat."""
-    T, N, r = fit.Lambda.shape
+    """Long-format loading field: t,series,factor,lambda_hat, written from the run rows."""
+    basis = fit.design.basis
+    runs, N, r = fit.Lambda_rows.shape
     keys = [(sid, i + 1) for sid in fit.panel.series_ids for i in range(r)]
     write_table(path, ["t", "series", "factor", "lambda_hat"],
-                fit.Lambda.reshape(T, N * r, 1), keys, rows=range(1, T + 1))
+                fit.Lambda_rows.reshape(runs, N * r, 1), keys, rows=range(1, basis.T + 1),
+                run_lengths=basis.run_lengths)
 
 
 def write_coefficients_csv(fit: GlsFit, path) -> None:
@@ -405,19 +422,26 @@ def write_coefficients_csv(fit: GlsFit, path) -> None:
 def read_coefficients_csv(path, series_ids, basis: WaveletBasis, r: int) -> np.ndarray:
     """Inverse of ``write_coefficients_csv``; returns beta with shape (N, r, 2^J).
 
-    A line naming no coefficient, or a coefficient left out, raises ``ShapeError``.
+    A line naming no coefficient, a coefficient named twice, or one left out
+    raises ``ShapeError``.
     """
     pos = {sid: m for m, sid in enumerate(series_ids)}
     factor = {str(i + 1): i for i in range(r)}
     col = {(str(j), str(k)): c for c, (j, k) in enumerate(basis.column_index)}
     _, keys, values = read_table(path, n_keys=3)
     beta = np.full((len(series_ids), r, basis.n_columns), np.nan)
-    for (sid, i, j, k), value in zip(keys, values[:, 0]):
+    for key, value in zip(keys, values[:, 0]):
+        sid, i, j, k = key
         try:
-            beta[pos[sid], factor[i], col[j, k]] = value
+            at = (pos[sid], factor[i], col[j, k])
         except KeyError:
             raise ShapeError(f"{path}: no coefficient (series, factor, level_j, shift_k) = "
-                             f"{(sid, i, j, k)}") from None
+                             f"{key}") from None
+        # every value read is finite, so a filled cell is one named before
+        if not np.isnan(beta[at]):
+            raise ShapeError(f"{path}: coefficient (series, factor, level_j, shift_k) = "
+                             f"{key} appears twice")
+        beta[at] = value
     if np.isnan(beta).any():
         raise ShapeError(f"{path}: incomplete coefficient table")
     return beta

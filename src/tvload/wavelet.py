@@ -5,6 +5,13 @@ Two families are supported: the Haar system, evaluated in closed form, and the
 periodized to [0, 1].  A basis is represented as a dense T x 2^J design matrix
 whose rows are the grid points u = t/T, t = 1..T, and whose columns are the
 scale function followed by the wavelets in (level, shift) order.
+
+Every basis also has a run-length form: its distinct consecutive rows and
+the number of grid points each covers.  A Haar basis is constant between
+the points k/2^J, so it has 2^J runs, equal on a grid that 2^J divides and
+of unequal lengths on any other; a d8 basis with a wavelet column has T
+runs of one point.  A field evaluated on the basis is held and written once
+per run, and ``expand_runs`` spreads it over the grid.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ __all__ = [
     "haar_eval",
     "daubechies8_table",
     "evaluate_basis",
+    "expand_runs",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -255,8 +263,11 @@ class WaveletBasis:
     (level, shift) order as recorded in ``column_index`` (the scale column is
     tagged (-1, 0)).
 
-    A Haar basis on a grid that K = 2^J divides is constant on K dyadic
-    blocks of T/K rows; ``block_rows`` then holds the row A_k of each block.
+    ``run_rows`` and ``run_lengths`` are its run-length form: the runs of
+    bitwise-equal consecutive rows of ``B``, one row each, and the grid
+    points each covers.  A Haar basis on a grid that K = 2^J divides is
+    constant on K dyadic blocks of T/K rows; ``block_rows`` then holds the
+    row A_k of each block.
     """
 
     family: WaveletFamily
@@ -276,6 +287,36 @@ class WaveletBasis:
         if self.family is not WaveletFamily.HAAR or self.T % K:
             return None
         return self.B[:: self.T // K]
+
+    @cached_property
+    def run_lengths(self) -> np.ndarray:
+        """Grid points covered by each run of bitwise-equal consecutive rows of ``B``."""
+        bits = self.B.view(np.uint64)
+        firsts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+        lengths = np.diff(np.r_[firsts, self.T])
+        lengths.setflags(write=False)
+        return lengths
+
+    @cached_property
+    def run_rows(self) -> np.ndarray:
+        """One row of ``B`` per run: ``B == expand_runs(run_rows, run_lengths)``."""
+        lengths = self.run_lengths
+        if len(lengths) == self.T:
+            return self.B
+        rows = self.B[np.cumsum(lengths) - lengths]
+        rows.setflags(write=False)
+        return rows
+
+
+def expand_runs(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Spread rows held once per run over the grid: row k fills ``lengths[k]`` points.
+
+    Where every run is one point long the rows are the grid's, and are
+    returned as they are, without a copy.
+    """
+    if len(rows) == lengths.sum():
+        return rows
+    return np.repeat(rows, lengths, axis=0)
 
 
 def evaluate_basis(

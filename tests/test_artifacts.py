@@ -3,8 +3,8 @@
 Each public ``write_*`` is compared with a reference writer that formats
 every value on its own with ``format(float(v), ".17g")``, on values whose
 shortest text is awkward (signed zeros, subnormals, huge and tiny floats,
-non-terminating fractions, integral floats), on piecewise-constant values
-whose repeated rows the writer formats once, and on the smallest shapes.
+non-terminating fractions, integral floats), on fields held once per run of
+rows, each run formatted once, and on the smallest shapes.
 """
 
 import csv
@@ -17,8 +17,9 @@ import pytest
 from tvload._table import write_table
 from tvload.bootstrap import BandSet, write_bands_csv, write_plot_csv
 from tvload.cli import _reload_estimate, _write_factors_csv, main
+from tvload.errors import ShapeError
 from tvload.factors import make_panel, read_panel_csv, select_num_factors, write_panel_csv
-from tvload.gls import write_coefficients_csv, write_covariance_csv, write_loadings_csv
+from tvload.gls import GlsFit, write_coefficients_csv, write_covariance_csv, write_loadings_csv
 from tvload.sim import (
     DgpConfig,
     ExperimentReport,
@@ -27,7 +28,7 @@ from tvload.sim import (
     write_detail_csv,
     write_report_csv,
 )
-from tvload.wavelet import evaluate_basis
+from tvload.wavelet import evaluate_basis, expand_runs
 
 AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 0.1, 1 / 3, -2 / 3,
            1.0, -7.0, 12345678.0, 2.0**53, 0.95, 1.7976931348623157e308)
@@ -44,15 +45,12 @@ def _awkward(shape, seed):
     return np.array([AWKWARD[(start + k) % len(AWKWARD)] for k in range(n)]).reshape(shape)
 
 
-def _piecewise(shape, bounds, seed):
-    """An array whose rows are constant on each [bounds[k], bounds[k + 1]).
-
-    The first piece is all 0.0 and the second all -0.0, so the rows where
-    they meet differ only by the sign of zero; later pieces are awkward.
-    """
+def _run_rows(shape, seed):
+    """One row per run: the first all 0.0 and the second all -0.0, so the runs
+    where they meet differ only by the sign of zero; later rows are awkward."""
     out = np.empty(shape)
-    for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        out[a:b] = (0.0, -0.0)[k] if k < 2 else _awkward(shape[1:], seed + k)
+    for k in range(shape[0]):
+        out[k] = (0.0, -0.0)[k] if k < 2 else _awkward(shape[1:], seed + k)
     return out
 
 
@@ -148,22 +146,31 @@ def _ref_detail(reports, path):
 SHAPES = [(2, 1, 1), (2, 3, 2), (16, 1, 3), (8, 4, 1), (64, 5, 2), (600, 1, 1)]
 
 
-def _fit(beta, Lambda, Gamma_e, panel, basis):
+def _fit(beta, rows, Gamma_e, panel, basis):
     """A stand-in for a fit on ``panel`` and ``basis`` that holds the given arrays,
     which a real fit derives from its coefficients, so the writers see values no
-    fit would produce."""
-    return SimpleNamespace(beta=beta, Lambda=Lambda, Gamma_e=Gamma_e, panel=panel,
+    fit would produce.  ``rows`` is the loading field once per run of the basis,
+    as a fit holds it; ``Lambda`` spreads it over the grid for the references."""
+    return SimpleNamespace(beta=beta, Lambda_rows=rows, Gamma_e=Gamma_e, panel=panel,
+                           Lambda=expand_runs(rows, basis.run_lengths),
                            design=SimpleNamespace(basis=basis))
 
 
+def _bands(level, lower_rows, upper_rows, basis):
+    return BandSet(level=level, lower_rows=lower_rows, upper_rows=upper_rows,
+                   run_lengths=basis.run_lengths, B=10)
+
+
 def _fixture(T, N, r, seed):
+    # runs of two rows, and of two or three on the grid of 600 that 2^8 does not divide
     basis = evaluate_basis("haar", max(0, int(np.log2(T)) - 1), T)
+    runs = len(basis.run_lengths)
     panel = make_panel(_awkward((T, N), seed), [f"s{m + 1}" for m in range(N)])
     fit = _fit(beta=_awkward((N, r, basis.n_columns), seed + 1),
-               Lambda=_awkward((T, N, r), seed + 2), Gamma_e=_awkward((N, N), seed + 3),
+               rows=_awkward((runs, N, r), seed + 2), Gamma_e=_awkward((N, N), seed + 3),
                panel=panel, basis=basis)
-    bands = BandSet(level=AWKWARD[seed % len(AWKWARD)], lower=_awkward((T, N, r), seed + 4),
-                    upper=_awkward((T, N, r), seed + 5), B=10)
+    bands = _bands(AWKWARD[seed % len(AWKWARD)], _awkward((runs, N, r), seed + 4),
+                   _awkward((runs, N, r), seed + 5), basis)
     return fit, bands
 
 
@@ -195,10 +202,10 @@ def test_fit_writers_match_the_per_value_reference(tmp_path, T, N, r):
     _assert_fit_writers_match(tmp_path, *_fixture(T, N, r, seed=T + N + r))
 
 
-# Row bounds of the pieces of a piecewise-constant table.  On the one-line-per-row
-# tables a block of the writer holds 512 rows: 500..530 straddles its end, and
-# the last run, longer than a block, ends on the last row; 530 and 531 are rows
-# equal to neither neighbour.
+# Row bounds of the runs of a stand-in basis.  On the one-line-per-row tables a
+# block of the writer holds 512 rows: 500..530 straddles its end, and the last
+# run, longer than a block, ends on the last row; 530 and 531 are runs of one
+# row.  The runs of 0.0 and -0.0 meet at row 2, or at row 1 as one-row runs.
 RUNS = {
     "runs": [0, 2, 6, 500, 530, 531, 532, 1100],
     "one run": [0, 40],
@@ -209,14 +216,23 @@ RUNS = {
 @pytest.mark.parametrize("bounds", RUNS.values(), ids=RUNS.keys())
 def test_fit_writers_match_the_per_value_reference_on_repeated_rows(tmp_path, bounds):
     T, N, r = bounds[-1], 3, 2
-    basis = evaluate_basis("haar", 1, T)
+    columns = evaluate_basis("haar", 1, T).column_index
+    basis = SimpleNamespace(T=T, run_lengths=np.diff(bounds), column_index=columns)
+    runs = len(bounds) - 1
     ids = ["a,b", 'say "hi"', "5%s%%"]
-    field = lambda seed: _piecewise((T, N, r), bounds, seed)
-    panel = make_panel(_piecewise((T, N), bounds, 1), ids)
-    fit = _fit(beta=_awkward((N, r, basis.n_columns), 2), Lambda=field(3),
+    panel = make_panel(expand_runs(_run_rows((runs, N), 1), basis.run_lengths), ids)
+    fit = _fit(beta=_awkward((N, r, len(columns)), 2), rows=_run_rows((runs, N, r), 3),
                Gamma_e=_awkward((N, N), 4), panel=panel, basis=basis)
-    bands = BandSet(level=0.95, lower=field(5), upper=field(6), B=10)
+    bands = _bands(0.95, _run_rows((runs, N, r), 5), _run_rows((runs, N, r), 6), basis)
     _assert_fit_writers_match(tmp_path, fit, bands)
+
+
+def test_run_lengths_must_cover_the_row_labels(tmp_path):
+    values = np.zeros((2, 1, 1))
+    for lengths, rows in [([2, 3], range(1, 5)), ([2, 3], range(1, 7)), ([5], range(1, 6)),
+                          ([0, 5], range(1, 6))]:
+        with pytest.raises(ShapeError):
+            write_table(tmp_path / "t.csv", ["t", "v"], values, rows=rows, run_lengths=lengths)
 
 
 @pytest.mark.parametrize("rows", [None, ["x,y", 'q"', "7%", 3]])
@@ -241,13 +257,20 @@ def test_edge_shapes_match_the_per_value_reference(tmp_path, rows):
 
 
 @pytest.mark.parametrize("family, T", [("haar", 256), ("haar", 200), ("d8", 256)])
-def test_estimate_loadings_match_the_per_value_reference(tmp_path, family, T):
+def test_estimate_loadings_match_the_per_value_reference(tmp_path, monkeypatch, family, T):
     panel_csv = tmp_path / "panel.csv"
     Y = simulate_dgp(DgpConfig(N=4, T=T, r=2, seed=9)).Y
     write_panel_csv(make_panel(Y, ["a,b", 'q"', "7%", "s4"]), panel_csv)
     run = tmp_path / "est"
-    assert main(["estimate", "--input", str(panel_csv), "--output-dir", str(run),
-                 "--r", "2", "--family", family]) == 0
+
+    def spread(fit):
+        raise AssertionError("estimate spread its loading field over the grid")
+
+    # the artifacts come from the run rows: the T x N x r field is never built
+    with monkeypatch.context() as patch:
+        patch.setattr(GlsFit, "Lambda", property(spread))
+        assert main(["estimate", "--input", str(panel_csv), "--output-dir", str(run),
+                     "--r", "2", "--family", family]) == 0
     _, fit, _ = _reload_estimate(run)
     _ref_loadings(fit, tmp_path / "want.csv")
     assert (run / "loadings.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -287,8 +287,7 @@ def test_estimate_writes_verifiable_artifacts(tmp_path, panel_csv):
     assert report["standardization"] == "center-scale"
     assert report["selection"] is None
     assert report["input"]["T"] == 64 and report["input"]["N"] == 6
-    assert report["input"]["sha256"] == hashlib.sha256(
-        open(panel_csv, "rb").read()).hexdigest()
+    assert report["input"]["sha256"] == hashlib.sha256(Path(panel_csv).read_bytes()).hexdigest()
     assert (out / "factors.csv").read_text().splitlines()[0] == "t,factor_1,factor_2"
 
 
@@ -455,7 +454,8 @@ def test_estimate_auto_selects_rank(tmp_path, panel_csv):
     out = tmp_path / "est"
     assert main(["estimate", "--input", panel_csv, "--output-dir", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["selection"] == {"r": 2, "r_max": 5}
+    assert report["selection"] == {"r": 2, "r_max": 5, "plateau_width": 0.1013559322033899,
+                                   "n_stable_intervals": 1}
     assert report["parameters"]["r"] == 2
 
 
@@ -478,7 +478,8 @@ def test_estimate_nonstationary_selects_the_rank_on_the_differenced_panel(tmp_pa
     assert main(["estimate", "--input", str(path), "--output-dir", str(out),
                  "--nonstationary"]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["selection"] == {"r": 2, "r_max": 8}
+    assert report["selection"] == {"r": 2, "r_max": 8, "plateau_width": 1.672372881355932,
+                                   "n_stable_intervals": 2}
     assert report["method"] == "GeneralizedCovariance(1,1,1)"
 
 
@@ -501,6 +502,9 @@ def test_select_r_reports_the_chosen_rank(tmp_path, panel_csv):
     report = json.loads((out / "report.json").read_text())
     assert report["chosen_r"] == 2
     assert report["trivial_plateau"] is False
+    chosen = [iv for iv in report["stability_intervals"] if iv["r"] == 2][0]
+    assert report["plateau_width"] == chosen["width"] > 0.0
+    assert report["n_stable_intervals"] == len(report["stability_intervals"])
     lines = (out / "ic_values.csv").read_text().splitlines()
     assert lines[0] == "c,r,ic"
 
@@ -719,9 +723,11 @@ def _damage(path, edit):
     ("factors.csv", lambda line: line.rsplit(",", 1)[0] + "\n", "ShapeError"),
     ("factors.csv", lambda line: "", "ShapeError"),
     ("coefficients.csv", lambda line: "zz" + line[line.index(","):], "ShapeError"),
+    ("coefficients.csv", lambda line: line + line.rsplit(",", 1)[0] + ",123.0\n", "ShapeError"),
     ("factors.csv", lambda line: re.sub(",[^,]*", ",abc", line, count=1),
      "MissingDataError"),
-], ids=["truncated row", "missing row", "unknown series", "non-numeric cell"])
+], ids=["truncated row", "missing row", "unknown series", "repeated coefficient",
+        "non-numeric cell"])
 def test_bootstrap_reports_a_damaged_estimate_run(tmp_path, panel_csv, capsys, name, edit, error):
     est = tmp_path / "est"
     assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),

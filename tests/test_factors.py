@@ -16,6 +16,7 @@ from tvload.errors import (
     ShapeError,
 )
 from tvload.factors import (
+    FactorSelection,
     first_difference,
     generalized_covariance,
     make_panel,
@@ -396,6 +397,15 @@ def test_select_two_noisy_factors_skips_trivial_plateau():
     sel = select_num_factors(make_panel(Y), 6)
     assert sel.r == 2
     assert any(iv[2] == 6 for iv in sel.intervals)  # the trivial one exists
+
+
+def test_the_plateau_width_is_the_chosen_plateaus():
+    # the trivial plateau at r_max is the widest, and r = 2 has two plateaus
+    intervals = ((0.01, 1.0, 6, 0.99), (1.2, 1.5, 2, 0.3), (2.0, 2.1, 2, 0.1))
+    grid = np.zeros(3)
+    sel = FactorSelection(r=2, r_max=6, c_grid=grid, r_full=grid, r_sub=grid[None],
+                          variance=grid, ic_full=grid[:, None], intervals=intervals)
+    assert sel.plateau_width == 0.3
 
 
 def test_select_zero_factors_for_pure_noise():

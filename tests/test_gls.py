@@ -403,13 +403,44 @@ def test_haar_field_on_a_dyadic_grid_is_exactly_block_constant():
     assert np.max(np.abs(Lambda - ref)) <= 1e-15 * np.max(np.abs(Lambda))
 
 
-@pytest.mark.parametrize("family,T,J", [("d8", 512, 5), ("d8", 777, 4), ("haar", 777, 5)])
+@pytest.mark.parametrize("family,T,J", [("d8", 512, 5), ("d8", 777, 4)])
 def test_other_fields_are_the_basis_product_bit_for_bit(family, T, J):
     rng = np.random.default_rng(13)
     basis = evaluate_basis(family, J, T)
     assert basis.block_rows is None
     beta = rng.normal(size=(6, 2, 2**J))
     assert np.array_equal(loadings_from_coeffs(beta, basis), _basis_product(beta, basis))
+
+
+@pytest.mark.parametrize("T,J", [(777, 5), (1000, 5), (200, 3), (8760, 6)])
+def test_haar_field_on_any_grid_is_exactly_constant_on_each_run(T, J):
+    # 2^J runs, one per interval ((k-1)/2^J, k/2^J] of the grid t/T
+    rng = np.random.default_rng(14)
+    basis = evaluate_basis("haar", J, T)
+    assert len(basis.run_lengths) == 2**J
+    assert set(basis.run_lengths.tolist()) == {T // 2**J, -(-T // 2**J)}
+    assert np.array_equal(np.repeat(basis.run_rows, basis.run_lengths, axis=0), basis.B)
+    beta = rng.normal(size=(6, 2, 2**J))
+    Lambda = loadings_from_coeffs(beta, basis)
+    bits = Lambda.reshape(T, -1).view(np.uint64)
+    assert len(np.unique(bits, axis=0)) == 2**J
+    firsts = np.repeat(np.cumsum(basis.run_lengths) - basis.run_lengths, basis.run_lengths)
+    assert (bits == bits[firsts]).all()
+    ref = _basis_product(beta, basis)
+    assert np.max(np.abs(Lambda - ref)) <= 1e-15 * np.max(np.abs(Lambda))
+
+
+def test_a_d8_field_is_its_run_rows_without_a_copy():
+    # every run of a d8 basis is one point long, so reading Lambda copies nothing
+    rng = np.random.default_rng(15)
+    T, N, r = 64, 4, 2
+    basis = evaluate_basis("d8", 3, T)
+    assert basis.run_lengths.tolist() == [1] * T and basis.run_rows is basis.B
+    fac = _factors(rng.normal(size=(T, r)))
+    fit = fit_iterative(make_panel(rng.normal(size=(T, N))), fac, basis)
+    rows = fit.Lambda_rows
+    assert rows.shape == (T, N, r)
+    assert fit.Lambda is rows
 
 
 # ---------------------------------------------------------------- residual cov
@@ -547,15 +578,15 @@ def test_fit_keeps_the_first_pass_covariance_when_nothing_moves(monkeypatch):
     rng = np.random.default_rng(20)
     basis, fac, _, _, clean = _random_instance(rng)
     panel = make_panel(clean.values + 0.5 * rng.normal(size=clean.values.shape))
-    calls = _count_calls(monkeypatch, ["fitted", "loadings_from_coeffs"])
+    calls = _count_calls(monkeypatch, ["fitted", "loading_rows"])
     fit = fit_iterative(panel, fac, basis)
     assert fit.deltas == (0.0,)
     assert fit.converged and fit.n_iter == 2
     # the one fitted panel so far is pass 1's, for the pass-2 weight
-    assert calls == {"fitted": 1, "loadings_from_coeffs": 0}
+    assert calls == {"fitted": 1, "loading_rows": 0}
     gamma = fit.Gamma_e
     assert fit.Gamma_e is gamma and fit.Lambda is fit.Lambda
-    assert calls == {"fitted": 2, "loadings_from_coeffs": 1}
+    assert calls == {"fitted": 2, "loading_rows": 1}
     design = build_design(fac, basis)
     E = panel.values - design.fitted(gls_step(panel, design, np.eye(panel.N)))
     assert np.array_equal(gamma, E.T @ E / panel.T)
@@ -584,12 +615,14 @@ def test_fit_peaks_under_twice_the_loading_field():
 
 def test_kronecker_fit_builds_one_field_from_two_solves(monkeypatch):
     panel, fac, basis = _wide_fit_inputs()
-    calls = _count_calls(monkeypatch, ["gls_step", "loadings_from_coeffs", "fitted"])
+    calls = _count_calls(monkeypatch, ["gls_step", "loading_rows", "fitted"])
     fit = fit_iterative(panel, fac, basis)
-    assert calls == {"gls_step": 2, "loadings_from_coeffs": 0, "fitted": 1}
+    assert calls == {"gls_step": 2, "loading_rows": 0, "fitted": 1}
     field = fit.Lambda
     assert fit.Lambda is field
-    assert calls == {"gls_step": 2, "loadings_from_coeffs": 1, "fitted": 1}
+    # the field is the fit's run rows spread over the grid, built once
+    assert calls == {"gls_step": 2, "loading_rows": 1, "fitted": 1}
+    assert len(fit.Lambda_rows) == basis.n_columns
     assert fit.deltas == (0.0,) and fit.n_iter == 2 and fit.converged
     assert np.array_equal(field, loadings_from_coeffs(fit.beta, basis))
 
@@ -679,6 +712,19 @@ def test_coefficients_csv_round_trip(tmp_path):
         beta = read_coefficients_csv(path, fit.panel.series_ids, fit.design.basis,
                                      fit.beta.shape[1])
         assert np.array_equal(beta, fit.beta), k  # .17g round-trips exactly
+
+
+def test_a_coefficient_named_twice_is_rejected(tmp_path):
+    rng = np.random.default_rng(21)
+    basis, fac, _, _, panel = _random_instance(rng)
+    fit = fit_iterative(panel, fac, basis)
+    path = tmp_path / "coef.csv"
+    write_coefficients_csv(fit, path)
+    lines = path.read_text().splitlines(keepends=True)
+    # a later line naming the first coefficient again would overwrite it
+    path.write_text("".join([*lines, lines[1].rsplit(",", 1)[0] + ",123.0\n"]))
+    with pytest.raises(ShapeError, match=r"\('s1', '1', '-1', '0'\) appears twice"):
+        read_coefficients_csv(path, panel.series_ids, basis, fit.beta.shape[1])
 
 
 def test_loadings_and_covariance_csv_headers(tmp_path):

@@ -104,10 +104,15 @@ def cmd_estimate(args) -> int:
         standardization = "scale-only"
         # the lag-covariance scale T^-(2d+d') is fixed at d = d' = 1
         method = f"GeneralizedCovariance({args.k},1,1)"
+        # rank selection differences the panel as read
+        select_from = panel
     else:
         work = standardize(panel)
         standardization = "center-scale"
         method = "PCA"
+        # selection standardizes its panel, and takes a standardized one as it is
+        select_from = work
+    del panel  # work carries the series ids
     # A grid too short for the basis fails here, before any factor work.
     J = args.J if args.J is not None else select_resolution(work.T)
     basis = evaluate_basis(args.family, J, work.T)
@@ -117,7 +122,7 @@ def cmd_estimate(args) -> int:
     if r is None:
         pass_r = "pass --r to fit a chosen number of factors"
         try:
-            sel = select_num_factors(panel, args.r_max,
+            sel = select_num_factors(select_from, args.r_max,
                                      first_difference_panel=args.nonstationary)
         except ParameterError as exc:
             raise ParameterError(f"{exc}; {pass_r}") from None
@@ -155,7 +160,7 @@ def cmd_estimate(args) -> int:
             "sha256": _sha256(args.input),
             "T": work.T,
             "N": work.N,
-            "series_ids": list(panel.series_ids),
+            "series_ids": list(work.series_ids),
         },
         "method": method,
         "standardization": standardization,

@@ -132,7 +132,8 @@ def standardize(panel: Panel) -> Panel:
         return panel
     means = panel.values.mean(axis=0)
     sds = _series_sds(panel, "standardized")
-    vals = (panel.values - means) / sds
+    vals = panel.values - means
+    vals /= sds
     return replace(panel, values=vals, means=means, sds=sds)
 
 

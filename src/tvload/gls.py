@@ -16,14 +16,16 @@ and the residual covariance are built from them, and from the panel, when
 first read, so a caller that keeps only the coefficients, as every bootstrap
 draw does, pays for the two solves alone.
 
-A design keeps the factors and the basis, not Psi.  On a Haar basis whose
-2^J dyadic blocks tile the grid, Psi'Psi and Psi'Y come from per-block factor
-sums, and a fitted panel from the 2^J block rows; every other basis forms
-them from Psi, built once when first needed.  A loading field is held once
-per run of the basis (``WaveletBasis.run_rows``): 2^J rows on any Haar
-grid, dyadic or not, and T on d8.  So a field is exactly constant on each
-run, and the loadings artifact is written from those rows without the
-T x N x r field ever being built.
+A design keeps the factors and the basis, and no fit builds Psi.  On a Haar
+basis whose 2^J dyadic blocks tile the grid, Psi'Psi and Psi'Y come from
+per-block factor sums, and a fitted panel from the 2^J block rows.  Every
+other basis adds Psi'Psi up over row slabs of Psi of at most 256 grid
+points, and forms Psi'Y and the fitted panel one factor at a time from row
+slabs of B.  A loading field is held once per run of the basis
+(``WaveletBasis.run_rows``): 2^J rows on any Haar grid, dyadic or not, and
+T on d8.  So a field is exactly constant on each run, and the loadings
+artifact is written from those rows without the T x N x r field ever being
+built.
 """
 
 from __future__ import annotations
@@ -53,14 +55,21 @@ __all__ = [
     "write_covariance_csv",
 ]
 
+# Off the Haar block path, Psi'Psi is added up over row slabs of Psi of at
+# most _GRAM_ROWS grid points, each dropped after its product.  Psi'Y and the
+# fitted panel go over row slabs of B of at most _SLAB_VALUES values.
+_GRAM_ROWS = 256
+_SLAB_VALUES = 2**15
+
 
 @dataclass(frozen=True)
 class DesignBlock:
     """Stacked regression design: ``Psi[:, i*2^J:(i+1)*2^J]`` belongs to factor i.
 
     A design keeps the T x r factor paths ``F`` and the ``basis``; the
-    T x (r * 2^J) matrix ``Psi`` is built only when it is read.  The design
-    is also the loading solver for its factors and basis.  The first
+    T x (r * 2^J) matrix ``Psi`` is built only when it is read, which only
+    the rank-deficiency report and the dense ``sigma_full`` oracle do.  The
+    design is also the loading solver for its factors and basis.  The first
     ``solve`` takes the Cholesky factor L of Psi'Psi and keeps its inverse, so
     every panel costs one product Psi'Y and two triangular-matrix products;
     ``gram_condition`` reads the conditioning of Psi'Psi off the same factor.
@@ -69,7 +78,12 @@ class DesignBlock:
     blocks of T/K rows, with row A_k on block k.  There Psi'Psi and Psi'Y
     are formed from per-block sums, without Psi: the (i, j) block of the
     Gram matrix is A' diag(S_k[i, j]) A with S_k = F_k'F_k, and Psi'Y is
-    A'W with W_k = F_k'Y_k.  Every other basis forms both from Psi.
+    A'W with W_k = F_k'Y_k.  Every other basis adds Psi'Psi up over row
+    slabs Psi_b of at most ``_GRAM_ROWS`` grid points, each dropped after its
+    product.  Block i of Psi'Y is B'(F_i * Y) and the fitted panel is
+    sum_i F_i * (B beta_i'), both formed over row slabs of B of at most
+    ``_SLAB_VALUES`` values, so that a slab stays in cache while each factor
+    reads it.
     """
 
     F: np.ndarray
@@ -91,10 +105,27 @@ class DesignBlock:
         Fk = self.F.reshape(K, -1, self.r)
         return Fk.transpose(0, 2, 1) @ X.reshape(K, Fk.shape[1], -1)
 
+    def _slabs(self, height: int):
+        """Consecutive row slabs of at most ``height`` grid points: (rows, F_b, B_b)."""
+        F, B = self.F, self.basis.B
+        for start in range(0, len(F), height):
+            rows = slice(start, start + height)
+            yield rows, F[rows], B[rows]
+
+    @property
+    def _slab_height(self) -> int:
+        # B_b is read once per factor, so a slab keeps it to _SLAB_VALUES values
+        return max(1, _SLAB_VALUES // self.basis.n_columns)
+
     def _gram(self) -> np.ndarray:
         A = self.basis.block_rows
         if A is None:
-            return self.Psi.T @ self.Psi
+            gram = np.zeros((self.r * self.basis.n_columns,) * 2)
+            for _, Fb, Bb in self._slabs(_GRAM_ROWS):
+                # the slab's rows of Psi, held transposed: Psi_b'
+                Psi_bt = (Fb.T[:, None, :] * Bb.T[None, :, :]).reshape(-1, len(Fb))
+                gram += Psi_bt @ Psi_bt.T
+            return gram
         r, p = self.r, A.shape[1]
         S = self._by_block(self.F)  # (K, r, r)
         # block (i, j) = A' diag(S[:, i, j]) A, one batched product for all r^2
@@ -104,7 +135,12 @@ class DesignBlock:
     def _cross(self, Y: np.ndarray) -> np.ndarray:
         A = self.basis.block_rows
         if A is None:
-            return self.Psi.T @ Y
+            # block i of Psi'Y is B'(F_i * Y), added up over the slabs
+            cross = np.zeros((self.r, self.basis.n_columns, Y.shape[1]))
+            for rows, Fb, Bb in self._slabs(self._slab_height):
+                for i, f in enumerate(Fb.T):
+                    cross[i] += Bb.T @ (f[:, None] * Y[rows])
+            return cross.reshape(-1, Y.shape[1])
         W = self._by_block(Y)  # (K, r, N)
         return (A.T @ W.transpose(1, 0, 2)).reshape(-1, Y.shape[1])
 
@@ -131,7 +167,17 @@ class DesignBlock:
         N, r, p = beta.shape
         A = self.basis.block_rows
         if A is None:
-            return self.Psi @ beta.reshape(N, r * p).T
+            # slab by slab, sum_i F_i * (B beta_i')
+            out = np.empty((len(self.F), N))
+            coefs = beta.transpose(1, 2, 0).copy()  # (r, 2^J, N)
+            for rows, Fb, Bb in self._slabs(self._slab_height):
+                slab = np.matmul(Bb, coefs[0], out=out[rows])
+                slab *= Fb[:, :1]
+                for i in range(1, r):
+                    term = Bb @ coefs[i]
+                    term *= Fb[:, i:i + 1]
+                    slab += term
+            return out
         # block k is its factor rows F_k times its r x N loadings A_k beta
         K = len(A)
         loadings = (A @ beta.transpose(2, 1, 0).reshape(p, r * N)).reshape(K, r, N)

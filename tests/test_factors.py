@@ -119,8 +119,11 @@ def test_standardize_small_column():
 
 def test_standardize_is_idempotent():
     rng = np.random.default_rng(1)
-    s = standardize(_random_panel(rng, 30, 4))
+    p = _random_panel(rng, 30, 4)
+    s = standardize(p)
     assert standardize(s) is s
+    # the in-place division rounds as (values - means) / sds
+    assert np.array_equal(s.values, (p.values - s.means) / s.sds)
     # a rescaled panel carries scales but no means, so it is still centered
     scaled = scale_only(_random_panel(rng, 30, 4))
     centered = standardize(scaled)
@@ -406,6 +409,18 @@ def test_the_plateau_width_is_the_chosen_plateaus():
     sel = FactorSelection(r=2, r_max=6, c_grid=grid, r_full=grid, r_sub=grid[None],
                           variance=grid, ic_full=grid[:, None], intervals=intervals)
     assert sel.plateau_width == 0.3
+
+
+def test_select_on_a_standardized_panel_matches_the_panel_as_read():
+    # estimate hands selection its standardized panel, which selection takes as is
+    rng = np.random.default_rng(18)
+    Y = rng.normal(size=(256, 2)) @ rng.normal(size=(2, 15)) + 0.5 * rng.normal(size=(256, 15))
+    p = make_panel(3.0 + Y * rng.uniform(0.5, 2.0, 15))
+    got, ref = select_num_factors(standardize(p)), select_num_factors(p)
+    assert got.r == ref.r == 2
+    assert got.intervals == ref.intervals
+    assert np.array_equal(got.r_sub, ref.r_sub)
+    assert np.array_equal(got.ic_full, ref.ic_full)
 
 
 def test_select_zero_factors_for_pure_noise():

@@ -212,16 +212,23 @@ def test_haar_fit_on_a_dyadic_grid_never_builds_psi():
     assert "Psi" not in d.__dict__
 
 
-@pytest.mark.parametrize("family,T", [("haar", 1000), ("d8", 512), ("d8", 1000)])
-def test_other_designs_solve_through_psi_and_match_lstsq(family, T):
+@pytest.mark.parametrize("family,T", [("haar", 1000), ("d8", 512), ("d8", 1000), ("d8", 2000)])
+def test_other_designs_solve_without_psi_and_match_lstsq(family, T):
+    # T=1000 and 2000 leave a short last slab; at T=2000 (2^J = 64) Psi'Y and
+    # the fitted panel take four slabs
     rng = np.random.default_rng(18)
     basis = evaluate_basis(family, select_resolution(T), T)
     d = build_design(_factors(rng.normal(size=(T, 2))), basis)
     assert basis.block_rows is None
     Y = rng.normal(size=(T, 4))
     beta = d.solve(Y)
-    assert "Psi" in d.__dict__
-    ref = np.linalg.lstsq(d.Psi, Y, rcond=None)[0].T.reshape(beta.shape)
+    gram, cross, fitted = d._gram(), d._cross(Y), d.fitted(beta)
+    assert "Psi" not in d.__dict__  # no product built Psi
+    Psi = d.Psi
+    for got, ref in ((gram, Psi.T @ Psi), (cross, Psi.T @ Y),
+                     (fitted, Psi @ beta.reshape(4, -1).T)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    ref = np.linalg.lstsq(Psi, Y, rcond=None)[0].T.reshape(beta.shape)
     assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -611,6 +618,25 @@ def test_fit_peaks_under_twice_the_loading_field():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * fit.Lambda.nbytes
+
+
+def test_d8_fit_peaks_under_the_size_of_psi():
+    rng = np.random.default_rng(26)
+    T, N, r = 2048, 20, 2
+    F = rng.normal(size=(T, r))
+    panel = standardize(make_panel(F @ rng.normal(size=(r, N)) + rng.normal(size=(T, N))))
+    fac = pca_factors(panel, r)
+    basis = evaluate_basis("d8", select_resolution(T), T)
+    psi_bytes = T * r * basis.n_columns * 8
+    fit_iterative(panel, fac, basis)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit_iterative(panel, fac, basis)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < psi_bytes
 
 
 def test_kronecker_fit_builds_one_field_from_two_solves(monkeypatch):

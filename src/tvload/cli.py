@@ -28,16 +28,18 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from . import __version__
-from ._table import read_table, write_table
+from ._table import write_table
 from .errors import MissingDataError, ParameterError, ShapeError, TvloadError
 from .factors import (
     FactorEstimate,
+    make_panel,
     nonstationary_factors,
     pca_factors,
     read_panel_csv,
     scale_only,
     select_num_factors,
     standardize,
+    write_panel_csv,
 )
 from .gls import (
     GlsFit,
@@ -85,12 +87,6 @@ def _write_run(outdir, report, artifacts) -> None:
     _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _write_factors_csv(path, F) -> None:
-    T, r = F.shape
-    write_table(path, ["t", *(f"factor_{i}" for i in range(1, r + 1))], F[:, None, :],
-                rows=range(1, T + 1))
-
-
 # ---------------------------------------------------------------- estimate
 
 
@@ -104,14 +100,11 @@ def cmd_estimate(args) -> int:
         standardization = "scale-only"
         # the lag-covariance scale T^-(2d+d') is fixed at d = d' = 1
         method = f"GeneralizedCovariance({args.k},1,1)"
-        # rank selection differences the panel as read
-        select_from = panel
     else:
         work = standardize(panel)
         standardization = "center-scale"
         method = "PCA"
-        # selection standardizes its panel, and takes a standardized one as it is
-        select_from = work
+    # selection differences (if asked) and standardizes, so work selects as panel does
     del panel  # work carries the series ids
     # A grid too short for the basis fails here, before any factor work.
     J = args.J if args.J is not None else select_resolution(work.T)
@@ -122,7 +115,7 @@ def cmd_estimate(args) -> int:
     if r is None:
         pass_r = "pass --r to fit a chosen number of factors"
         try:
-            sel = select_num_factors(select_from, args.r_max,
+            sel = select_num_factors(work, args.r_max,
                                      first_difference_panel=args.nonstationary)
         except ParameterError as exc:
             raise ParameterError(f"{exc}; {pass_r}") from None
@@ -173,7 +166,8 @@ def cmd_estimate(args) -> int:
         "converged": fit.converged,
     }
     _write_run(args.output_dir, report, {
-        "factors.csv": lambda path: _write_factors_csv(path, est.F),
+        "factors.csv": lambda path: write_panel_csv(
+            make_panel(est.F, [f"factor_{i}" for i in range(1, r + 1)]), path),
         "loadings.csv": lambda path: write_loadings_csv(fit, path),
         "coefficients.csv": lambda path: write_coefficients_csv(fit, path),
         "residual_covariance.csv": lambda path: write_covariance_csv(fit, path),
@@ -341,7 +335,7 @@ def _reload_estimate(run_dir):
     work = (scale_only if nonstationary else standardize)(read_panel_csv(input_path))
     basis = evaluate_basis(family, J, work.T)
     factors_path = os.path.join(run_dir, "factors.csv")
-    F = read_table(factors_path)[2]
+    F = read_panel_csv(factors_path).values
     if F.shape != (work.T, r):
         raise ShapeError(f"{factors_path}: a table of shape {F.shape}, expected {(work.T, r)}")
     est = FactorEstimate(
@@ -464,7 +458,8 @@ def main(argv=None) -> int:
                   "line": exc.lineno, "column": exc.colno}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1
-    except TvloadError as exc:
+    # UnicodeDecodeError: a panel, grid or report that is not UTF-8 text
+    except (TvloadError, UnicodeDecodeError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# The longest file name, in bytes, that common file systems (ext4, XFS, Btrfs) take.
+_MAX_FILE_NAME = 255
+
+
 @dataclass(frozen=True)
 class Panel:
     """Observed panel: ``values[t, m]`` is series m at grid point t."""
@@ -90,6 +94,12 @@ def make_panel(values, series_ids=None) -> Panel:
                 raise ParameterError(
                     f"series id {sid!r} cannot round-trip: it has leading or trailing "
                     "whitespace, '/' or NUL"
+                )
+            # and that file, plot_<id>_factor<k>.csv with k <= r <= N, must be a valid name
+            if len(f"plot_{sid}_factor{N}.csv".encode()) > _MAX_FILE_NAME:
+                raise ParameterError(
+                    f"series id {sid[:20]!r}... is too long: the bootstrap file "
+                    f"plot_<id>_factor{N}.csv would exceed {_MAX_FILE_NAME} bytes"
                 )
             seen.add(sid)
     return Panel(values=values, series_ids=series_ids)

@@ -16,16 +16,17 @@ and the residual covariance are built from them, and from the panel, when
 first read, so a caller that keeps only the coefficients, as every bootstrap
 draw does, pays for the two solves alone.
 
-A design keeps the factors and the basis, and no fit builds Psi.  On a Haar
-basis whose 2^J dyadic blocks tile the grid, Psi'Psi and Psi'Y come from
-per-block factor sums, and a fitted panel from the 2^J block rows.  Every
-other basis adds Psi'Psi up over row slabs of Psi of at most 256 grid
-points, and forms Psi'Y and the fitted panel one factor at a time from row
-slabs of B.  A loading field is held once per run of the basis
-(``WaveletBasis.run_rows``): 2^J rows on any Haar grid, dyadic or not, and
-T on d8.  So a field is exactly constant on each run, and the loadings
-artifact is written from those rows without the T x N x r field ever being
-built.
+A design keeps the factors and the basis, and no fit builds Psi.  Where the
+runs of the basis (``WaveletBasis.run_rows``) are blocks of L > 1 grid
+points each, as the 2^J dyadic blocks of a Haar basis on a grid that 2^J
+divides are, Psi'Psi and Psi'Y come from per-block factor sums, and a
+fitted panel from the run rows.  Every other basis, d8 and Haar where 2^J
+does not divide T or equals it, adds Psi'Psi up over row slabs of Psi of at
+most 256 grid points, and forms Psi'Y and the fitted panel one factor at a
+time from row slabs of B.  A loading field is held once per run of the
+basis: 2^J rows on any Haar grid, dyadic or not, and T on d8.  So a field
+is exactly constant on each run, and the loadings artifact is written from
+those rows without the T x N x r field ever being built.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = [
     "write_covariance_csv",
 ]
 
-# Off the Haar block path, Psi'Psi is added up over row slabs of Psi of at
+# Off the block path, Psi'Psi is added up over row slabs of Psi of at
 # most _GRAM_ROWS grid points, each dropped after its product.  Psi'Y and the
 # fitted panel go over row slabs of B of at most _SLAB_VALUES values.
 _GRAM_ROWS = 256
@@ -74,16 +75,15 @@ class DesignBlock:
     every panel costs one product Psi'Y and two triangular-matrix products;
     ``gram_condition`` reads the conditioning of Psi'Psi off the same factor.
 
-    A Haar basis on a grid that 2^J divides is constant on K = 2^J dyadic
-    blocks of T/K rows, with row A_k on block k.  There Psi'Psi and Psi'Y
-    are formed from per-block sums, without Psi: the (i, j) block of the
-    Gram matrix is A' diag(S_k[i, j]) A with S_k = F_k'F_k, and Psi'Y is
-    A'W with W_k = F_k'Y_k.  Every other basis adds Psi'Psi up over row
-    slabs Psi_b of at most ``_GRAM_ROWS`` grid points, each dropped after its
-    product.  Block i of Psi'Y is B'(F_i * Y) and the fitted panel is
-    sum_i F_i * (B beta_i'), both formed over row slabs of B of at most
-    ``_SLAB_VALUES`` values, so that a slab stays in cache while each factor
-    reads it.
+    Where the runs of the basis are K blocks of L > 1 rows, with row A_k on
+    block k, Psi'Psi and Psi'Y are formed from per-block sums, without Psi:
+    the (i, j) block of the Gram matrix is A' diag(S_k[i, j]) A with
+    S_k = F_k'F_k, and Psi'Y is A'W with W_k = F_k'Y_k.  Every other basis
+    adds Psi'Psi up over row slabs Psi_b of at most ``_GRAM_ROWS`` grid
+    points, each dropped after its product.  Block i of Psi'Y is B'(F_i * Y)
+    and the fitted panel is sum_i F_i * (B beta_i'), both formed over row
+    slabs of B of at most ``_SLAB_VALUES`` values, so that a slab stays in
+    cache while each factor reads it.
     """
 
     F: np.ndarray
@@ -99,9 +99,15 @@ class DesignBlock:
         F, B = self.F, self.basis.B
         return (F[:, :, None] * B[:, None, :]).reshape(F.shape[0], -1)
 
+    @cached_property
+    def _run_blocks(self) -> np.ndarray | None:
+        """The run rows A_k where every run covers the same L > 1 grid points, else None."""
+        L = self.basis.run_lengths
+        return self.basis.run_rows if L[0] > 1 and (L == L[0]).all() else None
+
     def _by_block(self, X: np.ndarray) -> np.ndarray:
         """Per-block products F_k'X_k of a T x n matrix, shape (K, r, n)."""
-        K = self.basis.n_columns
+        K = len(self._run_blocks)
         Fk = self.F.reshape(K, -1, self.r)
         return Fk.transpose(0, 2, 1) @ X.reshape(K, Fk.shape[1], -1)
 
@@ -118,7 +124,7 @@ class DesignBlock:
         return max(1, _SLAB_VALUES // self.basis.n_columns)
 
     def _gram(self) -> np.ndarray:
-        A = self.basis.block_rows
+        A = self._run_blocks
         if A is None:
             gram = np.zeros((self.r * self.basis.n_columns,) * 2)
             for _, Fb, Bb in self._slabs(_GRAM_ROWS):
@@ -133,7 +139,7 @@ class DesignBlock:
         return G.reshape(r, r, p, p).transpose(0, 2, 1, 3).reshape(r * p, r * p)
 
     def _cross(self, Y: np.ndarray) -> np.ndarray:
-        A = self.basis.block_rows
+        A = self._run_blocks
         if A is None:
             # block i of Psi'Y is B'(F_i * Y), added up over the slabs
             cross = np.zeros((self.r, self.basis.n_columns, Y.shape[1]))
@@ -165,7 +171,7 @@ class DesignBlock:
     def fitted(self, beta: np.ndarray) -> np.ndarray:
         """The fitted panel Psi beta of coefficients shaped (N, r, 2^J), T x N."""
         N, r, p = beta.shape
-        A = self.basis.block_rows
+        A = self._run_blocks
         if A is None:
             # slab by slab, sum_i F_i * (B beta_i')
             out = np.empty((len(self.F), N))
@@ -276,9 +282,7 @@ def gls_step(
         raise ParameterError("gamma_e must be finite")
     diagonal = np.diagonal(gamma_e)
     if not np.array_equal(gamma_e, np.diag(diagonal)):
-        # np.allclose(gamma_e, gamma_e.T, atol=1e-10) written out: on finite
-        # entries it is this test, without allclose's inf and nan handling.
-        if not (np.abs(gamma_e - gamma_e.T) <= 1e-10 + 1e-5 * np.abs(gamma_e.T)).all():
+        if not np.allclose(gamma_e, gamma_e.T, atol=1e-10):
             raise ParameterError("gamma_e must be symmetric")
         try:
             np.linalg.cholesky(gamma_e)

@@ -266,8 +266,7 @@ class WaveletBasis:
     ``run_rows`` and ``run_lengths`` are its run-length form: the runs of
     bitwise-equal consecutive rows of ``B``, one row each, and the grid
     points each covers.  A Haar basis on a grid that K = 2^J divides is
-    constant on K dyadic blocks of T/K rows; ``block_rows`` then holds the
-    row A_k of each block.
+    constant on K dyadic blocks of T/K rows, so its runs are those blocks.
     """
 
     family: WaveletFamily
@@ -279,14 +278,6 @@ class WaveletBasis:
     @property
     def n_columns(self) -> int:
         return self.B.shape[1]
-
-    @cached_property
-    def block_rows(self) -> np.ndarray | None:
-        """The K x 2^J rows A with ``B == repeat(A, T // K, axis=0)``, else None."""
-        K = self.n_columns
-        if self.family is not WaveletFamily.HAAR or self.T % K:
-            return None
-        return self.B[:: self.T // K]
 
     @cached_property
     def run_lengths(self) -> np.ndarray:

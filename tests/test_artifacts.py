@@ -16,7 +16,7 @@ import pytest
 
 from tvload._table import write_table
 from tvload.bootstrap import BandSet, write_bands_csv, write_plot_csv
-from tvload.cli import _reload_estimate, _write_factors_csv, main
+from tvload.cli import _reload_estimate, main
 from tvload.errors import ShapeError
 from tvload.factors import make_panel, read_panel_csv, select_num_factors, write_panel_csv
 from tvload.gls import GlsFit, write_coefficients_csv, write_covariance_csv, write_loadings_csv
@@ -176,7 +176,6 @@ def _fixture(T, N, r, seed):
 
 def _assert_fit_writers_match(tmp_path, fit, bands):
     N, r = fit.Lambda.shape[1:]
-    F = fit.Lambda[:, 0, :]
     panel = fit.panel
     cases = [
         (lambda p: write_loadings_csv(fit, p), lambda p: _ref_loadings(fit, p)),
@@ -187,8 +186,6 @@ def _assert_fit_writers_match(tmp_path, fit, bands):
          lambda p: _ref_plot(bands, fit, N - 1, r - 1, p)),
         (lambda p: write_panel_csv(panel, p),
          lambda p: _ref_grid(["t", *panel.series_ids], panel.values, p)),
-        (lambda p: _write_factors_csv(p, F),
-         lambda p: _ref_grid(["t", *(f"factor_{i + 1}" for i in range(r))], F, p)),
     ]
     for k, (write, reference) in enumerate(cases):
         got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"

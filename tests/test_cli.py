@@ -481,6 +481,11 @@ def test_estimate_nonstationary_selects_the_rank_on_the_differenced_panel(tmp_pa
     assert report["selection"] == {"r": 2, "r_max": 8, "plateau_width": 1.672372881355932,
                                    "n_stable_intervals": 2}
     assert report["method"] == "GeneralizedCovariance(1,1,1)"
+    # estimate selects on its scale-only panel what the panel as read selects
+    sel = select_num_factors(read_panel_csv(path), first_difference_panel=True)
+    assert report["selection"] == {"r": sel.r, "r_max": sel.r_max,
+                                   "plateau_width": sel.plateau_width,
+                                   "n_stable_intervals": len(sel.intervals)}
 
 
 def test_estimate_nonstationary_branch(tmp_path, panel_csv):
@@ -664,6 +669,76 @@ def test_series_ids_that_cannot_round_trip_are_reported(tmp_path, capsys):
     rec = _err(capsys)
     assert rec["error"] == "ParameterError"
     assert "series id 'a/b'" in rec["message"]
+    assert not out.exists()
+
+
+def _long_id_panel(path, sid):
+    """An N=4 panel whose first series id is ``sid``, written as raw text."""
+    rows = "".join(f"{t},{t % 3}.5,{t % 5}.25,{t % 7}.75,{t % 4}.125\n" for t in range(1, 33))
+    path.write_text(f"t,{sid},b,c,d\n" + rows, encoding="utf-8")
+    return str(path)
+
+
+def test_a_series_id_too_long_for_a_bootstrap_file_name_is_rejected(tmp_path, capsys):
+    # plot_<id>_factor4.csv takes 255 bytes at an id of 238: 'é' is two bytes
+    for sid in ("x" * 250, "é" * 119 + "x"):
+        out = tmp_path / "est"
+        assert main(["estimate", "--input", _long_id_panel(tmp_path / "long.csv", sid),
+                     "--output-dir", str(out), "--r", "1", "--J", "2"]) == 1
+        rec = _err(capsys)
+        assert rec["error"] == "ParameterError"
+        assert "is too long" in rec["message"]
+        assert not out.exists()
+
+
+def test_a_series_id_at_the_file_name_limit_runs_through_bootstrap(tmp_path):
+    sid = "é" * 119
+    est, boot = tmp_path / "est", tmp_path / "boot"
+    assert main(["estimate", "--input", _long_id_panel(tmp_path / "edge.csv", sid),
+                 "--output-dir", str(est), "--r", "1", "--J", "2"]) == 0
+    assert main(["bootstrap", "--input", str(est), "--output-dir", str(boot),
+                 "--B", "4", "--threads", "1"]) == 0
+    name = f"plot_{sid}_factor1.csv"
+    assert len(name.encode()) == 255 and (boot / name).exists()
+
+
+def _not_utf8(path):
+    """Put byte 0xE9 into a file's first line, before a byte that cannot continue it."""
+    data = path.read_bytes()
+    path.write_bytes(data[:1] + b"\xe9" + data[1:])
+
+
+def _panel_for_select_r(tmp_path, panel_csv):
+    _not_utf8(Path(panel_csv))
+    return ["select-r", "--input", panel_csv]
+
+
+def _grid_for_simulate(tmp_path, panel_csv):
+    grid = _grid(tmp_path)
+    _not_utf8(Path(grid))
+    return ["simulate", "--input", grid, "--reps", "2"]
+
+
+def _report_for_bootstrap(tmp_path, panel_csv):
+    est = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),
+                 "--r", "1", "--J", "3"]) == 0
+    _not_utf8(est / "report.json")
+    return ["bootstrap", "--input", str(est), "--B", "4", "--threads", "1"]
+
+
+@pytest.mark.parametrize("damaged", [_panel_for_select_r, _grid_for_simulate,
+                                     _report_for_bootstrap],
+                         ids=["panel", "grid", "report"])
+def test_a_file_that_is_not_utf8_is_reported(tmp_path, panel_csv, capsys, damaged):
+    argv = damaged(tmp_path, panel_csv)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    rec = json.loads(line)
+    assert rec["error"] == "UnicodeDecodeError"
+    assert "0xe9" in rec["message"]
     assert not out.exists()
 
 

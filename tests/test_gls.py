@@ -191,10 +191,12 @@ def test_gls_reports_offending_columns_of_a_dense_path_design(family, T):
 def test_haar_block_products_match_the_dense_design(T, r):
     rng = np.random.default_rng(16)
     basis = evaluate_basis("haar", select_resolution(T), T)
-    # the basis is constant on the 2^J dyadic blocks, each with its block row
-    A = basis.block_rows
-    assert np.array_equal(np.repeat(A, T // basis.n_columns, axis=0), basis.B)
+    # the basis runs are its 2^J dyadic blocks, each with its block row
+    L = T // basis.n_columns
+    assert basis.run_lengths.tolist() == [L] * basis.n_columns
+    assert np.array_equal(np.repeat(basis.run_rows, L, axis=0), basis.B)
     d = build_design(_factors(np.cumsum(rng.normal(size=(T, r)), axis=0)), basis)
+    assert d._run_blocks is basis.run_rows  # the per-block path
     Y = rng.normal(size=(T, 7))
     gram, cross = d._gram(), d._cross(Y)
     assert "Psi" not in d.__dict__  # neither product built Psi
@@ -212,14 +214,21 @@ def test_haar_fit_on_a_dyadic_grid_never_builds_psi():
     assert "Psi" not in d.__dict__
 
 
-@pytest.mark.parametrize("family,T", [("haar", 1000), ("d8", 512), ("d8", 1000), ("d8", 2000)])
-def test_other_designs_solve_without_psi_and_match_lstsq(family, T):
-    # T=1000 and 2000 leave a short last slab; at T=2000 (2^J = 64) Psi'Y and
-    # the fitted panel take four slabs
+@pytest.mark.parametrize("family,T,J,r", [
+    pytest.param("haar", 1000, 5, 2, id="haar-1000"),
+    pytest.param("haar", 32, 5, 1, id="haar-32"),  # Psi is square, so one factor
+    pytest.param("d8", 512, 5, 2, id="d8-512"),
+    pytest.param("d8", 1000, 5, 2, id="d8-1000"),
+    pytest.param("d8", 2000, 6, 2, id="d8-2000"),
+])
+def test_other_designs_solve_without_psi_and_match_lstsq(family, T, J, r):
+    # Haar runs of unequal length (T=1000) or of one point (T=2^J) take the
+    # slabs, as d8 does.  T=1000 and 2000 leave a short last slab; at T=2000
+    # (2^J = 64) Psi'Y and the fitted panel take four slabs
     rng = np.random.default_rng(18)
-    basis = evaluate_basis(family, select_resolution(T), T)
-    d = build_design(_factors(rng.normal(size=(T, 2))), basis)
-    assert basis.block_rows is None
+    basis = evaluate_basis(family, J, T)
+    d = build_design(_factors(rng.normal(size=(T, r))), basis)
+    assert d._run_blocks is None
     Y = rng.normal(size=(T, 4))
     beta = d.solve(Y)
     gram, cross, fitted = d._gram(), d._cross(Y), d.fitted(beta)
@@ -414,7 +423,7 @@ def test_haar_field_on_a_dyadic_grid_is_exactly_block_constant():
 def test_other_fields_are_the_basis_product_bit_for_bit(family, T, J):
     rng = np.random.default_rng(13)
     basis = evaluate_basis(family, J, T)
-    assert basis.block_rows is None
+    assert len(basis.run_lengths) == T  # runs of one point
     beta = rng.normal(size=(6, 2, 2**J))
     assert np.array_equal(loadings_from_coeffs(beta, basis), _basis_product(beta, basis))
 

@@ -25,7 +25,7 @@ from array import array
 
 import numpy as np
 
-from .errors import MissingDataError, ShapeError
+from .errors import MissingDataError, ShapeError, naming_file
 
 # Lines per ``%`` call on narrow tables; a call always covers whole rows.
 _BLOCK_LINES = 512
@@ -126,11 +126,12 @@ def read_table(path, n_keys=0):
     fills one packed float64 buffer, so either way a table costs about its 8
     bytes per value and no Python float per cell.
     """
-    if n_keys == 0:
-        table = _read_plain(path)
-        if table is not None:
-            return table
-    return _read_checked(path, n_keys)
+    with naming_file(path):
+        if n_keys == 0:
+            table = _read_plain(path)
+            if table is not None:
+                return table
+        return _read_checked(path, n_keys)
 
 
 # Bytes the C reader takes otherwise than ``csv`` and ``float()``: a quote

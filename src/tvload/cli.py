@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from ._table import write_table
-from .errors import MissingDataError, ParameterError, ShapeError, TvloadError
+from .errors import MissingDataError, ParameterError, ShapeError, TvloadError, naming_file
 from .factors import (
     FactorEstimate,
     make_panel,
@@ -315,7 +315,7 @@ def _reload_estimate(run_dir):
     report_path = os.path.join(run_dir, "report.json")
     if not os.path.exists(report_path):
         raise ParameterError(f"not an estimate run directory (no report.json): {run_dir}")
-    with open(report_path, "r", encoding="utf-8") as fh:
+    with naming_file(report_path), open(report_path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     command = report.get("command") if isinstance(report, dict) else None
     if command != "estimate":
@@ -458,12 +458,13 @@ def main(argv=None) -> int:
                   "line": exc.lineno, "column": exc.colno}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1
-    # UnicodeDecodeError: a panel, grid or report that is not UTF-8 text
-    except (TvloadError, UnicodeDecodeError) as exc:
+    except TvloadError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1
-    except OSError as exc:
+    # UnicodeDecodeError: a panel, grid, factors table or report that is not
+    # UTF-8 text; every text reader names its file, as OSError does
+    except (UnicodeDecodeError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc),
                   "path": getattr(exc, "filename", None)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)

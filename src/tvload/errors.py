@@ -1,5 +1,8 @@
 """Exception taxonomy shared across the package."""
 
+import os
+from contextlib import contextmanager
+
 
 class TvloadError(Exception):
     """Base class for all package-specific errors."""
@@ -31,3 +34,15 @@ class RankDeficiencyError(NumericError):
 
 class RegistryError(TvloadError, KeyError):
     """An unknown name was requested from a function registry."""
+
+
+@contextmanager
+def naming_file(path):
+    """Name ``path`` as the ``filename`` of a ``UnicodeDecodeError`` raised inside,
+    as an ``OSError`` names its file, so that a report of the error can say
+    which file is not UTF-8 text."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        exc.filename = os.fspath(path)
+        raise

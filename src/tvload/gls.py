@@ -17,16 +17,17 @@ first read, so a caller that keeps only the coefficients, as every bootstrap
 draw does, pays for the two solves alone.
 
 A design keeps the factors and the basis, and no fit builds Psi.  Where the
-runs of the basis (``WaveletBasis.run_rows``) are blocks of L > 1 grid
-points each, as the 2^J dyadic blocks of a Haar basis on a grid that 2^J
-divides are, Psi'Psi and Psi'Y come from per-block factor sums, and a
-fitted panel from the run rows.  Every other basis, d8 and Haar where 2^J
-does not divide T or equals it, adds Psi'Psi up over row slabs of Psi of at
-most 256 grid points, and forms Psi'Y and the fitted panel one factor at a
-time from row slabs of B.  A loading field is held once per run of the
-basis: 2^J rows on any Haar grid, dyadic or not, and T on d8.  So a field
-is exactly constant on each run, and the loadings artifact is written from
-those rows without the T x N x r field ever being built.
+runs of the basis (``WaveletBasis.run_rows``) are longer than one grid point,
+as the 2^J runs of a Haar basis are on any grid, Psi'Psi and Psi'Y come from
+per-run factor sums, and a fitted panel from the run rows; runs of unequal
+length are padded with zero rows to the longest, so neither B nor Psi is
+built.  A basis whose runs are single points, d8 and Haar with T = 2^J,
+adds Psi'Psi up over row slabs of Psi of at most 256 grid points, and forms
+Psi'Y and the fitted panel one factor at a time from row slabs of B.  A
+loading field is held once per run of the basis: 2^J rows on any Haar
+grid, and T on d8.  So a field is exactly constant on each run, and the
+loadings artifact is written from those rows without the T x N x r field
+ever being built.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ __all__ = [
     "write_covariance_csv",
 ]
 
-# Off the block path, Psi'Psi is added up over row slabs of Psi of at
+# Off the per-run path, Psi'Psi is added up over row slabs of Psi of at
 # most _GRAM_ROWS grid points, each dropped after its product.  Psi'Y and the
-# fitted panel go over row slabs of B of at most _SLAB_VALUES values.
+# fitted panel go over row slabs of B of at most _SLAB_VALUES values, and
+# ``GlsFit.Lambda_slabs`` reads a field in slabs of as many values.
 _GRAM_ROWS = 256
 _SLAB_VALUES = 2**15
 
@@ -75,15 +77,18 @@ class DesignBlock:
     every panel costs one product Psi'Y and two triangular-matrix products;
     ``gram_condition`` reads the conditioning of Psi'Psi off the same factor.
 
-    Where the runs of the basis are K blocks of L > 1 rows, with row A_k on
-    block k, Psi'Psi and Psi'Y are formed from per-block sums, without Psi:
+    Where the basis has runs longer than one point, K runs with row A_k on
+    run k, Psi'Psi and Psi'Y are formed from per-run sums, without Psi or B:
     the (i, j) block of the Gram matrix is A' diag(S_k[i, j]) A with
-    S_k = F_k'F_k, and Psi'Y is A'W with W_k = F_k'Y_k.  Every other basis
-    adds Psi'Psi up over row slabs Psi_b of at most ``_GRAM_ROWS`` grid
-    points, each dropped after its product.  Block i of Psi'Y is B'(F_i * Y)
-    and the fitted panel is sum_i F_i * (B beta_i'), both formed over row
-    slabs of B of at most ``_SLAB_VALUES`` values, so that a slab stays in
-    cache while each factor reads it.
+    S_k = F_k'F_k, and Psi'Y is A'W with W_k = F_k'Y_k.  Each run's rows are
+    padded with zero rows to the longest run, so one batched product covers
+    all K; where the runs are equal, as on a grid that 2^J divides, the
+    padded rows are the grid's rows reshaped, without a copy.  A basis of
+    one-point runs adds Psi'Psi up over row slabs Psi_b of at most
+    ``_GRAM_ROWS`` grid points, each dropped after its product.  Block i of
+    Psi'Y is B'(F_i * Y) and the fitted panel is sum_i F_i * (B beta_i'),
+    both formed over row slabs of B of at most ``_SLAB_VALUES`` values, so
+    that a slab stays in cache while each factor reads it.
     """
 
     F: np.ndarray
@@ -101,15 +106,30 @@ class DesignBlock:
 
     @cached_property
     def _run_blocks(self) -> np.ndarray | None:
-        """The run rows A_k where every run covers the same L > 1 grid points, else None."""
-        L = self.basis.run_lengths
-        return self.basis.run_rows if L[0] > 1 and (L == L[0]).all() else None
+        """The run rows A_k where some run covers more than one grid point, else None."""
+        return self.basis.run_rows if self.basis.run_lengths.max() > 1 else None
 
-    def _by_block(self, X: np.ndarray) -> np.ndarray:
-        """Per-block products F_k'X_k of a T x n matrix, shape (K, r, n)."""
-        K = len(self._run_blocks)
-        Fk = self.F.reshape(K, -1, self.r)
-        return Fk.transpose(0, 2, 1) @ X.reshape(K, Fk.shape[1], -1)
+    @cached_property
+    def _slots(self) -> np.ndarray:
+        """(K, L) mask of the padded run rows that hold a grid point; L is the longest run."""
+        lengths = self.basis.run_lengths
+        return np.arange(lengths.max()) < lengths[:, None]
+
+    def _padded(self, X: np.ndarray) -> np.ndarray:
+        """A T x n matrix as (K, L, n), run k's rows first and zero rows after them."""
+        if self._slots.all():  # equal runs: the grid's rows as they are
+            return X.reshape(*self._slots.shape, -1)
+        out = np.zeros((*self._slots.shape, X.shape[1]))
+        out[self._slots] = X
+        return out
+
+    @cached_property
+    def _F_runs(self) -> np.ndarray:
+        return self._padded(self.F)
+
+    def _by_run(self, X: np.ndarray) -> np.ndarray:
+        """Per-run products F_k'X_k of a T x n matrix, shape (K, r, n)."""
+        return self._F_runs.transpose(0, 2, 1) @ self._padded(X)
 
     def _slabs(self, height: int):
         """Consecutive row slabs of at most ``height`` grid points: (rows, F_b, B_b)."""
@@ -133,7 +153,7 @@ class DesignBlock:
                 gram += Psi_bt @ Psi_bt.T
             return gram
         r, p = self.r, A.shape[1]
-        S = self._by_block(self.F)  # (K, r, r)
+        S = self._by_run(self.F)  # (K, r, r)
         # block (i, j) = A' diag(S[:, i, j]) A, one batched product for all r^2
         G = A.T @ (S.reshape(-1, r * r).T[:, :, None] * A)
         return G.reshape(r, r, p, p).transpose(0, 2, 1, 3).reshape(r * p, r * p)
@@ -147,7 +167,7 @@ class DesignBlock:
                 for i, f in enumerate(Fb.T):
                     cross[i] += Bb.T @ (f[:, None] * Y[rows])
             return cross.reshape(-1, Y.shape[1])
-        W = self._by_block(Y)  # (K, r, N)
+        W = self._by_run(Y)  # (K, r, N)
         return (A.T @ W.transpose(1, 0, 2)).reshape(-1, Y.shape[1])
 
     @cached_property
@@ -184,10 +204,11 @@ class DesignBlock:
                     term *= Fb[:, i:i + 1]
                     slab += term
             return out
-        # block k is its factor rows F_k times its r x N loadings A_k beta
+        # run k is its factor rows F_k times its r x N loadings A_k beta
         K = len(A)
         loadings = (A @ beta.transpose(2, 1, 0).reshape(p, r * N)).reshape(K, r, N)
-        return (self.F.reshape(K, -1, r) @ loadings).reshape(-1, N)
+        out = self._F_runs @ loadings  # (K, L, N), zero rows past each run
+        return out.reshape(-1, N) if self._slots.all() else out[self._slots]
 
     @property
     def gram_condition(self) -> float:
@@ -389,6 +410,28 @@ class GlsFit:
     @cached_property
     def Lambda(self) -> np.ndarray:
         return expand_runs(self.Lambda_rows, self.design.basis.run_lengths)
+
+    def Lambda_slabs(self):
+        """``Lambda`` in row slabs of at most ``_SLAB_VALUES`` values: (rows, slab).
+
+        Each slab is its rows of ``Lambda`` bit for bit, and the field is never
+        held whole: on a basis with runs longer than one point a slab spreads
+        rows of ``Lambda_rows``, and otherwise it is its rows of the basis
+        times the coefficients.
+        """
+        basis = self.design.basis
+        N, r, p = self.beta.shape
+        lengths = basis.run_lengths
+        runs = len(lengths) < basis.T
+        run_of = np.repeat(np.arange(len(lengths)), lengths) if runs else None
+        coefs = self.beta.reshape(N * r, p).T
+        height = max(1, _SLAB_VALUES // (N * r))
+        for start in range(0, basis.T, height):
+            rows = slice(start, min(start + height, basis.T))
+            if runs:
+                yield rows, self.Lambda_rows[run_of[rows]]
+            else:
+                yield rows, (basis.run_rows[rows] @ coefs).reshape(-1, N, r)
 
     @cached_property
     def Gamma_e(self) -> np.ndarray:

@@ -125,21 +125,36 @@ def r2_factors(F_ref: np.ndarray, F_est: np.ndarray) -> float:
     return num / den
 
 
-def loading_mse(Lambda_hat: np.ndarray, Lambda_ref: np.ndarray) -> float:
+def loading_mse(Lambda_hat, Lambda_ref: np.ndarray) -> float:
     """Average Frobenius distance of the loading fields over the grid.
 
     (NT)^-1 * sum_t ||Lambda_hat(t) - Lambda_ref(t)||_F, with the norm left
-    unsquared.
+    unsquared.  ``Lambda_hat`` is a T x N x r field, or a loading fit
+    (``gls.GlsFit``), whose field is read in row slabs (``Lambda_slabs``)
+    and never held whole; either gives the same value bit for bit.
     """
-    Lambda_hat = np.asarray(Lambda_hat, float)
     Lambda_ref = np.asarray(Lambda_ref, float)
-    if Lambda_hat.shape != Lambda_ref.shape:
-        raise ShapeError(
-            f"loading fields differ in shape: {Lambda_hat.shape} vs {Lambda_ref.shape}"
-        )
-    T, N, _ = Lambda_hat.shape
-    per_t = np.sqrt(((Lambda_hat - Lambda_ref) ** 2).sum(axis=(1, 2)))
-    return float(per_t.sum() / (N * T))
+    if hasattr(Lambda_hat, "Lambda_slabs"):
+        slabs = Lambda_hat.Lambda_slabs()
+    else:
+        Lambda_hat = np.asarray(Lambda_hat, float)
+        slabs = [(slice(0, len(Lambda_hat)), Lambda_hat)]
+    T, N, _ = Lambda_ref.shape
+    sq = np.empty(T)  # squared distance at each grid point
+    covered = 0
+    for rows, slab in slabs:
+        if rows.start != covered or slab.shape != Lambda_ref[rows].shape:
+            raise ShapeError(
+                f"loading fields differ in shape: {slab.shape} at rows {rows.start}.. "
+                f"vs {Lambda_ref.shape}"
+            )
+        diff = slab - Lambda_ref[rows]
+        np.square(diff, out=diff)
+        diff.sum(axis=(1, 2), out=sq[rows])
+        covered = rows.stop
+    if covered != T:
+        raise ShapeError(f"loading field covers {covered} of the reference's {T} grid points")
+    return float(np.sqrt(sq, out=sq).sum() / (N * T))
 
 
 def median_path(mse_values, fits):

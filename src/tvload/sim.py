@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._table import write_table
-from .errors import NumericError, ParameterError, RegistryError, ShapeError
+from .errors import NumericError, ParameterError, RegistryError, ShapeError, naming_file
 from .factors import (
     make_panel,
     nonstationary_factors,
@@ -349,10 +349,10 @@ def _draw(config: DgpConfig, Lambda: np.ndarray) -> SimulatedDataset:
     if w[0] < -1e-12:
         raise NumericError(f"noise covariance is not PSD (min eigenvalue {w[0]})")
     root_cov = V @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ V.T
-    Z = np.random.default_rng(noise_ss).normal(size=(T, N))
-    e = Z @ root_cov
-
-    Y = np.einsum("tmi,ti->tm", Lambda, F) + e
+    e = np.random.default_rng(noise_ss).normal(size=(T, N)) @ root_cov
+    # Y = common part + e, added in place: no third panel
+    Y = np.einsum("tmi,ti->tm", Lambda, F)
+    Y += e
     return SimulatedDataset(Y=Y, F=F, Lambda=Lambda, e=e, config=config)
 
 
@@ -380,20 +380,29 @@ class ExperimentReport:
 def _run_one_rep(config: DgpConfig, Lambda: np.ndarray, basis: WaveletBasis,
                  seed: int, rep: int) -> tuple[float, float]:
     """(R-squared, MSE) of replication rep of a cell whose loading field and basis
-    are built."""
+    are built.
+
+    A replication holds its panel and the cell's field: the noise panel and
+    the working copy of the extraction go as soon as they are used, and the
+    loading error reads the fitted field in row slabs, never whole.
+    """
     cfg = replace(config, seed=(seed, rep))
     ds = _draw(cfg, Lambda)
-    panel = make_panel(ds.Y)
-    theta = cfg.resolved_theta()
-    if max(theta) < 1.0:
-        work = standardize(panel)
-        est = restore_level(work, pca_factors(work, cfg.r))
-    else:
-        est = nonstationary_factors(scale_only(panel), cfg.r)
-    rot = procrustes_rotation(ds.F, est.F)
+    F, panel = ds.F, make_panel(ds.Y)
+    del ds
+    est = _extract(panel, cfg)
+    rot = procrustes_rotation(F, est.F)
     aligned = replace(est, F=rot.F_rotated_rescaled)
-    Lambda_hat = fit_iterative(panel, aligned, basis).Lambda
-    return r2_factors(ds.F, aligned.F), loading_mse(Lambda_hat, ds.Lambda)
+    fit = fit_iterative(panel, aligned, basis)
+    return r2_factors(F, aligned.F), loading_mse(fit, Lambda)
+
+
+def _extract(panel, config: DgpConfig):
+    """Factors that keep their level, from a working copy dropped on return."""
+    if max(config.resolved_theta()) < 1.0:
+        work = standardize(panel)
+        return restore_level(work, pca_factors(work, config.r))
+    return nonstationary_factors(scale_only(panel), config.r)
 
 
 def run_experiment(
@@ -521,7 +530,7 @@ def read_grid_json(path) -> list[tuple[DgpConfig, str]]:
     An unknown key of a cell, of its ``noise_cov`` or of a ``loading_spec``
     entry is rejected by name.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with naming_file(path), open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
         raise ParameterError(f"{path}: grid must be a non-empty JSON array")

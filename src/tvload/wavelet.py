@@ -2,16 +2,17 @@
 
 Two families are supported: the Haar system, evaluated in closed form, and the
 8-tap Daubechies extremal-phase system, tabulated by the cascade algorithm and
-periodized to [0, 1].  A basis is represented as a dense T x 2^J design matrix
-whose rows are the grid points u = t/T, t = 1..T, and whose columns are the
-scale function followed by the wavelets in (level, shift) order.
+periodized to [0, 1].  A basis is held in run-length form: its distinct
+consecutive rows on the grid u = t/T, t = 1..T, and the number of grid
+points each covers.  The columns are the scale function followed by the
+wavelets in (level, shift) order.
 
-Every basis also has a run-length form: its distinct consecutive rows and
-the number of grid points each covers.  A Haar basis is constant between
-the points k/2^J, so it has 2^J runs, equal on a grid that 2^J divides and
-of unequal lengths on any other; a d8 basis with a wavelet column has T
-runs of one point.  A field evaluated on the basis is held and written once
-per run, and ``expand_runs`` spreads it over the grid.
+A Haar basis is constant on each dyadic cell ((c-1)/2^J, c/2^J], so it has
+2^J runs on any grid, equal where 2^J divides T and of unequal lengths
+elsewhere, and it is evaluated at one grid point per cell; a d8 basis with
+a wavelet column has T runs of one point.  The dense T x 2^J matrix is
+built only when read.  A field evaluated on the basis is held and written
+once per run, and ``expand_runs`` spreads it over the grid.
 """
 
 from __future__ import annotations
@@ -155,7 +156,6 @@ class CascadeTable:
         return np.interp(np.asarray(q, dtype=float), self.x, self.values, left=0.0, right=0.0)
 
 
-@lru_cache(maxsize=8)
 def _cascade_values(levels: int) -> tuple[np.ndarray, np.ndarray]:
     # Values of phi at the integers solve the refinement-matrix eigenproblem
     # phi(a) = sqrt(2) * sum_n h_n phi(2a - n), eigenvalue 1.
@@ -218,10 +218,8 @@ def daubechies8_table(levels: int = _DEFAULT_TABLE_LEVELS) -> CascadeTable:
     return CascadeTable(levels=int(levels), x=x, values=vals)
 
 
-@lru_cache(maxsize=8)
-def _d8_psi_values(levels: int) -> tuple[np.ndarray, np.ndarray]:
-    # psi(m/2^L) = sqrt(2) * sum_n g_n phi(2m/2^L - n), read off the phi table.
-    _, phi = _cascade_values(levels)
+def _d8_psi_values(phi: np.ndarray, levels: int) -> np.ndarray:
+    """psi(m/2^L) = sqrt(2) * sum_n g_n phi(2m/2^L - n), read off the phi table."""
     n_pts = _D8_SUPPORT * 2**levels + 1
     m = np.arange(n_pts)
     psi = np.zeros(n_pts)
@@ -230,13 +228,12 @@ def _d8_psi_values(levels: int) -> tuple[np.ndarray, np.ndarray]:
         ok = (i >= 0) & (i < phi.size)
         psi[ok] += _D8_G[n] * phi[i[ok]]
     psi *= _SQRT2
-    x = m / 2.0**levels
-    return x, psi
+    return psi
 
 
-def _d8_periodic_column(j: int, k: int, u: np.ndarray, levels: int) -> np.ndarray:
+def _d8_periodic_column(j: int, k: int, u: np.ndarray, xs: np.ndarray,
+                        psi: np.ndarray) -> np.ndarray:
     """Periodized wavelet 2^(j/2) sum_l psi(2^j (u + l) - k) on points of [0, 1]."""
-    xs, psi = _d8_psi_values(levels)
     lo = math.floor(k / 2**j) - 1
     hi = math.ceil((k + _D8_SUPPORT) / 2**j)
     out = np.zeros_like(u)
@@ -246,9 +243,8 @@ def _d8_periodic_column(j: int, k: int, u: np.ndarray, levels: int) -> np.ndarra
     return (2.0 ** (j / 2.0)) * out
 
 
-def _d8_periodic_scale(u: np.ndarray, levels: int) -> np.ndarray:
+def _d8_periodic_scale(u: np.ndarray, xs: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Periodized scale function sum_l phi(u + l); equals 1 by partition of unity."""
-    xs, phi = _cascade_values(levels)
     out = np.zeros_like(u)
     for l in range(_D8_SUPPORT + 1):
         out += np.interp(u + l, xs, phi, left=0.0, right=0.0)
@@ -257,46 +253,38 @@ def _d8_periodic_scale(u: np.ndarray, levels: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveletBasis:
-    """Dense wavelet design on the grid u = t/T, t = 1..T.
+    """Wavelet design on the grid u = t/T, t = 1..T, held once per run.
 
-    ``B`` has shape (T, 2^J): the scale column first, then wavelet columns in
-    (level, shift) order as recorded in ``column_index`` (the scale column is
-    tagged (-1, 0)).
-
-    ``run_rows`` and ``run_lengths`` are its run-length form: the runs of
-    bitwise-equal consecutive rows of ``B``, one row each, and the grid
-    points each covers.  A Haar basis on a grid that K = 2^J divides is
-    constant on K dyadic blocks of T/K rows, so its runs are those blocks.
+    ``run_rows`` holds the distinct consecutive rows of the T x 2^J design,
+    one per run, and ``run_lengths`` the grid points each covers.  The
+    columns are the scale column first, then the wavelet columns in
+    (level, shift) order as recorded in ``column_index`` (the scale column
+    is tagged (-1, 0)).  A Haar basis has one run per dyadic cell, 2^J on
+    any grid; a d8 basis with a wavelet column has T runs of one point,
+    and its run rows are the dense matrix itself.
     """
 
     family: WaveletFamily
     J: int
     T: int
-    B: np.ndarray
+    run_rows: np.ndarray
+    run_lengths: np.ndarray
     column_index: tuple[tuple[int, int], ...]
 
     @property
     def n_columns(self) -> int:
-        return self.B.shape[1]
+        return self.run_rows.shape[1]
 
     @cached_property
-    def run_lengths(self) -> np.ndarray:
-        """Grid points covered by each run of bitwise-equal consecutive rows of ``B``."""
-        bits = self.B.view(np.uint64)
-        firsts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-        lengths = np.diff(np.r_[firsts, self.T])
-        lengths.setflags(write=False)
-        return lengths
+    def B(self) -> np.ndarray:
+        """The dense T x 2^J matrix, ``expand_runs(run_rows, run_lengths)``, read-only.
 
-    @cached_property
-    def run_rows(self) -> np.ndarray:
-        """One row of ``B`` per run: ``B == expand_runs(run_rows, run_lengths)``."""
-        lengths = self.run_lengths
-        if len(lengths) == self.T:
-            return self.B
-        rows = self.B[np.cumsum(lengths) - lengths]
-        rows.setflags(write=False)
-        return rows
+        Built when first read, and the run rows themselves where every run is
+        one point long; no fit reads it on a basis with longer runs.
+        """
+        B = expand_runs(self.run_rows, self.run_lengths)
+        B.setflags(write=False)
+        return B
 
 
 def expand_runs(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -315,7 +303,7 @@ def evaluate_basis(
     J: int,
     T: int,
 ) -> WaveletBasis:
-    """Assemble the T x 2^J basis matrix on the grid t/T, t = 1..T.
+    """Evaluate the 2^J-column basis on the grid t/T, t = 1..T, in run-length form.
 
     Parameters
     ----------
@@ -330,7 +318,7 @@ def evaluate_basis(
     -------
     WaveletBasis
         Cached: repeated calls with the same arguments return the same
-        object, whose matrix ``B`` is read-only.
+        object, whose arrays are read-only.
     """
     fam = _as_family(family)
     if J < 0:
@@ -344,22 +332,66 @@ def evaluate_basis(
 
 @lru_cache(maxsize=16)
 def _cached_basis(fam: WaveletFamily, J: int, T: int) -> WaveletBasis:
-    """Build a basis once per argument tuple; its matrix is read-only because it is shared."""
-    u = np.arange(1, T + 1, dtype=float) / T
-    index: list[tuple[int, int]] = [(-1, 0)]
-    cols = []
+    """Build a basis once per argument tuple; its arrays are read-only because they are shared."""
+    index = ((-1, 0), *((j, k) for j in range(J) for k in range(2**j)))
     if fam is WaveletFamily.HAAR:
-        cols.append(np.ones(T))
-        for j in range(J):
-            for k in range(2**j):
-                cols.append(haar_eval(j, k, u))
-                index.append((j, k))
+        rows, lengths = _haar_runs(index, T)
     else:
-        cols.append(_d8_periodic_scale(u, _DEFAULT_TABLE_LEVELS))
-        for j in range(J):
-            for k in range(2**j):
-                cols.append(_d8_periodic_column(j, k, u, _DEFAULT_TABLE_LEVELS))
-                index.append((j, k))
-    B = np.column_stack(cols)
-    B.setflags(write=False)
-    return WaveletBasis(family=fam, J=J, T=T, B=B, column_index=tuple(index))
+        rows, lengths = _runs_of(_d8_matrix(index, T))
+    rows.setflags(write=False)
+    lengths.setflags(write=False)
+    return WaveletBasis(family=fam, J=J, T=T, run_rows=rows, run_lengths=lengths,
+                        column_index=index)
+
+
+def _haar_runs(index, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Haar columns of ``index`` at one grid point per dyadic cell, and the
+    points each cell holds.
+
+    Grid point t lies in cell (t 2^J + T - 1) // T - 1, the c with
+    c/2^J < t/T <= (c+1)/2^J, so cell c starts at t = c T // 2^J + 1.  Every
+    ``haar_eval`` column of level j < J changes value only at the points
+    m/2^J, and t/T rounds on the same side of each of them, so a cell's row
+    is bitwise the row of every grid point in it.
+    """
+    K = len(index)  # 2^J
+    firsts = np.arange(K) * T // K + 1
+    u = firsts.astype(float) / T
+    rows = np.empty((K, K))
+    rows[:, 0] = 1.0
+    for c, (j, k) in enumerate(index[1:], start=1):
+        rows[:, c] = haar_eval(j, k, u)
+    return rows, np.diff(np.append(firsts, T + 1))
+
+
+def _d8_matrix(index, T: int) -> np.ndarray:
+    """The dense T x 2^J periodized d8 design of ``index``, filled column by column.
+
+    The cascade tables behind it are computed for this build alone.
+    """
+    levels = _DEFAULT_TABLE_LEVELS
+    xs, phi = _cascade_values(levels)
+    psi = _d8_psi_values(phi, levels)
+    u = np.arange(1, T + 1, dtype=float) / T
+    B = np.empty((T, len(index)))
+    B[:, 0] = _d8_periodic_scale(u, xs, phi)
+    for c, (j, k) in enumerate(index[1:], start=1):
+        B[:, c] = _d8_periodic_column(j, k, u, xs, psi)
+    return B
+
+
+def _runs_of(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of bitwise-equal consecutive rows of B: one row each, and their lengths.
+
+    Where every run is one point long the rows are B itself.  Columns are
+    compared one at a time, and only while some pair of rows still agrees.
+    """
+    bits = B.view(np.uint64)
+    same = np.ones(len(B) - 1, dtype=bool)
+    for col in bits.T:
+        same &= col[1:] == col[:-1]
+        if not same.any():
+            break
+    firsts = np.flatnonzero(np.r_[True, ~same])
+    lengths = np.diff(np.append(firsts, len(B)))
+    return (B if len(firsts) == len(B) else B[firsts]), lengths

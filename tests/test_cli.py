@@ -710,28 +710,39 @@ def _not_utf8(path):
 
 def _panel_for_select_r(tmp_path, panel_csv):
     _not_utf8(Path(panel_csv))
-    return ["select-r", "--input", panel_csv]
+    return ["select-r", "--input", panel_csv], panel_csv
 
 
 def _grid_for_simulate(tmp_path, panel_csv):
     grid = _grid(tmp_path)
     _not_utf8(Path(grid))
-    return ["simulate", "--input", grid, "--reps", "2"]
+    return ["simulate", "--input", grid, "--reps", "2"], grid
 
 
-def _report_for_bootstrap(tmp_path, panel_csv):
+def _estimate_run(tmp_path, panel_csv):
     est = tmp_path / "est"
     assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),
                  "--r", "1", "--J", "3"]) == 0
+    return ["bootstrap", "--input", str(est), "--B", "4", "--threads", "1"], est
+
+
+def _report_for_bootstrap(tmp_path, panel_csv):
+    argv, est = _estimate_run(tmp_path, panel_csv)
     _not_utf8(est / "report.json")
-    return ["bootstrap", "--input", str(est), "--B", "4", "--threads", "1"]
+    return argv, str(est / "report.json")
+
+
+def _factors_for_bootstrap(tmp_path, panel_csv):
+    argv, est = _estimate_run(tmp_path, panel_csv)
+    _not_utf8(est / "factors.csv")
+    return argv, str(est / "factors.csv")
 
 
 @pytest.mark.parametrize("damaged", [_panel_for_select_r, _grid_for_simulate,
-                                     _report_for_bootstrap],
-                         ids=["panel", "grid", "report"])
+                                     _report_for_bootstrap, _factors_for_bootstrap],
+                         ids=["panel", "grid", "report", "factors"])
 def test_a_file_that_is_not_utf8_is_reported(tmp_path, panel_csv, capsys, damaged):
-    argv = damaged(tmp_path, panel_csv)
+    argv, path = damaged(tmp_path, panel_csv)
     capsys.readouterr()
     out = tmp_path / "out"
     assert main([*argv, "--output-dir", str(out)]) == 1
@@ -739,6 +750,7 @@ def test_a_file_that_is_not_utf8_is_reported(tmp_path, panel_csv, capsys, damage
     rec = json.loads(line)
     assert rec["error"] == "UnicodeDecodeError"
     assert "0xe9" in rec["message"]
+    assert rec["path"] == path
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import tvload.gls
+import tvload.wavelet
 from tvload.errors import (
     NumericError,
     ParameterError,
@@ -214,6 +215,46 @@ def test_haar_fit_on_a_dyadic_grid_never_builds_psi():
     assert "Psi" not in d.__dict__
 
 
+@pytest.mark.parametrize("T", [1000, 8760])
+def test_a_haar_fit_on_a_grid_that_2j_does_not_divide_builds_neither_b_nor_psi(T):
+    # unequal runs are padded to the longest, so the per-run sums serve them
+    rng = np.random.default_rng(19)
+    N, r = 3, 2
+    tvload.wavelet._cached_basis.cache_clear()  # a basis no other test has read B of
+    basis = evaluate_basis("haar", select_resolution(T), T)
+    assert len(set(basis.run_lengths.tolist())) == 2
+    fac = _factors(rng.normal(size=(T, r)))
+    panel = make_panel(rng.normal(size=(T, N)))
+    d = build_design(fac, basis)
+    fit = fit_iterative(panel, fac, basis, design=d)
+    fit.Gamma_e, fit.Lambda_rows
+    assert "B" not in vars(basis)
+    assert "Psi" not in vars(d)
+    Psi = d.Psi
+    ref = np.linalg.lstsq(Psi, panel.values, rcond=None)[0].T.reshape(fit.beta.shape)
+    assert np.linalg.norm(fit.beta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_an_hourly_haar_basis_and_fit_peak_under_three_panels():
+    # five years of hourly data: the dense basis alone would be 12.8 panels
+    rng = np.random.default_rng(20)
+    T, N, r, J = 43800, 20, 2, 8
+    panel = make_panel(rng.normal(size=(T, N)))
+    fac = _factors(rng.normal(size=(T, r)))
+    tvload.wavelet._cached_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        basis = evaluate_basis("haar", J, T)
+        fit = fit_iterative(panel, fac, basis)
+        fit.Gamma_e, fit.Lambda_rows
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert T * 2**J * 8 > 12 * panel.values.nbytes
+    assert peak < 3 * panel.values.nbytes
+
+
 @pytest.mark.parametrize("family,T,J,r", [
     pytest.param("haar", 1000, 5, 2, id="haar-1000"),
     pytest.param("haar", 32, 5, 1, id="haar-32"),  # Psi is square, so one factor
@@ -222,13 +263,14 @@ def test_haar_fit_on_a_dyadic_grid_never_builds_psi():
     pytest.param("d8", 2000, 6, 2, id="d8-2000"),
 ])
 def test_other_designs_solve_without_psi_and_match_lstsq(family, T, J, r):
-    # Haar runs of unequal length (T=1000) or of one point (T=2^J) take the
-    # slabs, as d8 does.  T=1000 and 2000 leave a short last slab; at T=2000
+    # Haar runs of unequal length (T=1000) take the per-run sums on runs
+    # padded to the longest; runs of one point (Haar with T=2^J, and d8) take
+    # the slabs.  T=1000 and 2000 leave a short last slab; at T=2000
     # (2^J = 64) Psi'Y and the fitted panel take four slabs
     rng = np.random.default_rng(18)
     basis = evaluate_basis(family, J, T)
     d = build_design(_factors(rng.normal(size=(T, r))), basis)
-    assert d._run_blocks is None
+    assert (d._run_blocks is None) == (basis.run_lengths.max() == 1)
     Y = rng.normal(size=(T, 4))
     beta = d.solve(Y)
     gram, cross, fitted = d._gram(), d._cross(Y), d.fitted(beta)

@@ -248,10 +248,17 @@ def test_run_experiment_median_rep_is_reproducible():
     assert (rep.median_rep, r2, mse) in rep.replications
 
 
-@pytest.mark.parametrize("family,T,theta", [("haar", 128, 0.5), ("d8", 96, 1.0)])
-def test_run_experiment_equals_a_loop_of_fresh_simulations(family, T, theta):
-    # the cell's shared loading field and basis change no replication's scores
-    cfg = DgpConfig(N=6, T=T, r=2, theta=(theta, theta))
+@pytest.mark.parametrize("family,T,theta,N", [
+    pytest.param("haar", 128, 0.5, 6, id="haar-128-0.5"),
+    pytest.param("d8", 96, 1.0, 6, id="d8-96-1.0"),
+    pytest.param("haar", 2048, 0.5, 20, id="haar-2048-0.5"),
+    pytest.param("haar", 1000, 0.0, 20, id="haar-1000-0.0"),  # runs of unequal length
+    pytest.param("d8", 2048, 0.5, 20, id="d8-2048-0.5"),  # the field takes three row slabs
+])
+def test_run_experiment_equals_a_loop_of_fresh_simulations(family, T, theta, N):
+    # the cell's shared loading field and basis, and the replication's loading
+    # error read from the fit in row slabs, change no replication's scores
+    cfg = DgpConfig(N=N, T=T, r=2, theta=(theta, theta))
     basis = evaluate_basis(family, select_resolution(T), T)
     rep = run_experiment(cfg, family=family, n_reps=4, seed=3, n_threads=2)
     for k, r2, mse in rep.replications:

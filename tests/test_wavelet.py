@@ -11,6 +11,7 @@ from tvload.wavelet import (
     WaveletFamily,
     daubechies8_table,
     evaluate_basis,
+    expand_runs,
     haar_eval,
     select_resolution,
 )
@@ -63,6 +64,34 @@ def test_haar_eval_shift_range_checked():
         haar_eval(1, 2, 0.3)
     with pytest.raises(ParameterError):
         haar_eval(0, -1, 0.3)
+
+
+def _dense_haar_columns(J, T):
+    """Every column of the Haar basis on t/T, t = 1..T, from ``haar_eval`` alone."""
+    u = np.arange(1, T + 1) / T
+    yield np.ones(T)
+    for j in range(J):
+        for k in range(2**j):
+            yield haar_eval(j, k, u)
+
+
+@pytest.mark.parametrize("T_rule", ["2^J", "2^J+1", "1000", "8760", "43800", "1009"])
+def test_haar_run_form_is_the_dense_basis_bit_for_bit(T_rule):
+    # column by column, so the dense T x 2^J matrix is never held
+    for J in range(10):
+        T = {"2^J": 2**J, "2^J+1": 2**J + 1}.get(T_rule) or int(T_rule)
+        if 2**J > T:
+            continue
+        basis = evaluate_basis("haar", J, T)
+        assert basis.run_rows.shape == (min(2**J, T), 2**J)
+        changes = np.zeros(T - 1, dtype=bool)  # where the dense basis changes row
+        for c, col in enumerate(_dense_haar_columns(J, T)):
+            got = expand_runs(basis.run_rows[:, c:c + 1], basis.run_lengths)[:, 0]
+            assert np.array_equal(got.view(np.uint64), col.view(np.uint64)), (J, T, c)
+            bits = col.view(np.uint64)
+            changes |= bits[1:] != bits[:-1]
+        firsts = np.flatnonzero(np.r_[True, changes])
+        assert basis.run_lengths.tolist() == np.diff(np.r_[firsts, T]).tolist(), (J, T)
 
 
 def test_haar_basis_first_row_J2_T8():
@@ -207,10 +236,9 @@ def test_basis_evaluation_is_deterministic(family):
     from tvload import wavelet as wv
 
     a = evaluate_basis(family, 4, 96)
-    wv._cascade_values.cache_clear()
-    wv._d8_psi_values.cache_clear()
-    wv._cached_basis.cache_clear()
+    wv._cached_basis.cache_clear()  # the d8 cascade tables are built afresh with each basis
     b = evaluate_basis(family, 4, 96)
+    assert b is not a
     assert np.array_equal(a.B, b.B)
 
 

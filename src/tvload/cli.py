@@ -93,13 +93,17 @@ def _write_run(outdir, report, artifacts) -> None:
 def cmd_estimate(args) -> int:
     if args.r is not None and args.r_max is not None:
         raise ParameterError("--r-max applies only without --r, which fixes the number of factors")
+    if args.k is not None and not args.nonstationary:
+        raise ParameterError("--k applies only with --nonstationary, whose lag-covariance "
+                             "extraction reads it")
+    k = 1 if args.k is None else args.k
     panel = read_panel_csv(args.input)
 
     if args.nonstationary:
         work = scale_only(panel)
         standardization = "scale-only"
         # the lag-covariance scale T^-(2d+d') is fixed at d = d' = 1
-        method = f"GeneralizedCovariance({args.k},1,1)"
+        method = f"GeneralizedCovariance({k},1,1)"
     else:
         work = standardize(panel)
         standardization = "center-scale"
@@ -131,7 +135,7 @@ def cmd_estimate(args) -> int:
         selection = {"r": sel.r, "r_max": sel.r_max, "plateau_width": sel.plateau_width,
                      "n_stable_intervals": len(sel.intervals)}
     if args.nonstationary:
-        est = nonstationary_factors(work, r, k=args.k)
+        est = nonstationary_factors(work, r, k=k)
     else:
         est = pca_factors(work, r)
 
@@ -146,7 +150,7 @@ def cmd_estimate(args) -> int:
             "family": args.family,
             "J": int(J),
             "nonstationary": bool(args.nonstationary),
-            "k": args.k,
+            "k": k,
         },
         "input": {
             "path": os.path.abspath(args.input),
@@ -161,9 +165,6 @@ def cmd_estimate(args) -> int:
         "eigenvalues": [float(v) for v in est.eigenvalues],
         **_spectrum_diagnostics(est.eigenvalues, r),
         "design_gram_condition": fit.design.gram_condition,
-        "iterations": fit.n_iter,
-        "deltas": [float(d) for d in fit.deltas],
-        "converged": fit.converged,
     }
     _write_run(args.output_dir, report, {
         "factors.csv": lambda path: write_panel_csv(
@@ -172,8 +173,7 @@ def cmd_estimate(args) -> int:
         "coefficients.csv": lambda path: write_coefficients_csv(fit, path),
         "residual_covariance.csv": lambda path: write_covariance_csv(fit, path),
     })
-    print(f"estimate: r={r} J={J} family={args.family} iterations={fit.n_iter} "
-          f"-> {args.output_dir}")
+    print(f"estimate: r={r} J={J} family={args.family} -> {args.output_dir}")
     return 0
 
 
@@ -239,11 +239,18 @@ def cmd_select_r(args) -> int:
 
 def cmd_simulate(args) -> int:
     # only this command runs sim, and through it metrics, so only it loads them
-    from .sim import (default_grid, read_grid_json, run_experiment, write_detail_csv,
-                      write_report_csv)
+    from .sim import (cell_basis, default_grid, read_grid_json, run_experiment,
+                      write_detail_csv, write_report_csv)
 
     threads = _resolve_threads(args.threads)
     cells = read_grid_json(args.input) if args.input else default_grid()
+    # every cell's basis is built (and cached) before the first cell runs
+    for i, (cfg, family) in enumerate(cells):
+        try:
+            cell_basis(cfg, family, args.J)
+        except ParameterError as exc:
+            grid = args.input or "default grid"
+            raise ParameterError(f"{grid}: grid record {i}: {exc}") from None
     reports = []
     for cfg, family in cells:
         reports.append(
@@ -326,7 +333,6 @@ def _reload_estimate(run_dir):
     nonstationary = field("parameters.nonstationary", bool)
     input_path, input_sha256 = field("input.path", str), field("input.sha256", str)
     eigenvalues = field("eigenvalues", list)
-    deltas = field("deltas", list)
     if not os.path.exists(input_path):
         raise MissingDataError(f"original input panel not found: {input_path}")
     if _sha256(input_path) != input_sha256:
@@ -348,7 +354,7 @@ def _reload_estimate(run_dir):
     beta = read_coefficients_csv(
         os.path.join(run_dir, "coefficients.csv"), work.series_ids, basis, r
     )
-    fit = GlsFit(beta, build_design(est, basis), work, deltas)
+    fit = GlsFit(beta, build_design(est, basis), work)
     return est, fit, report
 
 
@@ -404,7 +410,7 @@ _FLAGS = {
     "--J": dict(type=int, default=None, help="resolution override"),
     "--nonstationary": dict(action="store_true", help="integrated factors: lag-covariance "
                             "extraction, rank selection on the differenced panel"),
-    "--k": dict(type=int, default=1),
+    "--k": dict(type=int, default=None, help="lag of the lag covariance (default 1)"),
     "--first-difference": dict(action="store_true"),
     "--r": dict(type=int, default=None),
     "--r-max": dict(type=int, default=None),

@@ -8,13 +8,13 @@ and every loading curve lambda_{m i} is expanded on a common wavelet basis.
 Stacking series by series, the regression design is I_N (x) Psi with
 Psi = [B * F_1 | ... | B * F_r].  Because all series share the same Psi, the
 GLS weighting by Gamma_e^-1 (x) I_T collapses exactly onto per-series least
-squares.  The feasible GLS fit therefore takes two passes, the identity
-weight and then the diagonal of the pass-1 residual covariance, and the
-second reproduces the first; the fit records that movement rather than
-hides it.  A fit is its coefficients beta and its design: the loading field
-and the residual covariance are built from them, and from the panel, when
-first read, so a caller that keeps only the coefficients, as every bootstrap
-draw does, pays for the two solves alone.
+squares (Zellner 1962, JASA).  The feasible GLS fit still takes the
+paper's two passes, the identity weight and then the diagonal of the pass-1
+residual covariance, and the second reproduces the first.  A fit is its
+coefficients beta, its design and its panel: the loading field and the
+residual covariance are built from them when first read, so a caller that
+keeps only the coefficients, as every bootstrap draw does, pays for the two
+solves alone.
 
 A design keeps the factors and the basis, and no fit builds Psi.  Where the
 runs of the basis (``WaveletBasis.run_rows``) are longer than one grid point,
@@ -374,34 +374,21 @@ def _residuals(panel: Panel, design: DesignBlock, beta: np.ndarray) -> np.ndarra
     return np.subtract(panel.values, E, out=E)
 
 
-# Second-pass movement below which a fit counts as converged.
-CONVERGENCE_TOL = 1e-6
-
-
+@dataclass(frozen=True)
 class GlsFit:
-    """Two-pass loading fit, fully described by its coefficients and its design.
+    """Two-pass loading fit, fully described by its coefficients, design and panel.
 
     ``beta[m, i]`` holds series m's coefficients for factor i in basis-column
-    order; ``deltas`` records the loading-field movement of the second pass.
-    ``Lambda_rows``, the loading curves once per run of the basis,
+    order.  ``Lambda_rows``, the loading curves once per run of the basis,
     ``Lambda[t, m, i]``, those rows spread over the grid, and ``Gamma_e``,
     the residual covariance E'E / T with E = Y - Psi beta, are built from
     (beta, design, panel) when each is first read, and kept.  ``Lambda`` is
     ``Lambda_rows`` itself where every run is one point long, as on d8.
     """
 
-    n_iter = 2  # the fit is always the identity pass and the weighted pass
-
-    def __init__(self, beta: np.ndarray, design: DesignBlock, panel: Panel,
-                 deltas: tuple[float, ...]):
-        self.beta = beta
-        self.design = design
-        self.panel = panel
-        self.deltas = tuple(deltas)
-
-    @property
-    def converged(self) -> bool:
-        return self.deltas[0] < CONVERGENCE_TOL
+    beta: np.ndarray
+    design: DesignBlock
+    panel: Panel
 
     @cached_property
     def Lambda_rows(self) -> np.ndarray:
@@ -450,12 +437,9 @@ def fit_iterative(
     Pass 1 solves with the identity weight.  Pass 2 solves with the diagonal
     of the pass-1 residual covariance, diag(E'E / T) with E = Y - Psi beta_1,
     and 1 wherever a residual variance is not positive, as on a series the
-    model fits exactly.  The Kronecker weight structure makes pass 2
-    reproduce the pass-1 coefficients bit for bit, and the movement is then
-    0.0.  Otherwise the fit records the summed Frobenius movement of the
-    loading field sum_t ||Lambda_1(t) - Lambda_2(t)||_F as ``deltas[0]``, read
-    off the one field of beta_2 - beta_1 on the design's basis, and counts as
-    converged when it is below ``CONVERGENCE_TOL``.
+    model fits exactly.  Every series shares the design Psi, so a weight
+    Gamma_e^-1 (x) I_T cancels (Zellner 1962, JASA) and pass 2 reproduces the
+    pass-1 coefficients bit for bit.
 
     The fit keeps the pass-2 coefficients, the design and the panel, so a
     caller that reads only ``beta`` pays for the two solves and the pass-2
@@ -475,8 +459,6 @@ def fit_iterative(
     Returns
     -------
     GlsFit
-        ``n_iter`` is 2; a fit that does not converge is recorded, not
-        raised.
     """
     if design is None:
         design = build_design(factors, basis)
@@ -484,11 +466,7 @@ def fit_iterative(
     E = _residuals(panel, design, first_beta)
     variance = np.einsum("tm,tm->m", E, E) / panel.T
     beta = gls_step(panel, design, np.diag(np.where(variance > 0.0, variance, 1.0)))
-    move = 0.0
-    if not np.array_equal(beta, first_beta):
-        step = loadings_from_coeffs(beta - first_beta, design.basis)
-        move = float(np.sqrt((step ** 2).sum(axis=(1, 2))).sum())
-    return GlsFit(beta, design, panel, (move,))
+    return GlsFit(beta, design, panel)
 
 
 # ---------------------------------------------------------------- artifacts

@@ -32,7 +32,7 @@ from .factors import (
 )
 from .gls import fit_iterative
 from .metrics import loading_mse, median_path, procrustes_rotation, r2_factors
-from .wavelet import WaveletBasis, evaluate_basis, select_resolution
+from .wavelet import WaveletBasis, WaveletFamily, evaluate_basis, select_resolution
 
 __all__ = [
     "ToeplitzCov",
@@ -44,6 +44,7 @@ __all__ = [
     "loading_library",
     "default_loading_spec",
     "simulate_dgp",
+    "cell_basis",
     "run_experiment",
     "default_grid",
     "read_grid_json",
@@ -405,6 +406,15 @@ def _extract(panel, config: DgpConfig):
     return nonstationary_factors(scale_only(panel), config.r)
 
 
+def cell_basis(config: DgpConfig, family: str, J: int | None = None) -> WaveletBasis:
+    """The basis of a cell: ``family`` at resolution J, by default the grid's own.
+
+    Cached, as ``evaluate_basis`` is; a basis that cannot be built raises
+    ``ParameterError``.
+    """
+    return evaluate_basis(family, select_resolution(config.T) if J is None else J, config.T)
+
+
 def run_experiment(
     config: DgpConfig,
     family: str = "haar",
@@ -441,7 +451,7 @@ def run_experiment(
     config.validate()
     # Neither depends on the replication seed: build them once for the cell.
     Lambda = _loading_field(config)
-    basis = evaluate_basis(family, select_resolution(config.T) if J is None else J, config.T)
+    basis = cell_basis(config, family, J)
 
     results: dict[int, tuple[float, float]] = {}
     failures: list[tuple[int, str]] = []
@@ -513,22 +523,48 @@ def _check_keys(obj, allowed, what) -> None:
             raise ParameterError(f"unknown {what} key {key!r}; known keys: {', '.join(allowed)}")
 
 
+def _integer(value, key) -> int:
+    """A JSON integer; a float, a string or a bool is rejected by ``key``."""
+    # bool is an int subclass: true is no integer
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, key) -> float:
+    """A JSON number as a float; a string or a bool is rejected by ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, key) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ParameterError(f"{key!r} must be an array of numbers, got {value!r}")
+    return tuple(_number(x, key) for x in value)
+
+
 def _cov_from_json(obj) -> object:
-    kind = str(obj.get("kind", "")).lower() if isinstance(obj, dict) else ""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "toeplitz":
         _check_keys(obj, ("kind", "gamma"), "noise_cov")
-        return ToeplitzCov(gamma=float(obj.get("gamma", 0.7)))
+        return ToeplitzCov(gamma=_number(obj.get("gamma", 0.7), "gamma"))
     if kind == "diag":
         _check_keys(obj, ("kind", "lo", "hi"), "noise_cov")
-        return DiagonalUniformCov(lo=float(obj.get("lo", 0.5)), hi=float(obj.get("hi", 1.5)))
-    raise ParameterError(f"unknown noise covariance kind {obj!r}")
+        return DiagonalUniformCov(lo=_number(obj.get("lo", 0.5), "lo"),
+                                  hi=_number(obj.get("hi", 1.5), "hi"))
+    raise ParameterError(f"unknown noise covariance kind {obj!r}; "
+                         f"'kind' is 'toeplitz' or 'diag'")
 
 
 def read_grid_json(path) -> list[tuple[DgpConfig, str]]:
     """Parse a JSON array of design cells into (config, family) pairs.
 
     An unknown key of a cell, of its ``noise_cov`` or of a ``loading_spec``
-    entry is rejected by name.
+    entry is rejected by name.  Each setting has one spelling: ``family`` is
+    ``haar`` or ``d8`` and a noise ``kind`` is ``toeplitz`` or ``diag``,
+    exactly; N, T and r are JSON integers, and ``theta``,
+    ``factor_innovation_sds``, ``gamma``, ``lo`` and ``hi`` JSON numbers.
     """
     with naming_file(path), open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -541,7 +577,11 @@ def read_grid_json(path) -> list[tuple[DgpConfig, str]]:
                 raise ParameterError("a cell takes no 'seed' key: replication rep of every "
                                      "cell draws from (--seed, rep)")
             _check_keys(rec, _CELL_KEYS, "cell")
+            family = rec.get("family", "haar")
+            if family not in [f.value for f in WaveletFamily]:
+                raise ParameterError(f"'family' must be 'haar' or 'd8', got {family!r}")
             theta = rec.get("theta")
+            sds = rec.get("factor_innovation_sds")
             spec = None
             if "loading_spec" in rec and rec["loading_spec"] is not None:
                 spec = {}
@@ -550,20 +590,17 @@ def read_grid_json(path) -> list[tuple[DgpConfig, str]]:
                     m, n = (int(x) for x in key.split(","))
                     spec[(m, n)] = (str(val["name"]), dict(val.get("params", {})))
             cfg = DgpConfig(
-                N=int(rec["N"]),
-                T=int(rec["T"]),
-                r=int(rec.get("r", 2)),
-                theta=None if theta is None else tuple(float(x) for x in theta),
+                N=_integer(rec["N"], "N"),
+                T=_integer(rec["T"], "T"),
+                r=_integer(rec.get("r", 2), "r"),
+                theta=None if theta is None else _numbers(theta, "theta"),
                 noise_cov=_cov_from_json(rec.get("noise_cov", {"kind": "diag"})),
                 loading_spec=spec,
                 factor_innovation_sds=(
-                    tuple(float(x) for x in rec["factor_innovation_sds"])
-                    if rec.get("factor_innovation_sds") is not None
-                    else None
-                ),
+                    None if sds is None else _numbers(sds, "factor_innovation_sds")),
             )
             cfg.validate()
-            cells.append((cfg, str(rec.get("family", "haar"))))
+            cells.append((cfg, family))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"{path}: bad grid record {i}: {exc}") from exc
     return cells

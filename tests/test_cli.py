@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvload
-from tvload.bootstrap import write_bands_csv, write_plot_csv
+from tvload.bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
 from tvload.cli import (
     _reload_estimate,
     _resolve_threads,
@@ -135,8 +135,14 @@ def test_library_entry_points_take_only_the_pinned_parameters():
     assert params(select_num_factors) == ["panel", "r_max", "first_difference_panel"]
     assert params(generalized_covariance) == ["panel", "k"]
     assert params(nonstationary_factors) == ["panel", "r", "k"]
-    # a fit is its coefficients and its design; Lambda and Gamma_e derive from them
-    assert params(GlsFit) == ["beta", "design", "panel", "deltas"]
+    # a fit is its coefficients, its design and its panel; Lambda and Gamma_e
+    # derive from them
+    assert params(GlsFit) == ["beta", "design", "panel"]
+    # bench/tests/test_tracer.py calls both positionally: any change to these
+    # parameters needs a change to the benchmark
+    assert params(fit_iterative) == ["panel", "factors", "basis", "design"]
+    assert params(residual_bootstrap) == ["panel", "fit", "factors", "basis", "B", "level",
+                                          "seed", "n_threads"]
     # a writer reads the ids, the basis and the field from the fit it is given
     assert params(write_loadings_csv) == ["fit", "path"]
     assert params(write_coefficients_csv) == ["fit", "path"]
@@ -288,6 +294,10 @@ def test_estimate_writes_verifiable_artifacts(tmp_path, panel_csv):
     assert report["selection"] is None
     assert report["input"]["T"] == 64 and report["input"]["N"] == 6
     assert report["input"]["sha256"] == hashlib.sha256(Path(panel_csv).read_bytes()).hexdigest()
+    # pass 2 reproduces pass 1, so no convergence record is kept
+    assert not {"iterations", "deltas", "converged"} & set(report)
+    # k is read only with --nonstationary, and recorded as its default here
+    assert report["parameters"]["k"] == 1
     assert (out / "factors.csv").read_text().splitlines()[0] == "t,factor_1,factor_2"
 
 
@@ -469,6 +479,26 @@ def test_estimate_rejects_r_max_alongside_r(tmp_path, panel_csv, capsys):
     assert not out.exists()
 
 
+def test_estimate_rejects_k_without_nonstationary(tmp_path, panel_csv, capsys):
+    # only the lag-covariance extractor reads k
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(out),
+                 "--r", "1", "--k", "7"]) == 1
+    rec = _err(capsys)
+    assert rec["error"] == "ParameterError"
+    assert "--k applies only with --nonstationary" in rec["message"]
+    assert not out.exists()
+
+
+def test_estimate_nonstationary_reads_k(tmp_path, panel_csv):
+    out = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(out),
+                 "--nonstationary", "--r", "1", "--J", "3", "--k", "2"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["parameters"]["k"] == 2
+    assert report["method"] == "GeneralizedCovariance(2,1,1)"
+
+
 def test_estimate_nonstationary_selects_the_rank_on_the_differenced_panel(tmp_path):
     # the levels of this random-walk panel select r=4
     path = tmp_path / "rw.csv"
@@ -537,6 +567,27 @@ def test_simulate_runs_are_byte_identical(tmp_path):
     assert header == "N,T,theta,cov,family,r2,mse_m"
 
 
+@pytest.mark.parametrize("cell", [
+    {"N": 5, "T": 64, "family": "haarr"},
+    {"N": 5, "T": 16},
+    {"N": 5, "T": 64, "family": "D8"},
+], ids=["unknown family", "grid shorter than the basis", "family spelt D8"])
+def test_simulate_checks_every_cell_before_running_any(tmp_path, monkeypatch, capsys, cell):
+    def never(*args, **kwargs):
+        raise AssertionError("a replication ran before every cell was checked")
+
+    monkeypatch.setattr(tvload.sim, "_run_one_rep", never)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"N": 5, "T": 64}, cell]))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--input", str(grid), "--output-dir", str(out),
+                 "--reps", "2", "--J", "5"]) == 1
+    rec = _err(capsys)
+    assert rec["error"] == "ParameterError"
+    assert "record 1" in rec["message"]
+    assert not out.exists()
+
+
 def test_simulate_report_records_why_replications_failed(tmp_path, monkeypatch):
     real = tvload.sim._run_one_rep
 
@@ -593,6 +644,24 @@ def test_bootstrap_reads_no_residual_covariance(tmp_path, panel_csv):
     for name in names:
         intact = (tmp_path / "intact" / name).read_bytes()
         assert intact == (tmp_path / "deleted" / name).read_bytes(), name
+
+
+def test_bootstrap_reloads_a_report_with_the_old_convergence_keys(tmp_path, panel_csv):
+    # runs written before the convergence record went carry these three keys
+    est = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),
+                 "--r", "2", "--J", "3"]) == 0
+    boot = ["bootstrap", "--input", str(est), "--B", "12", "--seed", "4", "--threads", "1"]
+    assert main([*boot, "--output-dir", str(tmp_path / "new")]) == 0
+    report = json.loads((est / "report.json").read_text())
+    report.update(iterations=2, deltas=[0.0], converged=True)
+    (est / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    assert main([*boot, "--output-dir", str(tmp_path / "old")]) == 0
+    names = sorted(os.listdir(tmp_path / "new"))
+    assert names == sorted(os.listdir(tmp_path / "old"))
+    for name in names:
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "old" / name).read_bytes(), name
 
 
 _ID_TEXT = st.text(alphabet='ab,"% ', min_size=1, max_size=5).filter(lambda s: s == s.strip())
@@ -848,7 +917,7 @@ def _set_J(value):
 
 _REPORT_KEYS = ["parameters.family", "parameters.J", "parameters.r", "parameters.k",
                 "parameters.nonstationary", "parameters", "input.path", "input.sha256",
-                "input", "eigenvalues", "deltas"]
+                "input", "eigenvalues"]
 
 
 @pytest.mark.parametrize("key, edit", [

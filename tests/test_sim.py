@@ -384,6 +384,32 @@ def test_grid_json_rejects_unknown_keys(tmp_path, cell, key):
     assert "record 1" in str(err.value) and key in str(err.value)
 
 
+@pytest.mark.parametrize("cell, key", [
+    ({"N": 5, "T": 64.9}, "'T'"),
+    ({"N": 5, "T": 64.0}, "'T'"),
+    ({"N": 5, "T": 64, "r": True}, "'r'"),
+    ({"N": "20", "T": 64}, "'N'"),
+    ({"N": 5, "T": 64, "r": 1, "theta": ["0.5"]}, "'theta'"),
+    ({"N": 5, "T": 64, "r": 1, "theta": [True]}, "'theta'"),
+    ({"N": 5, "T": 64, "r": 1, "theta": 0.5}, "'theta'"),
+    ({"N": 5, "T": 64, "r": 1, "factor_innovation_sds": ["0.5"]}, "'factor_innovation_sds'"),
+    ({"N": 5, "T": 64, "noise_cov": {"kind": "toeplitz", "gamma": "0.3"}}, "'gamma'"),
+    ({"N": 5, "T": 64, "noise_cov": {"kind": "diag", "lo": False}}, "'lo'"),
+    ({"N": 5, "T": 64, "noise_cov": {"kind": "diag", "hi": "2"}}, "'hi'"),
+    ({"N": 5, "T": 64, "noise_cov": {"kind": "TOEPLITZ"}}, "'TOEPLITZ'"),
+    ({"N": 5, "T": 64, "family": "D8"}, "'D8'"),
+    ({"N": 5, "T": 64, "family": "HAAR"}, "'HAAR'"),
+], ids=["T a fraction", "T a float", "r a bool", "N a string", "theta a string",
+        "theta a bool", "theta a number", "sds a string", "gamma a string", "lo a bool",
+        "hi a string", "TOEPLITZ kind", "D8 family", "HAAR family"])
+def test_grid_json_rejects_a_value_it_would_have_to_coerce(tmp_path, cell, key):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps([{"N": 5, "T": 64}, cell]))
+    with pytest.raises(ParameterError) as err:
+        read_grid_json(path)
+    assert "record 1" in str(err.value) and key in str(err.value)
+
+
 def test_grid_json_rejects_non_array(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text('{"N": 5}')

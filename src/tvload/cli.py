@@ -273,7 +273,7 @@ def cmd_simulate(args) -> int:
                 "N": rep.config.N,
                 "T": rep.config.T,
                 "r": rep.config.r,
-                "theta": list(rep.config.resolved_theta()),
+                "theta": list(rep.config.theta),
                 "family": rep.family,
                 "r2_mean": rep.r2_mean,
                 "mse_median": rep.mse_median,

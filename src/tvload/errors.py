@@ -35,6 +35,9 @@ class RankDeficiencyError(NumericError):
 class RegistryError(TvloadError, KeyError):
     """An unknown name was requested from a function registry."""
 
+    # a KeyError's str is the repr of its key; this one's is its message
+    __str__ = Exception.__str__
+
 
 @contextmanager
 def naming_file(path):

@@ -6,17 +6,24 @@ rescaled time drawn from a small named registry.  The harness runs the full
 two-stage pipeline per replication - simulate, extract factors that keep
 their level, align them with the truth, fit the loading curves on the raw
 panel - and aggregates accuracy the way simulation tables usually do: mean
-trace R-squared and the MSE of the median-path replication.  What does not
-depend on the replication seed, the true loading field and the wavelet
-basis, is built once per cell and shared read-only by its replications.
+trace R-squared and the MSE of the median-path replication.  A design cell,
+``DgpConfig``, fills in its defaults and checks itself when it is built, so
+every cell that exists can be drawn and a grid file is checked whole before
+its first replication runs.  What does not depend on the replication seed,
+the true loading field and the wavelet basis, is built once per cell and
+shared read-only by its replications.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
+import numbers
+import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -60,9 +67,13 @@ _PI = math.pi
 
 @dataclass(frozen=True)
 class ToeplitzCov:
-    """Covariance gamma^|i-j|: cross-sectionally correlated noise."""
+    """Covariance gamma^|i-j|: cross-sectionally correlated noise, 0 <= gamma < 1."""
 
     gamma: float = 0.7
+
+    def __post_init__(self):
+        if not 0.0 <= self.gamma < 1.0:
+            raise ParameterError(f"toeplitz gamma must lie in [0, 1), got {self.gamma}")
 
     def label(self) -> str:
         return "Toep"
@@ -70,10 +81,16 @@ class ToeplitzCov:
 
 @dataclass(frozen=True)
 class DiagonalUniformCov:
-    """Diagonal covariance with variances drawn once per panel from U(lo, hi)."""
+    """Diagonal covariance with variances drawn once per panel from U(lo, hi), 0 < lo < hi."""
 
     lo: float = 0.5
     hi: float = 1.5
+
+    def __post_init__(self):
+        if not 0.0 < self.lo < self.hi:
+            raise ParameterError(
+                f"diagonal-uniform bounds must satisfy 0 < lo < hi, got ({self.lo}, {self.hi})"
+            )
 
     def label(self) -> str:
         return "Diag"
@@ -88,15 +105,9 @@ def gen_noise_cov(spec, N: int, seed=0) -> np.ndarray:
     if N < 1:
         raise ParameterError(f"need at least one series, got N={N}")
     if isinstance(spec, ToeplitzCov):
-        if not 0.0 <= spec.gamma < 1.0:
-            raise ParameterError(f"toeplitz gamma must lie in [0, 1), got {spec.gamma}")
         idx = np.arange(N)
         return spec.gamma ** np.abs(idx[:, None] - idx[None, :])
     if isinstance(spec, DiagonalUniformCov):
-        if not 0.0 < spec.lo < spec.hi:
-            raise ParameterError(
-                f"diagonal-uniform bounds must satisfy 0 < lo < hi, got ({spec.lo}, {spec.hi})"
-            )
         rng = np.random.default_rng(seed)
         return np.diag(rng.uniform(spec.lo, spec.hi, size=N))
     raise ParameterError(f"unknown noise covariance spec: {spec!r}")
@@ -148,19 +159,34 @@ _LOADING_REGISTRY = {
 }
 
 
-def loading_library(name: str, t_grid, **params) -> np.ndarray:
-    """Evaluate a named smooth loading function on points of [0, 1]."""
+_signature = functools.cache(inspect.signature)  # read once per registry function
+
+
+def _loading_function(name: str, params: dict):
+    """The registry function ``name``, once ``params`` are real numbers that bind
+    to its signature; nothing is evaluated."""
     try:
         fn = _LOADING_REGISTRY[name]
     except KeyError:
         raise RegistryError(
             f"unknown loading function {name!r}; known: {sorted(_LOADING_REGISTRY)}"
         ) from None
-    u = np.asarray(t_grid, dtype=float)
+    for key, value in params.items():
+        # bool is an int subclass: true is no parameter value
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ParameterError(f"parameter {key!r} of loading function {name!r} must be "
+                                 f"a real number, got {value!r}")
     try:
-        return np.asarray(fn(u, **params), dtype=float)
+        _signature(fn).bind(0.0, **params)
     except TypeError as exc:
         raise ParameterError(f"bad parameters for loading function {name!r}: {exc}") from exc
+    return fn
+
+
+def loading_library(name: str, t_grid, **params) -> np.ndarray:
+    """Evaluate a named smooth loading function on points of [0, 1]."""
+    fn = _loading_function(name, params)
+    return np.asarray(fn(np.asarray(t_grid, dtype=float), **params), dtype=float)
 
 
 # Cyclic template pool for default loading assignments.  Every curve is a
@@ -206,14 +232,20 @@ def default_loading_spec(N: int, r: int) -> dict[tuple[int, int], tuple[str, dic
 # ---------------------------------------------------------------- configuration
 
 
-def _default_sds(r: int) -> tuple[float, ...]:
-    base = (0.9, 0.7)
-    return tuple(base[i % 2] for i in range(r))
-
-
 @dataclass(frozen=True)
 class DgpConfig:
-    """Monte Carlo design for one simulated panel."""
+    """Monte Carlo design for one simulated panel, resolved and checked when built.
+
+    A field left as None takes its default: ``theta`` all 0 (white-noise
+    factors), ``factor_innovation_sds`` 0.9 and 0.7 in turn, and
+    ``loading_spec`` ``default_loading_spec(N, r)``.  Once built the three
+    hold their resolved values, and every config can be drawn: a value out
+    of range or of the wrong length, a noise spec of no known type, or a
+    loading spec that misses a (series, factor) pair, has one beyond N or
+    r, or has an entry that ``loading_library`` would reject raises
+    ``ParameterError``, ``ShapeError`` or ``RegistryError``.  A config with
+    its resolved spec dict is not hashable.
+    """
 
     N: int
     T: int
@@ -224,45 +256,41 @@ class DgpConfig:
     factor_innovation_sds: tuple[float, ...] | None = None
     seed: object = 0
 
-    def resolved_theta(self) -> tuple[float, ...]:
-        th = self.theta if self.theta is not None else (0.0,) * self.r
-        return tuple(float(x) for x in th)
-
-    def resolved_sds(self) -> tuple[float, ...]:
-        sds = (
-            self.factor_innovation_sds
-            if self.factor_innovation_sds is not None
-            else _default_sds(self.r)
-        )
-        return tuple(float(x) for x in sds)
-
-    def resolved_loading_spec(self) -> dict[tuple[int, int], tuple[str, dict]]:
-        if self.loading_spec is None:
-            return default_loading_spec(self.N, self.r)
-        return self.loading_spec
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
         if self.T < 2:
             raise ParameterError(f"T must be >= 2, got {self.T}")
         if self.r < 1:
             raise ParameterError(f"r must be >= 1, got {self.r}")
-        th = self.resolved_theta()
+        th = (0.0,) * self.r if self.theta is None else tuple(float(x) for x in self.theta)
         if len(th) != self.r:
             raise ShapeError(f"{len(th)} AR coefficients for r={self.r} factors")
         if any(not 0.0 <= x <= 1.0 for x in th):
             raise ParameterError(f"AR coefficients must lie in [0, 1], got {th}")
-        sds = self.resolved_sds()
+        sds = (tuple((0.9, 0.7)[i % 2] for i in range(self.r))
+               if self.factor_innovation_sds is None
+               else tuple(float(x) for x in self.factor_innovation_sds))
         if len(sds) != self.r:
             raise ShapeError(f"{len(sds)} innovation sds for r={self.r} factors")
         if any(not 0.0 < abs(x) < 1.0 for x in sds):
             raise ParameterError(f"innovation sds must satisfy 0 < |b| < 1, got {sds}")
-        spec = self.resolved_loading_spec()
+        if not isinstance(self.noise_cov, (ToeplitzCov, DiagonalUniformCov)):
+            raise ParameterError(f"unknown noise covariance spec: {self.noise_cov!r}")
+        spec = (default_loading_spec(self.N, self.r) if self.loading_spec is None
+                else self.loading_spec)
         for m in range(1, self.N + 1):
             for i in range(1, self.r + 1):
                 if (m, i) not in spec:
                     raise ParameterError(f"loading spec misses (series={m}, factor={i})")
+                name, params = spec[(m, i)]
+                _loading_function(name, params)
+        if len(spec) > self.N * self.r:
+            raise ParameterError(f"loading spec has {len(spec) - self.N * self.r} entries "
+                                 f"beyond its {self.N} series and {self.r} factors")
+        object.__setattr__(self, "theta", th)
+        object.__setattr__(self, "factor_innovation_sds", sds)
+        object.__setattr__(self, "loading_spec", spec)
 
 
 @dataclass(frozen=True)
@@ -304,11 +332,10 @@ def _loading_field(config: DgpConfig) -> np.ndarray:
     """
     N, T, r = config.N, config.T, config.r
     u = np.arange(1, T + 1, dtype=float) / T
-    spec = config.resolved_loading_spec()
     Lambda = np.empty((T, N, r))
     for m in range(1, N + 1):
         for i in range(1, r + 1):
-            name, params = spec[(m, i)]
+            name, params = config.loading_spec[(m, i)]
             Lambda[:, m - 1, i - 1] = loading_library(name, u, **params)
     Lambda.setflags(write=False)
     return Lambda
@@ -322,16 +349,17 @@ def simulate_dgp(config: DgpConfig) -> SimulatedDataset:
     noise draws use independent streams spawned from ``config.seed``.  The
     dataset's loading field is read-only.
     """
-    config.validate()
-    return _draw(config, _loading_field(config))
+    return _draw(config, _loading_field(config), config.seed)
 
 
-def _draw(config: DgpConfig, Lambda: np.ndarray) -> SimulatedDataset:
-    """``simulate_dgp`` on a validated config whose loading field is given."""
+def _draw(config: DgpConfig, Lambda: np.ndarray, seed) -> SimulatedDataset:
+    """``simulate_dgp`` drawn from ``seed``, on a config whose loading field is given.
+
+    The dataset carries ``config`` as given, whatever its ``seed``.
+    """
     N, T, r = config.N, config.T, config.r
-    theta = config.resolved_theta()
-    sds = config.resolved_sds()
-    root = np.random.SeedSequence(config.seed)
+    theta, sds = config.theta, config.factor_innovation_sds
+    root = np.random.SeedSequence(seed)
     cov_ss, fac_ss, noise_ss = root.spawn(3)
 
     gamma_e = gen_noise_cov(config.noise_cov, N, seed=cov_ss)
@@ -387,11 +415,10 @@ def _run_one_rep(config: DgpConfig, Lambda: np.ndarray, basis: WaveletBasis,
     the working copy of the extraction go as soon as they are used, and the
     loading error reads the fitted field in row slabs, never whole.
     """
-    cfg = replace(config, seed=(seed, rep))
-    ds = _draw(cfg, Lambda)
+    ds = _draw(config, Lambda, (seed, rep))
     F, panel = ds.F, make_panel(ds.Y)
     del ds
-    est = _extract(panel, cfg)
+    est = _extract(panel, config)
     rot = procrustes_rotation(F, est.F)
     aligned = replace(est, F=rot.F_rotated_rescaled)
     fit = fit_iterative(panel, aligned, basis)
@@ -400,7 +427,7 @@ def _run_one_rep(config: DgpConfig, Lambda: np.ndarray, basis: WaveletBasis,
 
 def _extract(panel, config: DgpConfig):
     """Factors that keep their level, from a working copy dropped on return."""
-    if max(config.resolved_theta()) < 1.0:
+    if max(config.theta) < 1.0:
         work = standardize(panel)
         return restore_level(work, pca_factors(work, config.r))
     return nonstationary_factors(scale_only(panel), config.r)
@@ -448,7 +475,6 @@ def run_experiment(
     """
     if n_reps < 1:
         raise ParameterError(f"need at least one replication, got {n_reps}")
-    config.validate()
     # Neither depends on the replication seed: build them once for the cell.
     Lambda = _loading_field(config)
     basis = cell_basis(config, family, J)
@@ -495,23 +521,10 @@ def run_experiment(
 
 
 def default_grid() -> list[tuple[DgpConfig, str]]:
-    """Desk-scale default study: N=20, diagonal noise, both families."""
-    cells = []
-    for family in ("haar", "d8"):
-        for theta in (0.0, 0.5, 1.0):
-            for T in (512, 1024, 2048):
-                cells.append(
-                    (
-                        DgpConfig(N=20, T=T, r=2, theta=(theta, theta),
-                                  noise_cov=DiagonalUniformCov()),
-                        family,
-                    )
-                )
-    return cells
-
-
-_CELL_KEYS = ("N", "T", "r", "theta", "family", "noise_cov", "loading_spec",
-              "factor_innovation_sds")
+    """Desk-scale default study: N=20, two factors, the default noise, both families."""
+    return [(DgpConfig(N=20, T=T, theta=(theta, theta)), family)
+            for family in ("haar", "d8") for theta in (0.0, 0.5, 1.0)
+            for T in (512, 1024, 2048)]
 
 
 def _check_keys(obj, allowed, what) -> None:
@@ -544,27 +557,63 @@ def _numbers(value, key) -> tuple[float, ...]:
     return tuple(_number(x, key) for x in value)
 
 
-def _cov_from_json(obj) -> object:
+_NOISE_KINDS = {"toeplitz": ToeplitzCov, "diag": DiagonalUniformCov}
+
+
+def _cov_from_json(obj, key) -> object:
+    """A noise spec: its ``kind`` and any of its dataclass's fields, as JSON numbers."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "toeplitz":
-        _check_keys(obj, ("kind", "gamma"), "noise_cov")
-        return ToeplitzCov(gamma=_number(obj.get("gamma", 0.7), "gamma"))
-    if kind == "diag":
-        _check_keys(obj, ("kind", "lo", "hi"), "noise_cov")
-        return DiagonalUniformCov(lo=_number(obj.get("lo", 0.5), "lo"),
-                                  hi=_number(obj.get("hi", 1.5), "hi"))
-    raise ParameterError(f"unknown noise covariance kind {obj!r}; "
-                         f"'kind' is 'toeplitz' or 'diag'")
+    spec_type = _NOISE_KINDS.get(kind) if isinstance(kind, str) else None
+    if spec_type is None:
+        raise ParameterError(f"unknown noise covariance kind {obj!r}; "
+                             f"'kind' is 'toeplitz' or 'diag'")
+    names = tuple(f.name for f in fields(spec_type))
+    _check_keys(obj, ("kind", *names), key)
+    return spec_type(**{name: _number(obj[name], name) for name in names if name in obj})
+
+
+def _spec_from_json(obj, key) -> dict[tuple[int, int], tuple[str, dict]]:
+    """A loading spec: keys ``"m,i"``, two positive decimal integers and no
+    whitespace, each to an entry whose ``name`` is a JSON string and whose
+    ``params``, if given, is a JSON object."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{key!r} must be a JSON object, got {obj!r}")
+    spec = {}
+    for pair, entry in obj.items():
+        if not re.fullmatch(r"[1-9][0-9]*,[1-9][0-9]*", pair):
+            raise ParameterError(f"{key!r} key {pair!r} must be 'series,factor': two "
+                                 f"positive integers, no whitespace")
+        _check_keys(entry, ("name", "params"), "loading_spec entry")
+        name, params = entry["name"], entry.get("params", {})
+        if not isinstance(name, str):
+            raise ParameterError(f"loading_spec entry 'name' must be a string, got {name!r}")
+        if not isinstance(params, dict):
+            raise ParameterError(f"loading_spec entry 'params' must be a JSON object, "
+                                 f"got {params!r}")
+        m, i = pair.split(",")
+        spec[(int(m), int(i))] = (name, params)
+    return spec
+
+
+# how a grid cell's keys become DgpConfig fields; a key left out takes the
+# field's default, and ``family`` names the cell's basis, not a field
+_CELL_FIELDS = {"N": _integer, "T": _integer, "r": _integer, "theta": _numbers,
+                "noise_cov": _cov_from_json, "loading_spec": _spec_from_json,
+                "factor_innovation_sds": _numbers}
 
 
 def read_grid_json(path) -> list[tuple[DgpConfig, str]]:
     """Parse a JSON array of design cells into (config, family) pairs.
 
-    An unknown key of a cell, of its ``noise_cov`` or of a ``loading_spec``
-    entry is rejected by name.  Each setting has one spelling: ``family`` is
-    ``haar`` or ``d8`` and a noise ``kind`` is ``toeplitz`` or ``diag``,
-    exactly; N, T and r are JSON integers, and ``theta``,
-    ``factor_innovation_sds``, ``gamma``, ``lo`` and ``hi`` JSON numbers.
+    A key a cell leaves out takes the default of the dataclass that owns it
+    (``DgpConfig``, ``ToeplitzCov`` or ``DiagonalUniformCov``); ``family``
+    defaults to ``haar``.  An unknown key of a cell, of its ``noise_cov`` or
+    of a ``loading_spec`` entry is rejected by name.  Each setting has one
+    spelling: ``family`` is ``haar`` or ``d8`` and a noise ``kind`` is
+    ``toeplitz`` or ``diag``, exactly; N, T and r are JSON integers,
+    ``theta``, ``factor_innovation_sds``, ``gamma``, ``lo`` and ``hi`` JSON
+    numbers, a ``loading_spec`` key is ``"m,i"`` and its entry's ``name`` a
+    string.  Every cell is built, and so checked, before this returns.
     """
     with naming_file(path), open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -576,38 +625,20 @@ def read_grid_json(path) -> list[tuple[DgpConfig, str]]:
             if isinstance(rec, dict) and "seed" in rec:
                 raise ParameterError("a cell takes no 'seed' key: replication rep of every "
                                      "cell draws from (--seed, rep)")
-            _check_keys(rec, _CELL_KEYS, "cell")
+            _check_keys(rec, (*_CELL_FIELDS, "family"), "cell")
             family = rec.get("family", "haar")
             if family not in [f.value for f in WaveletFamily]:
                 raise ParameterError(f"'family' must be 'haar' or 'd8', got {family!r}")
-            theta = rec.get("theta")
-            sds = rec.get("factor_innovation_sds")
-            spec = None
-            if "loading_spec" in rec and rec["loading_spec"] is not None:
-                spec = {}
-                for key, val in rec["loading_spec"].items():
-                    _check_keys(val, ("name", "params"), "loading_spec entry")
-                    m, n = (int(x) for x in key.split(","))
-                    spec[(m, n)] = (str(val["name"]), dict(val.get("params", {})))
-            cfg = DgpConfig(
-                N=_integer(rec["N"], "N"),
-                T=_integer(rec["T"], "T"),
-                r=_integer(rec.get("r", 2), "r"),
-                theta=None if theta is None else _numbers(theta, "theta"),
-                noise_cov=_cov_from_json(rec.get("noise_cov", {"kind": "diag"})),
-                loading_spec=spec,
-                factor_innovation_sds=(
-                    None if sds is None else _numbers(sds, "factor_innovation_sds")),
-            )
-            cfg.validate()
+            cfg = DgpConfig(**{key: read(rec[key], key)
+                               for key, read in _CELL_FIELDS.items() if key in rec})
             cells.append((cfg, family))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"{path}: bad grid record {i}: {exc}") from exc
     return cells
 
 
 def _theta_label(config: DgpConfig) -> str:
-    th = config.resolved_theta()
+    th = config.theta
     if len(set(th)) == 1:
         return format(th[0], "g")
     return "|".join(format(x, "g") for x in th)

@@ -233,7 +233,11 @@ def _d8_psi_values(phi: np.ndarray, levels: int) -> np.ndarray:
 
 def _d8_periodic_column(j: int, k: int, u: np.ndarray, xs: np.ndarray,
                         psi: np.ndarray) -> np.ndarray:
-    """Periodized wavelet 2^(j/2) sum_l psi(2^j (u + l) - k) on points of [0, 1]."""
+    """Periodized wavelet 2^(j/2) sum_l psi(2^j (u + l) - k) on points of [0, 1].
+
+    With the scale table phi at j = k = 0 it is the periodized scale function
+    sum_l phi(u + l), which equals 1 by partition of unity.
+    """
     lo = math.floor(k / 2**j) - 1
     hi = math.ceil((k + _D8_SUPPORT) / 2**j)
     out = np.zeros_like(u)
@@ -241,14 +245,6 @@ def _d8_periodic_column(j: int, k: int, u: np.ndarray, xs: np.ndarray,
         arg = (2.0**j) * (u + l) - k
         out += np.interp(arg, xs, psi, left=0.0, right=0.0)
     return (2.0 ** (j / 2.0)) * out
-
-
-def _d8_periodic_scale(u: np.ndarray, xs: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Periodized scale function sum_l phi(u + l); equals 1 by partition of unity."""
-    out = np.zeros_like(u)
-    for l in range(_D8_SUPPORT + 1):
-        out += np.interp(u + l, xs, phi, left=0.0, right=0.0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -374,7 +370,7 @@ def _d8_matrix(index, T: int) -> np.ndarray:
     psi = _d8_psi_values(phi, levels)
     u = np.arange(1, T + 1, dtype=float) / T
     B = np.empty((T, len(index)))
-    B[:, 0] = _d8_periodic_scale(u, xs, phi)
+    B[:, 0] = _d8_periodic_column(0, 0, u, xs, phi)
     for c, (j, k) in enumerate(index[1:], start=1):
         B[:, c] = _d8_periodic_column(j, k, u, xs, psi)
     return B

@@ -116,7 +116,7 @@ def test_criterion_02_mse_monotone_in_sample_length():
     for cfg, family in default_grid():
         rep = run_experiment(cfg, family=family, n_reps=100, seed=SEED,
                              n_threads=THREADS)
-        groups.setdefault((family, cfg.resolved_theta()), {})[cfg.T] = rep.mse_median
+        groups.setdefault((family, cfg.theta), {})[cfg.T] = rep.mse_median
     bad = []
     for (family, theta), by_T in sorted(groups.items()):
         seq = [by_T[T] for T in (512, 1024, 2048)]

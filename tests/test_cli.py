@@ -571,7 +571,15 @@ def test_simulate_runs_are_byte_identical(tmp_path):
     {"N": 5, "T": 64, "family": "haarr"},
     {"N": 5, "T": 16},
     {"N": 5, "T": 64, "family": "D8"},
-], ids=["unknown family", "grid shorter than the basis", "family spelt D8"])
+    {"N": 5, "T": 64, "noise_cov": {"kind": "toeplitz", "gamma": 1.5}},
+    {"N": 5, "T": 64, "noise_cov": {"kind": "diag", "lo": 2.0}},
+    {"N": 1, "T": 64, "r": 1, "loading_spec": {"1,1": {"name": "nope"}}},
+    {"N": 1, "T": 64, "r": 1,
+     "loading_spec": {"1,1": {"name": "constant", "params": {"amplitude": 2.0}}}},
+    {"N": 5, "T": 64, "loading_spec": []},
+], ids=["unknown family", "grid shorter than the basis", "family spelt D8", "gamma 1.5",
+        "lo above the default hi", "unknown loading name", "unknown loading parameter",
+        "loading_spec an array"])
 def test_simulate_checks_every_cell_before_running_any(tmp_path, monkeypatch, capsys, cell):
     def never(*args, **kwargs):
         raise AssertionError("a replication ran before every cell was checked")

@@ -3,13 +3,17 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import tvload.sim as sim
-from tvload.errors import NumericError, ParameterError, RegistryError, ShapeError
+from tvload.errors import NumericError, ParameterError, RegistryError, ShapeError, TvloadError
 from tvload.factors import (
     make_panel,
     nonstationary_factors,
@@ -106,8 +110,10 @@ def test_constant_everywhere():
 
 
 def test_registry_rejects_unknown_name():
-    with pytest.raises(RegistryError):
+    with pytest.raises(RegistryError) as err:
         loading_library("chirp", np.array([0.5]))
+    # the message, not the repr a KeyError would give
+    assert str(err.value).startswith("unknown loading function 'chirp'")
 
 
 def test_registry_rejects_unknown_parameter():
@@ -131,19 +137,22 @@ def test_default_spec_covers_every_pair_and_pins_the_examples():
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        DgpConfig(N=10, T=64, r=2, theta=(0.5, 1.2)).validate()
+        DgpConfig(N=10, T=64, r=2, theta=(0.5, 1.2))
     with pytest.raises(ParameterError):
-        DgpConfig(N=10, T=64, r=2, factor_innovation_sds=(0.9, 1.0)).validate()
+        DgpConfig(N=10, T=64, r=2, factor_innovation_sds=(0.9, 1.0))
     with pytest.raises(ShapeError):
-        DgpConfig(N=10, T=64, r=2, theta=(0.5,)).validate()
+        DgpConfig(N=10, T=64, r=2, theta=(0.5,))
     with pytest.raises(ParameterError):
-        DgpConfig(N=10, T=64, r=2, loading_spec={(1, 1): ("constant", {})}).validate()
+        DgpConfig(N=10, T=64, r=2, loading_spec={(1, 1): ("constant", {})})
+    with pytest.raises(ParameterError, match="beyond"):
+        # an entry the panel never draws would go unchecked
+        DgpConfig(N=1, T=64, r=1, loading_spec={(1, 1): ("constant", {}), (2, 1): ("nope", {})})
 
 
 def test_config_defaults_resolve():
     cfg = DgpConfig(N=6, T=32, r=3)
-    assert cfg.resolved_theta() == (0.0, 0.0, 0.0)
-    assert cfg.resolved_sds() == (0.9, 0.7, 0.9)
+    assert cfg.theta == (0.0, 0.0, 0.0)
+    assert cfg.factor_innovation_sds == (0.9, 0.7, 0.9)
 
 
 # ---------------------------------------------------------------- simulate_dgp
@@ -344,8 +353,8 @@ def test_grid_json_round_trip(tmp_path):
     (cfg, family), = read_grid_json(path)
     assert family == "d8"
     assert cfg.noise_cov == ToeplitzCov(gamma=0.3)
-    assert cfg.resolved_theta() == (1.0,)
-    assert cfg.resolved_loading_spec()[(3, 1)] == ("constant", {"c": 1.0})
+    assert cfg.theta == (1.0,)
+    assert cfg.loading_spec[(3, 1)] == ("constant", {"c": 1.0})
 
 
 def test_grid_json_reports_bad_record_index(tmp_path):
@@ -399,15 +408,81 @@ def test_grid_json_rejects_unknown_keys(tmp_path, cell, key):
     ({"N": 5, "T": 64, "noise_cov": {"kind": "TOEPLITZ"}}, "'TOEPLITZ'"),
     ({"N": 5, "T": 64, "family": "D8"}, "'D8'"),
     ({"N": 5, "T": 64, "family": "HAAR"}, "'HAAR'"),
+    ({"N": 2, "T": 64, "r": 1, "loading_spec": {
+        "1,1": {"name": "constant"}, " 2 , 1": {"name": "constant"}}}, "' 2 , 1'"),
+    ({"N": 2, "T": 64, "r": 1, "loading_spec": {
+        "1,1": {"name": "constant"}, "02,1": {"name": "constant"}}}, "'02,1'"),
+    ({"N": 2, "T": 64, "r": 1, "loading_spec": {
+        "1,1": {"name": "constant"}, "2,1": {"name": "constant", "params": {"c": True}}}},
+     "'c'"),
+    ({"N": 2, "T": 64, "r": 1, "loading_spec": {
+        "1,1": {"name": "constant", "params": {"c": "2.5"}}, "2,1": {"name": "constant"}}},
+     "'c'"),
+    ({"N": 1, "T": 64, "r": 1, "loading_spec": {"1,1": {"name": 7}}}, "'name'"),
+    ({"N": 1, "T": 64, "r": 1, "loading_spec": {"1,1": {"name": "constant", "params": [2.5]}}},
+     "'params'"),
+    ({"N": 5, "T": 64, "loading_spec": []}, "'loading_spec'"),
+    ({"N": 5, "T": 64, "theta": None}, "'theta'"),
 ], ids=["T a fraction", "T a float", "r a bool", "N a string", "theta a string",
         "theta a bool", "theta a number", "sds a string", "gamma a string", "lo a bool",
-        "hi a string", "TOEPLITZ kind", "D8 family", "HAAR family"])
+        "hi a string", "TOEPLITZ kind", "D8 family", "HAAR family", "spec key with spaces",
+        "spec key with a leading zero", "spec param a bool", "spec param a string",
+        "spec name a number", "spec params an array", "spec an array", "theta null"])
 def test_grid_json_rejects_a_value_it_would_have_to_coerce(tmp_path, cell, key):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps([{"N": 5, "T": 64}, cell]))
     with pytest.raises(ParameterError) as err:
         read_grid_json(path)
     assert "record 1" in str(err.value) and key in str(err.value)
+
+
+# under the keys N and r sizes stay small: a cell's default loading spec has
+# N * r entries, built when the cell is
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["haar", "d8", "toeplitz", "diag", "constant", "1,1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3) | st.sampled_from(["kind", "name", "params"]),
+                      inner, max_size=3),
+    max_leaves=6)
+_JSON = _SMALL_JSON | st.just(2**1100) | st.lists(st.floats() | st.just(2**1100), max_size=2)
+_NOISE = st.fixed_dictionaries({"kind": st.sampled_from(["toeplitz", "diag"])},
+                               optional={"gamma": _JSON, "lo": _JSON, "hi": _JSON})
+_SPEC = st.dictionaries(
+    st.sampled_from(["1,1", "2,1", " 1,1", "01,1", "1,1,1", "1,"]) | st.text(max_size=4),
+    st.fixed_dictionaries(
+        {"name": st.sampled_from(["constant", "cosine", "nope"]) | _SMALL_JSON},
+        optional={"params": st.dictionaries(st.sampled_from(["c", "a", "u", "omega"]), _JSON,
+                                            max_size=2) | _SMALL_JSON})
+    | _SMALL_JSON,
+    max_size=2)
+_CELL_VALUES = {"N": _SMALL_JSON, "r": _SMALL_JSON, "T": _JSON, "theta": _JSON,
+                "factor_innovation_sds": _JSON, "family": _JSON,
+                "noise_cov": _NOISE | _SMALL_JSON, "loading_spec": _SPEC | _SMALL_JSON}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_json_value_under_a_cell_key_gives_a_cell_or_a_tvload_error(tmp_path_factory, data):
+    key = data.draw(st.sampled_from(sorted(_CELL_VALUES)))
+    cell = {"N": 1, "T": 8, "r": 1, key: data.draw(_CELL_VALUES[key])}
+    path = tmp_path_factory.getbasetemp() / "any_cell.json"
+    path.write_text(json.dumps([cell]))
+    try:
+        cells = read_grid_json(path)
+    except TvloadError:
+        return
+    assert len(cells) == 1
+
+
+def test_the_readme_grid_example_is_a_grid(tmp_path):
+    # the documented example cannot drift from the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"A simulate grid file is a JSON array of cells.*?```json\n(.*?)```",
+                           readme, re.S)
+    path = tmp_path / "grid.json"
+    path.write_text(example)
+    assert len(read_grid_json(path)) == len(json.loads(example)) >= 1
 
 
 def test_grid_json_rejects_non_array(tmp_path):

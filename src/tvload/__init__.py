@@ -28,8 +28,7 @@ _EXPORTS = {
                     "standardize", "first_difference", "FactorEstimate", "pca_factors",
                     "restore_level", "generalized_covariance", "nonstationary_factors",
                     "FactorSelection", "select_num_factors"],
-        "gls": ["GlsFit", "build_design", "gls_step", "fit_iterative", "loadings_from_coeffs",
-                "common_component"],
+        "gls": ["GlsFit", "build_design", "gls_step", "fit_iterative"],
         "metrics": ["procrustes_rotation", "r2_factors", "loading_mse", "median_path"],
         "bootstrap": ["BandSet", "residual_bootstrap", "write_bands_csv", "write_plot_csv"],
         "sim": ["ToeplitzCov", "DiagonalUniformCov", "DgpConfig", "SimulatedDataset",

@@ -11,7 +11,8 @@ basis is held, passes the run lengths: each run is formatted once, and each
 of its rows only joins its label in.  The writer compares no values; a
 Haar loading field on T points is 2^J runs, on any grid.  A run prints the
 text of formatting each of its rows, so the bytes are those of writing the
-rows out one by one.
+rows out one by one.  A number that every line repeats, as the bands'
+level, is one more value column, printed the same way.
 Fixed fields follow the ``csv`` module's minimal quoting, so an id containing
 a comma or a quote reads back through ``csv.reader``.
 """
@@ -39,14 +40,14 @@ def quote_field(text: str) -> str:
     return text
 
 
-def write_table(path, header, values, keys=((),), rows=None, tail=(), run_lengths=None) -> None:
+def write_table(path, header, values, keys=((),), rows=None, run_lengths=None) -> None:
     """Write ``values[run, key, col]`` as one CSV line per (row, key).
 
     A line reads: the row's label from ``rows`` (no label column when
-    ``rows`` is None), the fields of ``keys[key]``, the values, then the
-    fixed ``tail`` fields.  Value row k covers the next ``run_lengths[k]``
-    rows, one row each when ``run_lengths`` is None; the lengths must sum to
-    the number of row labels.
+    ``rows`` is None), the fields of ``keys[key]``, then the values.  Value
+    row k covers the next ``run_lengths[k]`` rows, one row each when
+    ``run_lengths`` is None; the lengths must sum to the number of row
+    labels.
     """
     values = np.asarray(values, dtype=float)
     n_runs, n_keys, n_cols = values.shape
@@ -56,10 +57,9 @@ def write_table(path, header, values, keys=((),), rows=None, tail=(), run_length
     if rows is not None and len(rows) != lengths.sum():
         raise ShapeError(f"{path}: run lengths sum to {lengths.sum()}, "
                          f"but there are {len(rows)} row labels")
-    end = "".join("," + _literal(f) for f in tail)
     # the text of each key's line after the row label; a row is its label joined with them
     sep, head = ("", "") if rows is None else (",", "%s")
-    key_templates = [sep + ",".join([_literal(f) for f in key] + ["%.17g"] * n_cols) + end + "\n"
+    key_templates = [sep + ",".join([_literal(f) for f in key] + ["%.17g"] * n_cols) + "\n"
                      for key in keys]
     row_template = "".join(head + t for t in key_templates)
     per_call = max(1, _BLOCK_LINES // max(n_keys, 1))
@@ -106,7 +106,7 @@ def _literal(field) -> str:
 
 
 def read_table(path, n_keys=0):
-    """Inverse of ``write_table`` for a labelled table without tail fields.
+    """Inverse of ``write_table`` for a labelled table.
 
     Returns the header, the keys and the values, a float array with one row
     per line.  A key is a line's label and ``n_keys`` fixed fields; a table

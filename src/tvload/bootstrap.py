@@ -148,10 +148,10 @@ def residual_bootstrap(
         Band coverage in (0, 1); quantiles (1 - level)/2 and (1 + level)/2
         with linear interpolation.
     seed : int
-        Base seed; draw b uses an RNG derived from (seed, b).
+        Base seed, >= 0; draw b uses an RNG derived from (seed, b).
     n_threads : int
-        Worker threads of the pool the draws run in (at least one); results
-        do not depend on it because of per-draw seeding.
+        Worker threads of the pool the draws run in, >= 1; results do not
+        depend on it because of per-draw seeding.
 
     Returns
     -------
@@ -160,8 +160,8 @@ def residual_bootstrap(
     Raises
     ------
     ParameterError
-        If the panel, the factors or the basis is not the fit's, before
-        any draw runs.
+        If a parameter is out of range, or the panel, the factors or the
+        basis is not the fit's, before any draw runs.
     NumericError
         If more than 10% of the draws fail.
     """
@@ -169,6 +169,10 @@ def residual_bootstrap(
         raise ParameterError(f"need at least one draw, got B={B}")
     if not 0.0 < level < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {level}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    if n_threads < 1:
+        raise ParameterError(f"need at least one worker thread, got n_threads={n_threads}")
     _check_is_the_fits(panel, factors, basis, fit)
     design = fit.design
     X_hat = design.fitted(fit.beta)
@@ -185,7 +189,7 @@ def residual_bootstrap(
     store = np.empty((N * r, B, p))
     kept = 0
     failed: list[tuple[int, str]] = []
-    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
         # Executor.map yields in submission order and releases each result
         # as it goes, so finished draws do not pile up beside the store.
         for b, outcome in enumerate(pool.map(draw, range(1, B + 1)), start=1):
@@ -216,10 +220,11 @@ def write_bands_csv(bands: BandSet, fit, path) -> None:
     """Band table: t,series,factor,lower,point,upper,level, written from the run rows."""
     runs, N, r = fit.Lambda_rows.shape
     keys = [(sid, i + 1) for sid in fit.panel.series_ids for i in range(r)]
-    values = np.stack([bands.lower_rows, fit.Lambda_rows, bands.upper_rows], axis=-1)
+    level = np.full_like(bands.lower_rows, bands.level)
+    values = np.stack([bands.lower_rows, fit.Lambda_rows, bands.upper_rows, level], axis=-1)
     write_table(path, ["t", "series", "factor", "lower", "point", "upper", "level"],
-                values.reshape(runs, N * r, 3), keys, rows=range(1, fit.design.basis.T + 1),
-                tail=[format(float(bands.level), ".17g")], run_lengths=bands.run_lengths)
+                values.reshape(runs, N * r, 4), keys, rows=range(1, fit.design.basis.T + 1),
+                run_lengths=bands.run_lengths)
 
 
 def write_plot_csv(bands: BandSet, fit, series: str, factor: int, path) -> None:

@@ -54,11 +54,14 @@ from .wavelet import evaluate_basis, select_resolution
 
 
 def _resolve_threads(value) -> int:
-    """``--threads``, or else the number of CPUs this process may run on; at least 1."""
+    """``--threads``, which must be at least 1, or else the number of CPUs this
+    process may run on."""
     if value is None:
-        value = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
-    return max(1, value)
+        return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    if value < 1:
+        raise ParameterError(f"--threads must be at least 1, got {value}")
+    return value
 
 
 def _sha256(path) -> str:
@@ -328,8 +331,8 @@ def _reload_estimate(run_dir):
     if command != "estimate":
         raise ParameterError(f"{report_path} was written by {command!r}, need an estimate run")
     field = functools.partial(_report_field, report, report_path)
-    family, J, r, k = (field("parameters.family", str), field("parameters.J", int),
-                       field("parameters.r", int), field("parameters.k", int))
+    family, J, r = (field("parameters.family", str), field("parameters.J", int),
+                    field("parameters.r", int))
     nonstationary = field("parameters.nonstationary", bool)
     input_path, input_sha256 = field("input.path", str), field("input.sha256", str)
     eigenvalues = field("eigenvalues", list)
@@ -349,7 +352,6 @@ def _reload_estimate(run_dir):
         eigenvalues=np.array(eigenvalues),
         method="lag_covariance" if nonstationary else "pca",
         r=r,
-        params={"k": k} if nonstationary else {},
     )
     beta = read_coefficients_csv(
         os.path.join(run_dir, "coefficients.csv"), work.series_ids, basis, r

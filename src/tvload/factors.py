@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,7 +179,6 @@ class FactorEstimate:
     eigenvalues: np.ndarray
     method: str
     r: int
-    params: dict = field(default_factory=dict)
 
     @property
     def T(self) -> int:
@@ -323,7 +322,7 @@ def nonstationary_factors(panel: Panel, r: int, k: int = 1) -> FactorEstimate:
         raise ParameterError(f"r={r} outside 1..N={N}")
     w, V = _eigh_descending(generalized_covariance(panel, k))
     F = Y @ _fix_signs(V[:, :r])
-    return FactorEstimate(F=F, eigenvalues=w, method="lag_covariance", r=r, params={"k": k})
+    return FactorEstimate(F=F, eigenvalues=w, method="lag_covariance", r=r)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ residual covariance are built from them when first read, so a caller that
 keeps only the coefficients, as every bootstrap draw does, pays for the two
 solves alone.
 
-A design keeps the factors and the basis, and no fit builds Psi.  Where the
-runs of the basis (``WaveletBasis.run_rows``) are longer than one grid point,
-as the 2^J runs of a Haar basis are on any grid, Psi'Psi and Psi'Y come from
+A design keeps the factors and the basis, and no fit builds Psi, not even
+to name the columns of a rank-deficient design.  Where the runs of the
+basis (``WaveletBasis.run_rows``) are longer than one grid point, as the
+2^J runs of a Haar basis are on any grid, Psi'Psi and Psi'Y come from
 per-run factor sums, and a fitted panel from the run rows; runs of unequal
 length are padded with zero rows to the longest, so neither B nor Psi is
 built.  A basis whose runs are single points, d8 and Haar with T = 2^J,
@@ -48,8 +49,6 @@ __all__ = [
     "build_design",
     "gls_step",
     "loading_rows",
-    "loadings_from_coeffs",
-    "common_component",
     "fit_iterative",
     "write_loadings_csv",
     "write_coefficients_csv",
@@ -71,7 +70,8 @@ class DesignBlock:
 
     A design keeps the T x r factor paths ``F`` and the ``basis``; the
     T x (r * 2^J) matrix ``Psi`` is built only when it is read, which only
-    the rank-deficiency report and the dense ``sigma_full`` oracle do.  The
+    the dense ``sigma_full`` oracle does; a rank-deficiency report reads the
+    Gram matrix Psi'Psi that the failed factorization was given.  The
     design is also the loading solver for its factors and basis.  The first
     ``solve`` takes the Cholesky factor L of Psi'Psi and keeps its inverse, so
     every panel costs one product Psi'Y and two triangular-matrix products;
@@ -178,7 +178,7 @@ class DesignBlock:
         try:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            _report_rank_deficiency(self)
+            _report_rank_deficiency(self, gram)
             raise  # unreachable: the reporter always raises
         return np.linalg.inv(L)
 
@@ -231,15 +231,15 @@ def build_design(factors: FactorEstimate, basis: WaveletBasis) -> DesignBlock:
     return DesignBlock(F=F, basis=basis)
 
 
-def _report_rank_deficiency(design: DesignBlock) -> None:
-    Psi = design.Psi
-    _, s, Vh = np.linalg.svd(Psi, full_matrices=False)
-    tol = s.max() * max(Psi.shape) * np.finfo(float).eps if s.size else 0.0
-    rank = int(np.sum(s > tol))
-    # The rows of Vh past the rank span the null space.  Eliminating them one
-    # after another, each on its largest entry, names one column per missing
-    # rank: a column that the kept ones reproduce.
-    null = Vh[rank:].copy()
+def _report_rank_deficiency(design: DesignBlock, gram: np.ndarray) -> None:
+    """Raise ``RankDeficiencyError`` naming the columns of Psi that the others
+    reproduce, read off the eigenvectors of the Gram matrix Psi'Psi."""
+    w, V = np.linalg.eigh(gram)  # ascending
+    rank = int(np.sum(w > w.max() * len(w) * np.finfo(float).eps))
+    # The eigenvectors past the rank span the null space.  Eliminating them
+    # one after another, each on its largest entry, names one column per
+    # missing rank: a column that the kept ones reproduce.
+    null = V[:, :len(w) - rank].T.copy()
     dropped = []
     for row in range(null.shape[0]):
         c = int(np.argmax(np.abs(null[row])))
@@ -252,7 +252,7 @@ def _report_rank_deficiency(design: DesignBlock) -> None:
         j, k = design.basis.column_index[c]
         labels.append(f"factor {i + 1} x column (j={j}, k={k})")
     raise RankDeficiencyError(
-        f"design matrix is rank deficient (rank {rank} of {Psi.shape[1]}); "
+        f"design matrix is rank deficient (rank {rank} of {len(w)}); "
         f"offending columns: {', '.join(labels) or 'unknown'}"
     )
 
@@ -343,29 +343,6 @@ def loading_rows(beta: np.ndarray, basis: WaveletBasis) -> np.ndarray:
     rows = basis.run_rows
     field = rows @ beta.reshape(-1, basis.n_columns).T
     return field.reshape(len(rows), beta.shape[0], beta.shape[1])
-
-
-def loadings_from_coeffs(beta: np.ndarray, basis: WaveletBasis) -> np.ndarray:
-    """Evaluate every loading curve on the grid: result is T x N x r.
-
-    The field is ``loading_rows`` spread over the grid, so it is exactly
-    constant on every run of the basis.
-    """
-    return expand_runs(loading_rows(beta, basis), basis.run_lengths)
-
-
-def common_component(Lambda: np.ndarray, factors: FactorEstimate | np.ndarray) -> np.ndarray:
-    """Fitted common part of a built field: X[t, m] = sum_i Lambda[t, m, i] * F[t, i].
-
-    ``DesignBlock.fitted`` gives the same panel from the coefficients, without
-    the field; this form is kept as its reference.
-    """
-    F = factors.F if isinstance(factors, FactorEstimate) else np.asarray(factors, float)
-    if Lambda.shape[0] != F.shape[0] or Lambda.shape[2] != F.shape[1]:
-        raise ShapeError(
-            f"loading field {Lambda.shape} incompatible with factors {F.shape}"
-        )
-    return np.matmul(Lambda, F[:, :, None])[:, :, 0]
 
 
 def _residuals(panel: Panel, design: DesignBlock, beta: np.ndarray) -> np.ndarray:

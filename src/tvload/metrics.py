@@ -36,7 +36,6 @@ class RotationResult:
     F_rotated: np.ndarray
     F_rotated_rescaled: np.ndarray
     trace_value: float
-    n_aligned: int
 
 
 def _column_sd(X: np.ndarray) -> np.ndarray:
@@ -46,17 +45,15 @@ def _column_sd(X: np.ndarray) -> np.ndarray:
 def procrustes_rotation(F_ref: np.ndarray, F_est: np.ndarray) -> RotationResult:
     """Rotate estimated factors onto a reference by correlation Procrustes.
 
-    Builds C[a, b] = corr(F_ref[:, a], F_est[:, b]) on the first
-    l = min(columns) factors, takes the SVD C = U S V', rotates by A = V U'
-    (the maximizer of trace(C A) over the orthogonal group), and rescales
-    each rotated column to the sample standard deviation of its reference
-    column.
+    Builds C[a, b] = corr(F_ref[:, a], F_est[:, b]), takes the SVD
+    C = U S V', rotates by A = V U' (the maximizer of trace(C A) over the
+    orthogonal group), and rescales each rotated column to the sample
+    standard deviation of its reference column.
 
     Parameters
     ----------
     F_ref, F_est : ndarray
-        T x k matrices on a common grid; column counts may differ, in which
-        case only the first min(k_ref, k_est) columns are aligned.
+        T x k matrices on a common grid with the same number of columns.
 
     Returns
     -------
@@ -72,23 +69,24 @@ def procrustes_rotation(F_ref: np.ndarray, F_est: np.ndarray) -> RotationResult:
         )
     if F_ref.shape[0] < 3:
         raise ShapeError("need at least 3 grid points to correlate factors")
-    l = min(F_ref.shape[1], F_est.shape[1])
+    l = F_ref.shape[1]
+    if F_est.shape[1] != l:
+        raise ShapeError(f"column mismatch: reference has {l} factors, estimate "
+                         f"{F_est.shape[1]}")
     if l == 0:
         raise ShapeError("factor matrices must have at least one column")
-    A_ref = F_ref[:, :l]
-    A_est = F_est[:, :l]
-    sd_ref = _column_sd(A_ref)
-    sd_est = _column_sd(A_est)
+    sd_ref = _column_sd(F_ref)
+    sd_est = _column_sd(F_est)
     if np.any(sd_ref == 0.0) or np.any(sd_est == 0.0):
         raise NumericError("constant factor column: correlation undefined")
-    Zr = (A_ref - A_ref.mean(axis=0)) / sd_ref
-    Ze = (A_est - A_est.mean(axis=0)) / sd_est
+    Zr = (F_ref - F_ref.mean(axis=0)) / sd_ref
+    Ze = (F_est - F_est.mean(axis=0)) / sd_est
     if np.linalg.matrix_rank(Zr) < l or np.linalg.matrix_rank(Ze) < l:
         raise NumericError("factor matrix is rank deficient after centering")
-    C = Zr.T @ Ze / (A_ref.shape[0] - 1)
+    C = Zr.T @ Ze / (F_ref.shape[0] - 1)
     U, S, Vt = np.linalg.svd(C)
     rot = Vt.T @ U.T
-    F_rot = A_est @ rot
+    F_rot = F_est @ rot
     sd_rot = _column_sd(F_rot)
     if np.any(sd_rot == 0.0):
         raise NumericError("rotation produced a constant column")
@@ -98,7 +96,6 @@ def procrustes_rotation(F_ref: np.ndarray, F_est: np.ndarray) -> RotationResult:
         F_rotated=F_rot,
         F_rotated_rescaled=F_scaled,
         trace_value=float(np.trace(C @ rot)),
-        n_aligned=l,
     )
 
 

@@ -468,13 +468,17 @@ def run_experiment(
     Raises
     ------
     ParameterError
-        If the family is unknown or its basis does not fit the grid; no
-        replication runs.
+        If the family is unknown or its basis does not fit the grid, the
+        seed is negative or ``n_threads`` is below 1; no replication runs.
     NumericError
         If more than 5% of the replications fail.
     """
     if n_reps < 1:
         raise ParameterError(f"need at least one replication, got {n_reps}")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    if n_threads < 1:
+        raise ParameterError(f"need at least one worker thread, got n_threads={n_threads}")
     # Neither depends on the replication seed: build them once for the cell.
     Lambda = _loading_field(config)
     basis = cell_basis(config, family, J)
@@ -489,7 +493,7 @@ def run_experiment(
         except Exception as exc:  # noqa: BLE001 - replication failures are data
             return exc
 
-    with ThreadPoolExecutor(max_workers=max(1, n_threads)) as pool:
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
         for rep, out in enumerate(pool.map(outcome, range(1, n_reps + 1)), start=1):
             if isinstance(out, Exception):
                 failures.append((rep, repr(out)))

@@ -2,17 +2,18 @@
 
 Two families are supported: the Haar system, evaluated in closed form, and the
 8-tap Daubechies extremal-phase system, tabulated by the cascade algorithm and
-periodized to [0, 1].  A basis is held in run-length form: its distinct
-consecutive rows on the grid u = t/T, t = 1..T, and the number of grid
-points each covers.  The columns are the scale function followed by the
-wavelets in (level, shift) order.
+periodized to [0, 1].  A basis is held in run-length form on the grid
+u = t/T, t = 1..T: one row per run of consecutive grid points that share it,
+and the number of grid points each run covers.  The columns are the scale
+function followed by the wavelets in (level, shift) order.
 
 A Haar basis is constant on each dyadic cell ((c-1)/2^J, c/2^J], so it has
 2^J runs on any grid, equal where 2^J divides T and of unequal lengths
-elsewhere, and it is evaluated at one grid point per cell; a d8 basis with
-a wavelet column has T runs of one point.  The dense T x 2^J matrix is
-built only when read.  A field evaluated on the basis is held and written
-once per run, and ``expand_runs`` spreads it over the grid.
+elsewhere, and it is evaluated at one grid point per cell.  A d8 basis is T
+runs of one point at every J, so its run rows are the dense matrix itself;
+a Haar basis builds the dense T x 2^J matrix only when it is read.  A field
+evaluated on the basis is held and written once per run, and
+``expand_runs`` spreads it over the grid.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from .errors import NumericError, ParameterError
 
 __all__ = [
     "WaveletFamily",
-    "CascadeTable",
     "WaveletBasis",
     "select_resolution",
     "haar_eval",
-    "daubechies8_table",
     "evaluate_basis",
     "expand_runs",
 ]
@@ -59,7 +58,7 @@ _D8_G = np.array([(-1.0) ** n * _D8_H[7 - n] for n in range(8)])
 
 _D8_SUPPORT = 7
 # Cascade depth of the Daubechies table behind every d8 basis.
-_DEFAULT_TABLE_LEVELS = 12
+_TABLE_LEVELS = 12
 
 
 class WaveletFamily(str, Enum):
@@ -67,18 +66,6 @@ class WaveletFamily(str, Enum):
 
     HAAR = "haar"
     DAUBECHIES8 = "d8"
-
-
-def _as_family(family: WaveletFamily | str) -> WaveletFamily:
-    if isinstance(family, WaveletFamily):
-        return family
-    try:
-        return WaveletFamily(str(family).lower())
-    except ValueError:
-        raise ParameterError(
-            f"unknown wavelet family {family!r}; expected one of "
-            f"{[f.value for f in WaveletFamily]}"
-        ) from None
 
 
 def select_resolution(T: int) -> int:
@@ -140,23 +127,15 @@ def haar_eval(j: int, k: int, u):
     return out
 
 
-@dataclass(frozen=True)
-class CascadeTable:
-    """Dyadic-grid tabulation of the 8-tap Daubechies scaling function.
-
-    ``x[i] = i / 2^levels`` spans the support [0, 7]; ``values[i]`` is phi(x[i]).
-    """
-
-    levels: int
-    x: np.ndarray
-    values: np.ndarray
-
-    def interp(self, q) -> np.ndarray:
-        """Linearly interpolate phi at arbitrary points (zero outside [0, 7])."""
-        return np.interp(np.asarray(q, dtype=float), self.x, self.values, left=0.0, right=0.0)
-
-
 def _cascade_values(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 8-tap Daubechies scaling function tabulated on a dyadic grid: (x, phi(x)).
+
+    ``x[i] = i / 2^levels`` spans the support [0, 7].  The values at the
+    integers solve the refinement eigenproblem, and refinement carries them
+    down to spacing 2^-levels, so the table is exact (up to rounding) at
+    every dyadic point it holds; ``np.interp(q, x, phi, left=0, right=0)``
+    reads phi between them.
+    """
     # Values of phi at the integers solve the refinement-matrix eigenproblem
     # phi(a) = sqrt(2) * sum_n h_n phi(2a - n), eigenvalue 1.
     M = np.zeros((8, 8))
@@ -194,28 +173,6 @@ def _cascade_values(levels: int) -> tuple[np.ndarray, np.ndarray]:
         vals = new
     x = np.arange(vals.size) / 2.0**levels
     return x, vals
-
-
-def daubechies8_table(levels: int = _DEFAULT_TABLE_LEVELS) -> CascadeTable:
-    """Tabulate the 8-tap Daubechies scaling function on a dyadic grid.
-
-    Solves the refinement eigenproblem at the integers, then refines down to
-    spacing 2^-levels.  The table is exact (up to rounding) at every dyadic
-    point it contains.
-
-    Parameters
-    ----------
-    levels : int
-        Refinement depth; the grid step is 2^-levels.
-
-    Returns
-    -------
-    CascadeTable
-    """
-    if levels < 0:
-        raise ParameterError(f"cascade depth must be nonnegative, got {levels}")
-    x, vals = _cascade_values(int(levels))
-    return CascadeTable(levels=int(levels), x=x, values=vals)
 
 
 def _d8_psi_values(phi: np.ndarray, levels: int) -> np.ndarray:
@@ -256,8 +213,8 @@ class WaveletBasis:
     columns are the scale column first, then the wavelet columns in
     (level, shift) order as recorded in ``column_index`` (the scale column
     is tagged (-1, 0)).  A Haar basis has one run per dyadic cell, 2^J on
-    any grid; a d8 basis with a wavelet column has T runs of one point,
-    and its run rows are the dense matrix itself.
+    any grid; a d8 basis has T runs of one point at every J, and its run
+    rows are the dense matrix itself.
     """
 
     family: WaveletFamily
@@ -316,7 +273,13 @@ def evaluate_basis(
         Cached: repeated calls with the same arguments return the same
         object, whose arrays are read-only.
     """
-    fam = _as_family(family)
+    try:
+        fam = WaveletFamily(family)
+    except ValueError:
+        raise ParameterError(
+            f"unknown wavelet family {family!r}; expected one of "
+            f"{[f.value for f in WaveletFamily]}"
+        ) from None
     if J < 0:
         raise ParameterError(f"resolution must be nonnegative, got J={J}")
     if T < 1:
@@ -333,7 +296,7 @@ def _cached_basis(fam: WaveletFamily, J: int, T: int) -> WaveletBasis:
     if fam is WaveletFamily.HAAR:
         rows, lengths = _haar_runs(index, T)
     else:
-        rows, lengths = _runs_of(_d8_matrix(index, T))
+        rows, lengths = _d8_matrix(index, T), np.ones(T, dtype=np.intp)
     rows.setflags(write=False)
     lengths.setflags(write=False)
     return WaveletBasis(family=fam, J=J, T=T, run_rows=rows, run_lengths=lengths,
@@ -365,7 +328,7 @@ def _d8_matrix(index, T: int) -> np.ndarray:
 
     The cascade tables behind it are computed for this build alone.
     """
-    levels = _DEFAULT_TABLE_LEVELS
+    levels = _TABLE_LEVELS
     xs, phi = _cascade_values(levels)
     psi = _d8_psi_values(phi, levels)
     u = np.arange(1, T + 1, dtype=float) / T
@@ -375,19 +338,3 @@ def _d8_matrix(index, T: int) -> np.ndarray:
         B[:, c] = _d8_periodic_column(j, k, u, xs, psi)
     return B
 
-
-def _runs_of(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The runs of bitwise-equal consecutive rows of B: one row each, and their lengths.
-
-    Where every run is one point long the rows are B itself.  Columns are
-    compared one at a time, and only while some pair of rows still agrees.
-    """
-    bits = B.view(np.uint64)
-    same = np.ones(len(B) - 1, dtype=bool)
-    for col in bits.T:
-        same &= col[1:] == col[:-1]
-        if not same.any():
-            break
-    firsts = np.flatnonzero(np.r_[True, ~same])
-    lengths = np.diff(np.append(firsts, len(B)))
-    return (B if len(firsts) == len(B) else B[firsts]), lengths

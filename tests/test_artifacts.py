@@ -234,18 +234,18 @@ def test_run_lengths_must_cover_the_row_labels(tmp_path):
 
 @pytest.mark.parametrize("rows", [None, ["x,y", 'q"', "7%", 3]])
 def test_edge_shapes_match_the_per_value_reference(tmp_path, rows):
-    header, tail = ["a", "b,c"], ["%", "0.95"]
+    header = ["a", "b,c"]
     for n_rows, n_keys in [(0, 2), (4, 0), (1, 2), (1, 1)]:
         values = _awkward((n_rows, n_keys, 3), n_rows + n_keys)
         keys = [("k%", j) for j in range(n_keys)]
         labels = None if rows is None else rows[:n_rows]
-        write_table(tmp_path / "got.csv", header, values, keys, rows=labels, tail=tail)
+        write_table(tmp_path / "got.csv", header, values, keys, rows=labels)
         with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write('a,"b,c"\n')
             for t in range(n_rows):
                 for j, key in enumerate(keys):
                     label = [] if labels is None else [_id(str(labels[t]))]
-                    fields = [*label, *map(str, key), *map(_fmt, values[t, j]), *tail]
+                    fields = [*label, *map(str, key), *map(_fmt, values[t, j])]
                     fh.write(",".join(fields) + "\n")
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes(), (n_rows, n_keys)

@@ -11,9 +11,11 @@ import tvload.gls
 from tvload.bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
 from tvload.errors import NumericError, ParameterError
 from tvload.factors import FactorEstimate, make_panel
-from tvload.gls import fit_iterative, loadings_from_coeffs
+from tvload.gls import fit_iterative
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis, select_resolution
+
+from reference import loadings_from_coeffs
 
 
 def _true_factor_estimate(F):
@@ -154,7 +156,7 @@ def test_refit_bands_leave_out_failed_draws_pooled_or_serial(monkeypatch):
 
 def test_a_draw_makes_its_two_solves_and_builds_no_field(monkeypatch):
     panel, fac, basis, fit = _noisy_fit(14, T=64, N=5, r=2)
-    calls = dict.fromkeys(["gls_step", "loadings_from_coeffs", "fitted"], 0)
+    calls = dict.fromkeys(["gls_step", "loading_rows", "fitted"], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -169,7 +171,7 @@ def test_a_draw_makes_its_two_solves_and_builds_no_field(monkeypatch):
     residual_bootstrap(panel, fit, fac, basis, B=B, seed=3, n_threads=2)
     # one fitted panel for the point estimate's residuals, one per draw for its
     # pass-2 weight, and no loading field at all
-    assert calls == {"gls_step": 2 * B, "loadings_from_coeffs": 0, "fitted": B + 1}
+    assert calls == {"gls_step": 2 * B, "loading_rows": 0, "fitted": B + 1}
 
 
 def test_draws_keep_coefficients_not_loading_fields():

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end via ``main(argv)``."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -29,6 +30,7 @@ from tvload.cli import (
     build_parser,
     main,
 )
+from tvload.errors import ParameterError
 from tvload.factors import (
     generalized_covariance,
     make_panel,
@@ -73,8 +75,10 @@ def _err(capsys):
 
 def test_resolve_threads():
     assert _resolve_threads(3) == 3
-    assert _resolve_threads(-2) == 1
     assert _resolve_threads(None) >= 1
+    for value in (0, -2):
+        with pytest.raises(ParameterError, match="--threads"):
+            _resolve_threads(value)
 
 
 def test_default_threads_count_the_cpus_the_process_may_run_on(monkeypatch):
@@ -160,6 +164,30 @@ def test_every_exported_name_resolves(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def _names_used_outside_the_tests():
+    """Every name read in the package's code, and every word of the README and
+    of the benchmark scripts; strings and docstrings in the package do not count."""
+    used = set()
+    for path in Path(tvload.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    root = Path(__file__).resolve().parents[1]
+    for path in [root / "README.md", *(root / "bench").glob("*.py")]:
+        used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    return used
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    used = _names_used_outside_the_tests()
+    unused = [f"{info.name}.{name}" for info in pkgutil.iter_modules(tvload.__path__)
+              for name in getattr(importlib.import_module(f"tvload.{info.name}"), "__all__", [])
+              if name not in used]
+    assert unused == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -842,6 +870,36 @@ def test_invalid_level_is_reported(tmp_path, panel_csv, capsys):
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("command", ["bootstrap", "simulate"])
+@pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--threads", "-1"),
+                                         ("--seed", "-1")])
+def test_out_of_range_threads_and_seed_are_reported(tmp_path, panel_csv, monkeypatch, capsys,
+                                                    command, flag, value):
+    if command == "bootstrap":
+        source = tmp_path / "est"
+        assert main(["estimate", "--input", panel_csv, "--output-dir", str(source),
+                     "--r", "1", "--J", "3"]) == 0
+        argv = ["--B", "4"]
+    else:
+        source = tmp_path / "grid.json"
+        source.write_text('[{"N": 5, "T": 64}]')
+        argv = ["--reps", "2"]
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a draw or replication ran")
+
+    monkeypatch.setattr("tvload.bootstrap._one_draw", ran)
+    monkeypatch.setattr("tvload.sim._run_one_rep", ran)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--input", str(source), "--output-dir", str(out), *argv,
+                 flag, value]) == 1
+    rec = _err(capsys)
+    assert rec["error"] == "ParameterError"
+    assert ("--threads" if flag == "--threads" else "seed") in rec["message"]
+    assert not out.exists()
+
+
 def test_malformed_grid_json_reports_position(tmp_path, capsys):
     bad = tmp_path / "grid.json"
     bad.write_text('[{"N": 5,,}]')
@@ -923,7 +981,7 @@ def _set_J(value):
     return edit
 
 
-_REPORT_KEYS = ["parameters.family", "parameters.J", "parameters.r", "parameters.k",
+_REPORT_KEYS = ["parameters.family", "parameters.J", "parameters.r",
                 "parameters.nonstationary", "parameters", "input.path", "input.sha256",
                 "input", "eigenvalues"]
 

@@ -1,5 +1,6 @@
 """Design assembly, Kronecker-factored GLS, and the iterated loading fit."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,10 +20,9 @@ from tvload.factors import FactorEstimate, make_panel, pca_factors, standardize
 from tvload.gls import (
     GlsFit,
     build_design,
-    common_component,
     fit_iterative,
     gls_step,
-    loadings_from_coeffs,
+    loading_rows,
     read_coefficients_csv,
     write_coefficients_csv,
     write_covariance_csv,
@@ -30,6 +30,8 @@ from tvload.gls import (
 )
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis, select_resolution
+
+from reference import common_component, loadings_from_coeffs
 
 
 def _factors(F):
@@ -184,6 +186,63 @@ def test_gls_reports_offending_columns_of_a_dense_path_design(family, T):
     assert "factor 1" not in str(err.value) and "factor 2" not in str(err.value)
 
 
+def _named_columns(message, basis):
+    """The columns of Psi that a rank-deficiency message names, as indices."""
+    col = {jk: c for c, jk in enumerate(basis.column_index)}
+    return [(int(i) - 1) * basis.n_columns + col[int(j), int(k)]
+            for i, j, k in re.findall(r"factor (\d+) x column \(j=(-?\d+), k=(\d+)\)", message)]
+
+
+# a factor that is zero on the first half of the grid leaves a d8 design of
+# full rank: no d8 column is a multiple of another on the second half
+@pytest.mark.parametrize("family,T,case", [
+    (family, T, case) for family, T in [("haar", 256), ("haar", 250), ("d8", 256)]
+    for case in ["collinear", "half-dead", "combination"]
+    if (family, case) != ("d8", "half-dead")])
+def test_the_named_columns_are_the_ones_the_kept_columns_reproduce(family, T, case):
+    # where the null space leaves a choice, any named set must leave a
+    # full-rank design of the reported rank once dropped
+    rng = np.random.default_rng(3)
+    f, g = rng.normal(size=(2, T))
+    if case == "collinear":
+        F = np.column_stack([f, 2.0 * f])
+    elif case == "half-dead":
+        g[: T // 2] = 0.0
+        F = np.column_stack([f, g])
+    else:
+        F = np.column_stack([f, g, f - 0.5 * g])
+    basis = evaluate_basis(family, 2, T)
+    d = build_design(_factors(F), basis)
+    with pytest.raises(RankDeficiencyError) as err:
+        d.solve(rng.normal(size=(T, 2)))
+    message = str(err.value)
+    rank = int(re.search(r"rank (\d+) of", message).group(1))
+    dropped = _named_columns(message, basis)
+    kept = np.delete(d.Psi, dropped, axis=1)
+    assert len(dropped) == d.Psi.shape[1] - rank
+    assert np.linalg.matrix_rank(kept) == kept.shape[1] == np.linalg.matrix_rank(d.Psi)
+
+
+def test_a_rank_report_builds_no_psi():
+    # the report reads the Gram matrix the failed factorization had, not Psi
+    rng = np.random.default_rng(19)
+    T, J = 8760, 6
+    f = rng.normal(size=T)
+    d = build_design(_factors(np.column_stack([f, 2.0 * f])), evaluate_basis("haar", J, T))
+    Y = rng.normal(size=(T, 2))
+    psi_bytes = T * 2 * 2**J * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(RankDeficiencyError, match=r"rank 64 of 128"):
+            d.solve(Y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert "Psi" not in vars(d)
+    assert peak < psi_bytes / 4
+
+
 # ---------------------------------------------------------------- Haar blocks
 
 
@@ -290,7 +349,7 @@ def test_fitted_panel_is_psi_times_the_coefficients(family, T):
     fac = _factors(rng.normal(size=(T, 2)))
     beta = rng.normal(size=(5, 2, basis.n_columns))
     got = build_design(fac, basis).fitted(beta)
-    ref = common_component(loadings_from_coeffs(beta, basis), fac)
+    ref = common_component(loadings_from_coeffs(beta, basis), fac.F)
     assert got.shape == (T, 5)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -429,7 +488,7 @@ def test_loadings_reject_coefficients_of_another_width():
     basis = evaluate_basis("haar", 2, 8)
     for beta in (np.ones((1, 1, 5)), np.ones((1, 4))):
         with pytest.raises(ShapeError):
-            loadings_from_coeffs(beta, basis)
+            loading_rows(beta, basis)
 
 
 def test_loadings_match_per_curve_reconstruction():
@@ -461,11 +520,13 @@ def test_haar_field_on_a_dyadic_grid_is_exactly_block_constant():
     assert np.max(np.abs(Lambda - ref)) <= 1e-15 * np.max(np.abs(Lambda))
 
 
-@pytest.mark.parametrize("family,T,J", [("d8", 512, 5), ("d8", 777, 4)])
+@pytest.mark.parametrize("family,T,J", [("d8", 512, 5), ("d8", 777, 4), ("d8", 64, 0),
+                                        ("d8", 64, 1)])
 def test_other_fields_are_the_basis_product_bit_for_bit(family, T, J):
     rng = np.random.default_rng(13)
     basis = evaluate_basis(family, J, T)
-    assert len(basis.run_lengths) == T  # runs of one point
+    # runs of one point at every J, a constant basis (J = 0) included
+    assert basis.run_lengths.tolist() == [1] * T and basis.run_rows is basis.B
     beta = rng.normal(size=(6, 2, 2**J))
     assert np.array_equal(loadings_from_coeffs(beta, basis), _basis_product(beta, basis))
 
@@ -558,21 +619,23 @@ def test_fit_residual_covariance_is_that_of_the_least_squares_residuals(family, 
 
 
 def test_common_component_cases():
+    # the fitted panel is the common component of the coefficients' field
     rng = np.random.default_rng(14)
-    basis, fac, _, Lambda, panel = _random_instance(rng)
-    assert np.array_equal(common_component(np.zeros_like(Lambda), fac),
-                          np.zeros((panel.T, panel.N)))
-    ones = np.ones((panel.T, panel.N, 1))
-    f1 = _factors(fac.F[:, :1])
-    X = common_component(ones, f1)
+    basis, fac, beta, _, panel = _random_instance(rng)
+    design = build_design(fac, basis)
+    assert np.array_equal(design.fitted(np.zeros_like(beta)), np.zeros((panel.T, panel.N)))
+    unit = np.zeros_like(beta)
+    unit[:, 0, 0] = 1.0  # the scale coefficient: lambda = 1 on factor 1, 0 on factor 2
+    X = design.fitted(unit)
     for m in range(panel.N):
         assert np.array_equal(X[:, m], fac.F[:, 0])
 
 
 def test_common_component_matches_loop_oracle():
     rng = np.random.default_rng(15)
-    basis, fac, _, Lambda, panel = _random_instance(rng)
-    X = common_component(Lambda, fac)
+    basis, fac, beta, Lambda, panel = _random_instance(rng)
+    X = build_design(fac, basis).fitted(beta)
+    assert np.max(np.abs(X - common_component(Lambda, fac.F))) <= 1e-12
     T, N = panel.values.shape
     for t in range(T):
         for m in range(N):
@@ -726,14 +789,14 @@ def test_fit_flags_a_second_pass_that_moves(monkeypatch):
     assert np.array_equal(weights[0], np.eye(panel.N))
     # pass 2 weighs each series by its pass-1 residual variance
     first_beta = gls_step(panel, build_design(fac, basis), weights[0])
-    E = panel.values - common_component(loadings_from_coeffs(first_beta, basis), fac)
+    E = panel.values - common_component(loadings_from_coeffs(first_beta, basis), fac.F)
     variance = (E ** 2).sum(axis=0) / panel.T
     assert np.count_nonzero(weights[1] - np.diag(np.diag(weights[1]))) == 0
     assert_allclose(np.diag(weights[1]), variance, rtol=1e-12, atol=0.0)
     # the fit is pass 2's, and its covariance that of pass 2's residuals
     assert np.array_equal(fit.beta, first_beta + 0.01)
     assert np.array_equal(fit.Lambda, loadings_from_coeffs(fit.beta, basis))
-    E = panel.values - common_component(fit.Lambda, fac)
+    E = panel.values - common_component(fit.Lambda, fac.F)
     assert_allclose(fit.Gamma_e, E.T @ E / panel.T, rtol=0.0,
                     atol=1e-12 * np.max(np.abs(fit.Gamma_e)))
 

@@ -87,13 +87,12 @@ def test_procrustes_rescaling_preserves_correlation():
         assert abs(a - b) <= 1e-12
 
 
-def test_procrustes_aligns_leading_block_when_widths_differ():
+def test_procrustes_rejects_widths_that_differ():
     rng = np.random.default_rng(6)
     F_ref = rng.normal(size=(70, 3))
     F_est = rng.normal(size=(70, 2))
-    res = procrustes_rotation(F_ref, F_est)
-    assert res.n_aligned == 2
-    assert res.rotation.shape == (2, 2)
+    with pytest.raises(ShapeError, match="column mismatch"):
+        procrustes_rotation(F_ref, F_est)
 
 
 def test_procrustes_rejects_rank_deficient_input():

@@ -130,11 +130,9 @@ def haar_eval(j: int, k: int, u):
 def _cascade_values(levels: int) -> tuple[np.ndarray, np.ndarray]:
     """The 8-tap Daubechies scaling function tabulated on a dyadic grid: (x, phi(x)).
 
-    ``x[i] = i / 2^levels`` spans the support [0, 7].  The values at the
-    integers solve the refinement eigenproblem, and refinement carries them
-    down to spacing 2^-levels, so the table is exact (up to rounding) at
-    every dyadic point it holds; ``np.interp(q, x, phi, left=0, right=0)``
-    reads phi between them.
+    ``x[i] = i / 2^levels`` spans the support [0, 7].  The table is exact
+    (up to rounding) at every dyadic point it holds, and
+    ``np.interp(q, x, phi, left=0, right=0)`` reads phi between them.
     """
     # Values of phi at the integers solve the refinement-matrix eigenproblem
     # phi(a) = sqrt(2) * sum_n h_n phi(2a - n), eigenvalue 1.

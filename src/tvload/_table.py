@@ -3,16 +3,20 @@
 A table is a grid of rows, each holding one line per key: the row's label,
 the key's fixed fields, then the row's values for that key, printed with 17
 significant digits (which round-trips float64).  The text of every line
-except its values is rendered once per file; a block of rows is then filled
-by a single ``template % values`` call, so a large file streams out without
-per-value Python calls or a copy of the whole file in memory.  A caller
-that holds its values once per run of equal rows, as a field on a wavelet
-basis is held, passes the run lengths: each run is formatted once, and each
-of its rows only joins its label in.  The writer compares no values; a
-Haar loading field on T points is 2^J runs, on any grid.  A run prints the
-text of formatting each of its rows, so the bytes are those of writing the
-rows out one by one.  A number that every line repeats, as the bands'
-level, is one more value column, printed the same way.
+except its values is rendered once per file; a block of whole rows, at most
+``_BLOCK_VALUES`` values and labels or one row, is then filled by a single
+``template % values`` call, and its row labels are formatted only then, so
+a large or wide file streams out without per-value Python calls or a copy
+of the whole file, or of all its labels, in memory.  A caller that holds
+its values once per run of equal rows, as a field on a wavelet basis is
+held, passes the run lengths: each run is formatted once, and each of its
+rows only joins its label in, a block of rows at a time; a table with one
+key joins a block's labels with the run's one line of text.  The writer
+compares no values; a Haar loading field on T points is 2^J runs, on any
+grid.  A run prints the text of formatting each of its rows, so the bytes
+are those of writing the rows out one by one, whatever the block size.  A
+number that every line repeats, as the bands' level, is one more value
+column, printed the same way.
 Fixed fields follow the ``csv`` module's minimal quoting, so an id containing
 a comma or a quote reads back through ``csv.reader``.
 """
@@ -28,8 +32,10 @@ import numpy as np
 
 from .errors import MissingDataError, ShapeError, naming_file
 
-# Lines per ``%`` call on narrow tables; a call always covers whole rows.
-_BLOCK_LINES = 512
+# Values per ``%`` call, a row label counting as one; a call always covers
+# whole rows, and one row where a row holds more.  A run's rows are joined
+# in blocks of as many rows.
+_BLOCK_VALUES = 1024
 _NEEDS_QUOTES = frozenset(',"\r\n')
 
 
@@ -62,13 +68,16 @@ def write_table(path, header, values, keys=((),), rows=None, run_lengths=None) -
     key_templates = [sep + ",".join([_literal(f) for f in key] + ["%.17g"] * n_cols) + "\n"
                      for key in keys]
     row_template = "".join(head + t for t in key_templates)
-    per_call = max(1, _BLOCK_LINES // max(n_keys, 1))
+    width = n_cols + (rows is not None)
+    per_call = max(1, _BLOCK_VALUES // max(n_keys * width, 1))
     block_template = row_template * per_call
     # digits never need quotes
-    labels = None if rows is None else np.array(
-        [str(x) for x in rows] if isinstance(rows, range) else
-        [quote_field(str(x)) for x in rows], dtype=object)
-    width = n_cols + (labels is not None)
+    quote = str if isinstance(rows, range) else lambda x: quote_field(str(x))
+
+    def labels(start, stop):
+        """The labels of rows start..stop, formatted a block at a time."""
+        return [""] * (stop - start) if rows is None else [quote(x) for x in rows[start:stop]]
+
     args = np.empty((per_call * n_keys, width), dtype=object)
     # segments: each run of several rows, and each stretch of one-row runs
     several = lengths > 1
@@ -80,21 +89,24 @@ def write_table(path, header, values, keys=((),), rows=None, run_lengths=None) -
             first = label_at[k]
             if several[k]:
                 # one formatting of the run's values; each row only joins its label in
-                filled = (t % tuple(v) for t, v in zip(key_templates, values[k].tolist()))
+                filled = [t % tuple(v) for t, v in zip(key_templates, values[k].tolist())]
                 parts = ["", *filled]
                 last = first + int(lengths[k])
                 for start in range(first, last, per_call):
-                    stop = min(start + per_call, last)
-                    texts = [""] * (stop - start) if labels is None else labels[start:stop]
-                    fh.write("".join([label.join(parts) for label in texts]))
+                    texts = labels(start, min(start + per_call, last))
+                    if n_keys == 1:  # every line is label + text: one join for the block
+                        fh.write(filled[0].join(texts) + filled[0])
+                    else:
+                        fh.write("".join([label.join(parts) for label in texts]))
                 continue
             # one-row runs: value row k + i is label row first + i
             for start in range(k, k_end, per_call):
                 stop = min(start + per_call, k_end)
                 block = args[: (stop - start) * n_keys]
-                if labels is not None:
+                if rows is not None:
                     at = first + start - k
-                    block[:, 0] = np.repeat(labels[at:at + stop - start], n_keys)
+                    block[:, 0] = np.repeat(np.array(labels(at, at + stop - start), dtype=object),
+                                            n_keys)
                 block[:, width - n_cols:] = values[start:stop].reshape(-1, n_cols)
                 template = block_template if stop - start == per_call else row_template * (stop - start)
                 fh.write(template % tuple(block.ravel().tolist()))

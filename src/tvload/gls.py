@@ -21,11 +21,14 @@ to name the columns of a rank-deficient design.  Where the runs of the
 basis (``WaveletBasis.run_rows``) are longer than one grid point, as the
 2^J runs of a Haar basis are on any grid, Psi'Psi and Psi'Y come from
 per-run factor sums, and a fitted panel from the run rows; runs of unequal
-length are padded with zero rows to the longest, so neither B nor Psi is
-built.  A basis whose runs are single points, d8 and Haar with T = 2^J,
-adds Psi'Psi up over row slabs of Psi of at most 256 grid points, and forms
-Psi'Y and the fitted panel one factor at a time from row slabs of B.  A
-loading field is held once per run of the basis: 2^J rows on any Haar
+length are padded with zero rows to the longest, one chunk of runs at a
+time, so neither B nor Psi is built.  A basis whose runs are single points,
+d8 and Haar with T = 2^J, adds Psi'Psi up over row slabs of Psi of at most
+256 grid points, and forms Psi'Y and the fitted panel one factor at a time
+from row slabs of B.  The fitted panel Psi beta is formed one row slab at a
+time, and the pass-2 weight and the residual covariance E'E / T are summed
+over the slabs of E = Y - Psi beta, so no fit holds a second T x N panel.
+A loading field is held once per run of the basis: 2^J rows on any Haar
 grid, and T on d8.  So a field is exactly constant on each run, and the
 loadings artifact is written from those rows without the T x N x r field
 ever being built.
@@ -59,9 +62,14 @@ __all__ = [
 # Off the per-run path, Psi'Psi is added up over row slabs of Psi of at
 # most _GRAM_ROWS grid points, each dropped after its product.  Psi'Y and the
 # fitted panel go over row slabs of B of at most _SLAB_VALUES values, and
-# ``GlsFit.Lambda_slabs`` reads a field in slabs of as many values.
+# ``GlsFit.Lambda_slabs`` reads a field in slabs of as many values.  On the
+# per-run path a chunk of whole runs, padded, holds at most _SLAB_VALUES
+# values of each matrix it reads or forms, or one run where a run is longer.
 _GRAM_ROWS = 256
 _SLAB_VALUES = 2**15
+# An entry of a null-space basis at most this share of the basis's largest
+# is rounding noise to the rank-deficiency report.
+_NEGLIGIBLE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -82,13 +90,15 @@ class DesignBlock:
     the (i, j) block of the Gram matrix is A' diag(S_k[i, j]) A with
     S_k = F_k'F_k, and Psi'Y is A'W with W_k = F_k'Y_k.  Each run's rows are
     padded with zero rows to the longest run, so one batched product covers
-    all K; where the runs are equal, as on a grid that 2^J divides, the
-    padded rows are the grid's rows reshaped, without a copy.  A basis of
-    one-point runs adds Psi'Psi up over row slabs Psi_b of at most
-    ``_GRAM_ROWS`` grid points, each dropped after its product.  Block i of
-    Psi'Y is B'(F_i * Y) and the fitted panel is sum_i F_i * (B beta_i'),
-    both formed over row slabs of B of at most ``_SLAB_VALUES`` values, so
-    that a slab stays in cache while each factor reads it.
+    a chunk of runs; where the runs are equal, as on a grid that 2^J
+    divides, the padded rows are the grid's rows reshaped, without a copy,
+    and otherwise only one chunk is padded at a time.  A basis of one-point
+    runs adds Psi'Psi up over row slabs Psi_b of at most ``_GRAM_ROWS`` grid
+    points, each dropped after its product.  Block i of Psi'Y is
+    B'(F_i * Y) and the fitted panel is sum_i F_i * (B beta_i'), both formed
+    over row slabs of B of at most ``_SLAB_VALUES`` values, so that a slab
+    stays in cache while each factor reads it.  ``fitted_slabs`` yields the
+    fitted panel slab by slab, so a residual sum never holds it whole.
     """
 
     F: np.ndarray
@@ -115,21 +125,48 @@ class DesignBlock:
         lengths = self.basis.run_lengths
         return np.arange(lengths.max()) < lengths[:, None]
 
-    def _padded(self, X: np.ndarray) -> np.ndarray:
-        """A T x n matrix as (K, L, n), run k's rows first and zero rows after them."""
-        if self._slots.all():  # equal runs: the grid's rows as they are
-            return X.reshape(*self._slots.shape, -1)
-        out = np.zeros((*self._slots.shape, X.shape[1]))
-        out[self._slots] = X
+    @cached_property
+    def _equal_runs(self) -> bool:
+        return bool(self._slots.all())
+
+    @cached_property
+    def _chunks(self) -> dict[int, list[tuple[slice, slice]]]:
+        """``_run_chunks`` by matrix width, each worked out once."""
+        return {}
+
+    def _run_chunks(self, width: int) -> list[tuple[slice, slice]]:
+        """Consecutive chunks of whole runs as (runs, rows): each at most
+        ``_SLAB_VALUES`` values of a padded T x ``width`` matrix, or one run."""
+        chunks = self._chunks.get(width)
+        if chunks is None:
+            K, L = self._slots.shape
+            per = max(1, _SLAB_VALUES // (L * width))
+            starts = [0, *np.cumsum(self.basis.run_lengths).tolist()]  # each run's first row
+            chunks = self._chunks[width] = [
+                (slice(k, min(k + per, K)), slice(starts[k], starts[min(k + per, K)]))
+                for k in range(0, K, per)]
+        return chunks
+
+    def _padded(self, X: np.ndarray, runs: slice) -> np.ndarray:
+        """The rows of ``runs`` of a T x n matrix as (k, L, n): each run's rows,
+        then zero rows."""
+        slots = self._slots[runs]
+        if self._equal_runs:  # the grid's rows as they are
+            return X.reshape(*slots.shape, -1)
+        out = np.zeros((*slots.shape, X.shape[1]))
+        out[slots] = X
         return out
 
     @cached_property
     def _F_runs(self) -> np.ndarray:
-        return self._padded(self.F)
+        return self._padded(self.F, slice(None))
 
     def _by_run(self, X: np.ndarray) -> np.ndarray:
-        """Per-run products F_k'X_k of a T x n matrix, shape (K, r, n)."""
-        return self._F_runs.transpose(0, 2, 1) @ self._padded(X)
+        """Per-run products F_k'X_k of a T x n matrix, shape (K, r, n), one chunk
+        of runs at a time."""
+        parts = [self._F_runs[runs].transpose(0, 2, 1) @ self._padded(X[rows], runs)
+                 for runs, rows in self._run_chunks(X.shape[1])]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _slabs(self, height: int):
         """Consecutive row slabs of at most ``height`` grid points: (rows, F_b, B_b)."""
@@ -188,27 +225,33 @@ class DesignBlock:
         X = Linv.T @ (Linv @ self._cross(Y))  # (r*2^J) x N
         return X.T.reshape(Y.shape[1], self.r, self.basis.n_columns)
 
-    def fitted(self, beta: np.ndarray) -> np.ndarray:
-        """The fitted panel Psi beta of coefficients shaped (N, r, 2^J), T x N."""
+    def fitted_slabs(self, beta: np.ndarray):
+        """The fitted panel Psi beta of coefficients shaped (N, r, 2^J), one row
+        slab at a time: (rows, slab), the slab a new T_b x N array."""
         N, r, p = beta.shape
         A = self._run_blocks
         if A is None:
             # slab by slab, sum_i F_i * (B beta_i')
-            out = np.empty((len(self.F), N))
             coefs = beta.transpose(1, 2, 0).copy()  # (r, 2^J, N)
             for rows, Fb, Bb in self._slabs(self._slab_height):
-                slab = np.matmul(Bb, coefs[0], out=out[rows])
+                slab = Bb @ coefs[0]
                 slab *= Fb[:, :1]
                 for i in range(1, r):
                     term = Bb @ coefs[i]
                     term *= Fb[:, i:i + 1]
                     slab += term
-            return out
+                yield rows, slab
+            return
         # run k is its factor rows F_k times its r x N loadings A_k beta
-        K = len(A)
-        loadings = (A @ beta.transpose(2, 1, 0).reshape(p, r * N)).reshape(K, r, N)
-        out = self._F_runs @ loadings  # (K, L, N), zero rows past each run
-        return out.reshape(-1, N) if self._slots.all() else out[self._slots]
+        loadings = (A @ beta.transpose(2, 1, 0).reshape(p, r * N)).reshape(len(A), r, N)
+        for runs, rows in self._run_chunks(N):
+            out = self._F_runs[runs] @ loadings[runs]  # (k, L, N), zero rows past each run
+            yield rows, out.reshape(-1, N) if self._equal_runs else out[self._slots[runs]]
+
+    def fitted(self, beta: np.ndarray) -> np.ndarray:
+        """The fitted panel Psi beta of coefficients shaped (N, r, 2^J), T x N."""
+        slabs = [slab for _, slab in self.fitted_slabs(beta)]
+        return slabs[0] if len(slabs) == 1 else np.concatenate(slabs)
 
     @property
     def gram_condition(self) -> float:
@@ -232,22 +275,15 @@ def build_design(factors: FactorEstimate, basis: WaveletBasis) -> DesignBlock:
 
 
 def _report_rank_deficiency(design: DesignBlock, gram: np.ndarray) -> None:
-    """Raise ``RankDeficiencyError`` naming the columns of Psi that the others
-    reproduce, read off the eigenvectors of the Gram matrix Psi'Psi."""
+    """Raise ``RankDeficiencyError`` naming the columns of Psi that earlier
+    columns reproduce, read off the eigenvectors of the Gram matrix Psi'Psi."""
     w, V = np.linalg.eigh(gram)  # ascending
     rank = int(np.sum(w > w.max() * len(w) * np.finfo(float).eps))
-    # The eigenvectors past the rank span the null space.  Eliminating them
-    # one after another, each on its largest entry, names one column per
-    # missing rank: a column that the kept ones reproduce.
-    null = V[:, :len(w) - rank].T.copy()
-    dropped = []
-    for row in range(null.shape[0]):
-        c = int(np.argmax(np.abs(null[row])))
-        dropped.append(c)
-        null[row + 1:] -= np.outer(null[row + 1:, c] / null[row, c], null[row])
+    # the eigenvectors past the rank span the null space
+    dropped = _reproduced_columns(V[:, :len(w) - rank].T)
     p = design.basis.n_columns
     labels = []
-    for col in sorted(dropped):
+    for col in dropped:
         i, c = divmod(col, p)
         j, k = design.basis.column_index[c]
         labels.append(f"factor {i + 1} x column (j={j}, k={k})")
@@ -255,6 +291,29 @@ def _report_rank_deficiency(design: DesignBlock, gram: np.ndarray) -> None:
         f"design matrix is rank deficient (rank {rank} of {len(w)}); "
         f"offending columns: {', '.join(labels) or 'unknown'}"
     )
+
+
+def _reproduced_columns(null: np.ndarray) -> list[int]:
+    """The columns that the columns before them reproduce, ascending, from the
+    rows of a basis of the null space.
+
+    The rows are brought to echelon form from the right: each step pivots on
+    the last column where a remaining row has an entry above ``_NEGLIGIBLE``
+    times the largest remaining entry, on the row with the largest entry
+    there, and eliminates that column from the rows after it.  Column c is a pivot exactly when a
+    null vector ends at c, that is when the columns before c reproduce it, so
+    the columns named do not depend on the basis the solver returned.
+    """
+    null = null.copy()
+    pivots = []
+    for row in range(len(null)):
+        size = np.abs(null[row:])
+        c = int(np.flatnonzero((size > _NEGLIGIBLE * size.max()).any(axis=0))[-1])
+        i = row + int(np.argmax(size[:, c]))
+        null[[row, i]] = null[[i, row]]
+        null[row + 1:] -= np.outer(null[row + 1:, c] / null[row, c], null[row])
+        pivots.append(c)
+    return sorted(pivots)
 
 
 def gls_step(
@@ -345,10 +404,13 @@ def loading_rows(beta: np.ndarray, basis: WaveletBasis) -> np.ndarray:
     return field.reshape(len(rows), beta.shape[0], beta.shape[1])
 
 
-def _residuals(panel: Panel, design: DesignBlock, beta: np.ndarray) -> np.ndarray:
-    """The residual panel E = Y - Psi beta, T x N."""
-    E = design.fitted(beta)
-    return np.subtract(panel.values, E, out=E)
+def _residual_sum(panel: Panel, design: DesignBlock, beta: np.ndarray, term):
+    """The sum of ``term(E_b)`` over the row slabs E_b of E = Y - Psi beta."""
+    total = None
+    for rows, E in design.fitted_slabs(beta):
+        part = term(np.subtract(panel.values[rows], E, out=E))
+        total = part if total is None else total + part
+    return total
 
 
 @dataclass(frozen=True)
@@ -358,9 +420,10 @@ class GlsFit:
     ``beta[m, i]`` holds series m's coefficients for factor i in basis-column
     order.  ``Lambda_rows``, the loading curves once per run of the basis,
     ``Lambda[t, m, i]``, those rows spread over the grid, and ``Gamma_e``,
-    the residual covariance E'E / T with E = Y - Psi beta, are built from
-    (beta, design, panel) when each is first read, and kept.  ``Lambda`` is
-    ``Lambda_rows`` itself where every run is one point long, as on d8.
+    the residual covariance E'E / T with E = Y - Psi beta summed over the row
+    slabs of E, are built from (beta, design, panel) when each is first read,
+    and kept.  ``Lambda`` is ``Lambda_rows`` itself where every run is one
+    point long, as on d8.
     """
 
     beta: np.ndarray
@@ -399,8 +462,7 @@ class GlsFit:
 
     @cached_property
     def Gamma_e(self) -> np.ndarray:
-        E = _residuals(self.panel, self.design, self.beta)
-        return E.T @ E / self.panel.T
+        return _residual_sum(self.panel, self.design, self.beta, lambda E: E.T @ E) / self.panel.T
 
 
 def fit_iterative(
@@ -412,11 +474,11 @@ def fit_iterative(
     """Fit the loading curves by two-pass feasible GLS.
 
     Pass 1 solves with the identity weight.  Pass 2 solves with the diagonal
-    of the pass-1 residual covariance, diag(E'E / T) with E = Y - Psi beta_1,
-    and 1 wherever a residual variance is not positive, as on a series the
-    model fits exactly.  Every series shares the design Psi, so a weight
-    Gamma_e^-1 (x) I_T cancels (Zellner 1962, JASA) and pass 2 reproduces the
-    pass-1 coefficients bit for bit.
+    of the pass-1 residual covariance, diag(E'E / T) with E = Y - Psi beta_1
+    summed over the row slabs of E, and 1 wherever a residual variance is
+    not positive, as on a series the model fits exactly.  Every series shares
+    the design Psi, so a weight Gamma_e^-1 (x) I_T cancels (Zellner 1962,
+    JASA) and pass 2 reproduces the pass-1 coefficients bit for bit.
 
     The fit keeps the pass-2 coefficients, the design and the panel, so a
     caller that reads only ``beta`` pays for the two solves and the pass-2
@@ -440,8 +502,8 @@ def fit_iterative(
     if design is None:
         design = build_design(factors, basis)
     first_beta = gls_step(panel, design, np.eye(panel.N))
-    E = _residuals(panel, design, first_beta)
-    variance = np.einsum("tm,tm->m", E, E) / panel.T
+    variance = _residual_sum(panel, design, first_beta,
+                             lambda E: np.einsum("tm,tm->m", E, E)) / panel.T
     beta = gls_step(panel, design, np.diag(np.where(variance > 0.0, variance, 1.0)))
     return GlsFit(beta, design, panel)
 

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tvload import _table
 from tvload._table import write_table
 from tvload.bootstrap import BandSet, write_bands_csv, write_plot_csv
 from tvload.cli import _reload_estimate, main
@@ -115,6 +116,19 @@ def _ref_plot(bands, fit, m, i, path):
                      f"{_fmt(bands.lower[t, m, i])},{_fmt(bands.upper[t, m, i])}\n")
 
 
+def _ref_table(path, header, values, keys, rows, lengths=None):
+    """``write_table`` line by line: value row k covers the next ``lengths[k]`` rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        t = 0
+        for k, length in enumerate([1] * len(values) if lengths is None else lengths):
+            for _ in range(length):
+                for j, key in enumerate(keys):
+                    label = [] if rows is None else [_id(str(rows[t]))]
+                    fh.write(",".join([*label, *map(str, key), *map(_fmt, values[k, j])]) + "\n")
+                t += 1
+
+
 def _ref_grid(names, values, path):
     """A headed table whose first column is the grid label t = 1..T."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -199,10 +213,11 @@ def test_fit_writers_match_the_per_value_reference(tmp_path, T, N, r):
     _assert_fit_writers_match(tmp_path, *_fixture(T, N, r, seed=T + N + r))
 
 
-# Row bounds of the runs of a stand-in basis.  On the one-line-per-row tables a
-# block of the writer holds 512 rows: 500..530 straddles its end, and the last
-# run, longer than a block, ends on the last row; 530 and 531 are runs of one
-# row.  The runs of 0.0 and -0.0 meet at row 2, or at row 1 as one-row runs.
+# Row bounds of the runs of a stand-in basis.  A block of the writer holds
+# 1024 values and labels: 256 rows of the plot table and 85 of the loadings
+# table, so the runs 6..500 and 532..1100 each take several blocks, and the
+# last ends on the last row; 530 and 531 are runs of one row.  The runs of
+# 0.0 and -0.0 meet at row 2, or at row 1 as one-row runs.
 RUNS = {
     "runs": [0, 2, 6, 500, 530, 531, 532, 1100],
     "one run": [0, 40],
@@ -240,17 +255,38 @@ def test_edge_shapes_match_the_per_value_reference(tmp_path, rows):
         keys = [("k%", j) for j in range(n_keys)]
         labels = None if rows is None else rows[:n_rows]
         write_table(tmp_path / "got.csv", header, values, keys, rows=labels)
-        with open(tmp_path / "want.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write('a,"b,c"\n')
-            for t in range(n_rows):
-                for j, key in enumerate(keys):
-                    label = [] if labels is None else [_id(str(labels[t]))]
-                    fields = [*label, *map(str, key), *map(_fmt, values[t, j])]
-                    fh.write(",".join(fields) + "\n")
+        _ref_table(tmp_path / "want.csv", 'a,"b,c"', values, keys, labels)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes(), (n_rows, n_keys)
         if n_rows * n_keys == 0:
             assert got == b'a,"b,c"\n'
+
+
+# (rows, run lengths, keys, value columns): several-row runs with one key and
+# with two, one-row runs, no labels, many keys, and wide rows with quoted labels
+TABLES = {
+    "runs, one key": (range(1, 14), [3, 1, 1, 5, 2, 1], 1, 2),
+    "runs, two keys": (range(1, 14), [3, 1, 1, 5, 2, 1], 2, 1),
+    "one-row runs": (range(1, 30), None, 3, 2),
+    "no labels": (None, [2, 1, 4], 2, 3),
+    "many keys": (range(1, 8), [1, 6], 50, 1),
+    "wide rows": (["a,b", 'q"', "7%", "s4", 5], None, 1, 40),
+}
+
+
+@pytest.mark.parametrize("cap", ["one", "under a row", "default"])
+@pytest.mark.parametrize("table", TABLES.values(), ids=TABLES.keys())
+def test_the_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, table, cap):
+    rows, lengths, n_keys, n_cols = table
+    runs = len(rows) if lengths is None else len(lengths)
+    values = _awkward((runs, n_keys, n_cols), runs + n_keys + n_cols)
+    keys = [(f"k{j}%", j) for j in range(n_keys)]
+    row_values = n_keys * (n_cols + (rows is not None))
+    if cap != "default":
+        monkeypatch.setattr(_table, "_BLOCK_VALUES", 1 if cap == "one" else row_values - 1)
+    write_table(tmp_path / "got.csv", ["h", "v"], values, keys, rows=rows, run_lengths=lengths)
+    _ref_table(tmp_path / "want.csv", "h,v", values, keys, rows, lengths)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("family, T", [("haar", 256), ("haar", 200), ("d8", 256)])

@@ -156,7 +156,7 @@ def test_refit_bands_leave_out_failed_draws_pooled_or_serial(monkeypatch):
 
 def test_a_draw_makes_its_two_solves_and_builds_no_field(monkeypatch):
     panel, fac, basis, fit = _noisy_fit(14, T=64, N=5, r=2)
-    calls = dict.fromkeys(["gls_step", "loading_rows", "fitted"], 0)
+    calls = dict.fromkeys(["gls_step", "loading_rows", "fitted_slabs"], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -165,13 +165,13 @@ def test_a_draw_makes_its_two_solves_and_builds_no_field(monkeypatch):
         return wrapper
 
     for name in calls:
-        owner = tvload.gls.DesignBlock if name == "fitted" else tvload.gls
+        owner = tvload.gls.DesignBlock if name == "fitted_slabs" else tvload.gls
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     B = 12
     residual_bootstrap(panel, fit, fac, basis, B=B, seed=3, n_threads=2)
-    # one fitted panel for the point estimate's residuals, one per draw for its
-    # pass-2 weight, and no loading field at all
-    assert calls == {"gls_step": 2 * B, "loading_rows": 0, "fitted": B + 1}
+    # one pass over the fitted slabs for the point estimate's fitted panel, one
+    # per draw for its pass-2 weight, and no loading field at all
+    assert calls == {"gls_step": 2 * B, "loading_rows": 0, "fitted_slabs": B + 1}
 
 
 def test_draws_keep_coefficients_not_loading_fields():

@@ -193,15 +193,9 @@ def _named_columns(message, basis):
             for i, j, k in re.findall(r"factor (\d+) x column \(j=(-?\d+), k=(\d+)\)", message)]
 
 
-# a factor that is zero on the first half of the grid leaves a d8 design of
-# full rank: no d8 column is a multiple of another on the second half
-@pytest.mark.parametrize("family,T,case", [
-    (family, T, case) for family, T in [("haar", 256), ("haar", 250), ("d8", 256)]
-    for case in ["collinear", "half-dead", "combination"]
-    if (family, case) != ("d8", "half-dead")])
-def test_the_named_columns_are_the_ones_the_kept_columns_reproduce(family, T, case):
-    # where the null space leaves a choice, any named set must leave a
-    # full-rank design of the reported rank once dropped
+def _deficient_design(family, T, case):
+    """A rank-deficient design: a factor twice, a factor zero on the first half
+    of the grid, or f - 0.5 g beside f and g; and the generator after it."""
     rng = np.random.default_rng(3)
     f, g = rng.normal(size=(2, T))
     if case == "collinear":
@@ -211,8 +205,22 @@ def test_the_named_columns_are_the_ones_the_kept_columns_reproduce(family, T, ca
         F = np.column_stack([f, g])
     else:
         F = np.column_stack([f, g, f - 0.5 * g])
-    basis = evaluate_basis(family, 2, T)
-    d = build_design(_factors(F), basis)
+    return build_design(_factors(F), evaluate_basis(family, 2, T)), rng
+
+
+# a factor that is zero on the first half of the grid leaves a d8 design of
+# full rank: no d8 column is a multiple of another on the second half
+RANK_CASES = [(family, T, case) for family, T in [("haar", 256), ("haar", 250), ("d8", 256)]
+              for case in ["collinear", "half-dead", "combination"]
+              if (family, case) != ("d8", "half-dead")]
+
+
+@pytest.mark.parametrize("family,T,case", RANK_CASES)
+def test_the_named_columns_are_the_ones_the_kept_columns_reproduce(family, T, case):
+    # where the null space leaves a choice, any named set must leave a
+    # full-rank design of the reported rank once dropped
+    d, rng = _deficient_design(family, T, case)
+    basis = d.basis
     with pytest.raises(RankDeficiencyError) as err:
         d.solve(rng.normal(size=(T, 2)))
     message = str(err.value)
@@ -221,6 +229,41 @@ def test_the_named_columns_are_the_ones_the_kept_columns_reproduce(family, T, ca
     kept = np.delete(d.Psi, dropped, axis=1)
     assert len(dropped) == d.Psi.shape[1] - rank
     assert np.linalg.matrix_rank(kept) == kept.shape[1] == np.linalg.matrix_rank(d.Psi)
+
+
+@pytest.mark.parametrize("family,T,case", RANK_CASES)
+def test_the_named_columns_do_not_depend_on_the_null_basis(family, T, case):
+    # the null space through the Gram matrix's eigenvectors, through Psi's
+    # singular vectors, and rotated: each names the same columns
+    d, rng = _deficient_design(family, T, case)
+    w, V = np.linalg.eigh(d._gram())
+    null = V[:, w < 1e-10 * w.max()].T
+    named = tvload.gls._reproduced_columns(null)
+    assert named == tvload.gls._reproduced_columns(np.linalg.svd(d.Psi)[2][-len(null):])
+    for _ in range(5):
+        Q = np.linalg.qr(rng.normal(size=(len(null), len(null))))[0]
+        assert tvload.gls._reproduced_columns(Q @ null) == named
+
+
+@pytest.mark.parametrize("family,T", [("haar", 256), ("haar", 250)])
+def test_a_half_dead_factor_names_its_later_repeated_and_its_dead_column(family, T):
+    # on the second half the scale column and psi_(0,0) are the same indicator
+    # up to sign, so psi_(0,0) is named; psi_(1,0) lies on the first half, so
+    # it is zero
+    d, rng = _deficient_design(family, T, "half-dead")
+    with pytest.raises(RankDeficiencyError) as err:
+        d.solve(rng.normal(size=(T, 2)))
+    assert str(err.value).endswith("offending columns: factor 2 x column (j=0, k=0), "
+                                   "factor 2 x column (j=1, k=0)")
+
+
+@pytest.mark.parametrize("family,T", [("haar", 256), ("haar", 250), ("d8", 256)])
+def test_a_combination_of_earlier_factors_names_all_of_its_columns(family, T):
+    d, rng = _deficient_design(family, T, "combination")
+    with pytest.raises(RankDeficiencyError) as err:
+        d.solve(rng.normal(size=(T, 2)))
+    columns = ", ".join(f"factor 3 x column (j={j}, k={k})" for j, k in d.basis.column_index)
+    assert str(err.value).endswith(f"offending columns: {columns}")
 
 
 def test_a_rank_report_builds_no_psi():
@@ -294,12 +337,17 @@ def test_a_haar_fit_on_a_grid_that_2j_does_not_divide_builds_neither_b_nor_psi(T
     assert np.linalg.norm(fit.beta - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_an_hourly_haar_basis_and_fit_peak_under_three_panels():
-    # five years of hourly data: the dense basis alone would be 12.8 panels
+def _hourly_inputs():
+    """Five years of hourly data: N=20, T=43,800, r=2, J=8."""
     rng = np.random.default_rng(20)
-    T, N, r, J = 43800, 20, 2, 8
-    panel = make_panel(rng.normal(size=(T, N)))
-    fac = _factors(rng.normal(size=(T, r)))
+    T, N, r = 43800, 20, 2
+    return make_panel(rng.normal(size=(T, N))), _factors(rng.normal(size=(T, r))), 8
+
+
+def test_an_hourly_haar_basis_and_fit_peak_under_three_panels():
+    # the dense basis alone would be 12.8 panels
+    panel, fac, J = _hourly_inputs()
+    T = panel.T
     tvload.wavelet._cached_basis.cache_clear()
     tracemalloc.start()
     try:
@@ -312,6 +360,38 @@ def test_an_hourly_haar_basis_and_fit_peak_under_three_panels():
         tracemalloc.stop()
     assert T * 2**J * 8 > 12 * panel.values.nbytes
     assert peak < 3 * panel.values.nbytes
+
+
+def test_an_hourly_haar_basis_fit_and_residual_covariance_peak_under_one_and_a_half_panels():
+    # the fitted panel, and the residuals of the pass-2 weight and of Gamma_e,
+    # are formed one slab at a time, so no second T x N panel is held
+    panel, fac, J = _hourly_inputs()
+    tvload.wavelet._cached_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        basis = evaluate_basis("haar", J, panel.T)
+        fit_iterative(panel, fac, basis).Gamma_e
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * panel.values.nbytes
+
+
+def test_an_hourly_d8_fit_peaks_under_one_panel():
+    panel, fac, J = _hourly_inputs()
+    basis = evaluate_basis("d8", J, panel.T)  # 13 panels, held outside the measurement
+    try:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_iterative(panel, fac, basis)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    finally:
+        tvload.wavelet._cached_basis.cache_clear()
+    assert peak < panel.values.nbytes
 
 
 @pytest.mark.parametrize("family,T,J,r", [
@@ -615,6 +695,25 @@ def test_fit_residual_covariance_is_that_of_the_least_squares_residuals(family, 
     assert np.max(np.abs(fit.Gamma_e - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("family,T,J", [("haar", 512, 5), ("haar", 777, 5), ("d8", 512, 4)])
+def test_a_fit_over_many_slabs_is_the_fit_over_one(monkeypatch, family, T, J):
+    # 64 values a slab: one run a chunk on Haar, 4 grid points a slab on d8
+    rng = np.random.default_rng(27)
+    N, r = 6, 2
+    basis = evaluate_basis(family, J, T)
+    F = rng.normal(size=(T, r))
+    panel = make_panel(F @ rng.normal(size=(r, N)) + rng.normal(size=(T, N)))
+    whole = fit_iterative(panel, _factors(F), basis)
+    assert len(list(whole.design.fitted_slabs(whole.beta))) == 1
+    X, G = whole.design.fitted(whole.beta), whole.Gamma_e
+    monkeypatch.setattr(tvload.gls, "_SLAB_VALUES", 64)
+    sliced = fit_iterative(panel, _factors(F), basis)
+    assert len(list(sliced.design.fitted_slabs(sliced.beta))) >= 32
+    assert np.max(np.abs(sliced.beta - whole.beta)) <= 1e-12 * np.max(np.abs(whole.beta))
+    assert np.max(np.abs(sliced.design.fitted(whole.beta) - X)) <= 1e-14 * np.max(np.abs(X))
+    assert np.max(np.abs(sliced.Gamma_e - G)) <= 1e-14 * np.max(np.abs(G))
+
+
 # ---------------------------------------------------------------- common component
 
 
@@ -675,7 +774,7 @@ def test_fit_invariants():
 
 
 def _count_calls(monkeypatch, names):
-    """Count the calls to the named gls functions, and to ``DesignBlock.fitted``."""
+    """Count the calls to the named gls functions, and to ``DesignBlock.fitted_slabs``."""
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -685,7 +784,7 @@ def _count_calls(monkeypatch, names):
         return wrapper
 
     for name in names:
-        owner = tvload.gls.DesignBlock if name == "fitted" else tvload.gls
+        owner = tvload.gls.DesignBlock if name == "fitted_slabs" else tvload.gls
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     return calls
 
@@ -694,13 +793,13 @@ def test_fit_keeps_the_first_pass_covariance_when_nothing_moves(monkeypatch):
     rng = np.random.default_rng(20)
     basis, fac, _, _, clean = _random_instance(rng)
     panel = make_panel(clean.values + 0.5 * rng.normal(size=clean.values.shape))
-    calls = _count_calls(monkeypatch, ["fitted", "loading_rows"])
+    calls = _count_calls(monkeypatch, ["fitted_slabs", "loading_rows"])
     fit = fit_iterative(panel, fac, basis)
-    # the one fitted panel so far is pass 1's, for the pass-2 weight
-    assert calls == {"fitted": 1, "loading_rows": 0}
+    # the one pass over the fitted slabs so far is pass 1's, for the pass-2 weight
+    assert calls == {"fitted_slabs": 1, "loading_rows": 0}
     gamma = fit.Gamma_e
     assert fit.Gamma_e is gamma and fit.Lambda is fit.Lambda
-    assert calls == {"fitted": 2, "loading_rows": 1}
+    assert calls == {"fitted_slabs": 2, "loading_rows": 1}
     design = build_design(fac, basis)
     E = panel.values - design.fitted(gls_step(panel, design, np.eye(panel.N)))
     assert np.array_equal(gamma, E.T @ E / panel.T)
@@ -748,13 +847,13 @@ def test_d8_fit_peaks_under_the_size_of_psi():
 
 def test_kronecker_fit_builds_one_field_from_two_solves(monkeypatch):
     panel, fac, basis = _wide_fit_inputs()
-    calls = _count_calls(monkeypatch, ["gls_step", "loading_rows", "fitted"])
+    calls = _count_calls(monkeypatch, ["gls_step", "loading_rows", "fitted_slabs"])
     fit = fit_iterative(panel, fac, basis)
-    assert calls == {"gls_step": 2, "loading_rows": 0, "fitted": 1}
+    assert calls == {"gls_step": 2, "loading_rows": 0, "fitted_slabs": 1}
     field = fit.Lambda
     assert fit.Lambda is field
     # the field is the fit's run rows spread over the grid, built once
-    assert calls == {"gls_step": 2, "loading_rows": 1, "fitted": 1}
+    assert calls == {"gls_step": 2, "loading_rows": 1, "fitted_slabs": 1}
     assert len(fit.Lambda_rows) == basis.n_columns
     assert np.array_equal(field, loadings_from_coeffs(fit.beta, basis))
 

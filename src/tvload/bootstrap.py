@@ -10,7 +10,8 @@ results do not depend on execution order and any draw can be reproduced in
 isolation.
 
 With the factors fixed every draw is the same linear map of its panel, so
-one design, factored once, serves all draws, and a draw costs its fit's two
+one design and the inverses it keeps (of each Haar cell's r x r Gram, or of
+d8's Cholesky factor) serve all draws, and a draw costs its fit's two
 solves.  A refitted curve is the basis times its 2^J wavelet coefficients,
 so a draw keeps only those coefficients, N*r*2^J values where its loading
 field has T*N*r.  The bands are formed one curve at a time from them, so the

@@ -17,21 +17,15 @@ keeps only the coefficients, as every bootstrap draw does, pays for the two
 solves alone.
 
 A design keeps the factors and the basis, and no fit builds Psi, not even
-to name the columns of a rank-deficient design.  Where the runs of the
-basis (``WaveletBasis.run_rows``) are longer than one grid point, as the
-2^J runs of a Haar basis are on any grid, Psi'Psi and Psi'Y come from
-per-run factor sums, and a fitted panel from the run rows; runs of unequal
-length are padded with zero rows to the longest, one chunk of runs at a
-time, so neither B nor Psi is built.  A basis whose runs are single points,
-d8 and Haar with T = 2^J, adds Psi'Psi up over row slabs of Psi of at most
-256 grid points, and forms Psi'Y and the fitted panel one factor at a time
-from row slabs of B.  The fitted panel Psi beta is formed one row slab at a
-time, and the pass-2 weight and the residual covariance E'E / T are summed
-over the slabs of E = Y - Psi beta, so no fit holds a second T x N panel.
-A loading field is held once per run of the basis: 2^J rows on any Haar
-grid, and T on d8.  So a field is exactly constant on each run, and the
-loadings artifact is written from those rows without the T x N x r field
-ever being built.
+to name the columns of a rank-deficient design.  On a Haar basis the fit is
+one r x r regression per dyadic cell; on d8 it is one Cholesky solve of
+Psi'Psi, summed over row slabs of Psi (``DesignBlock``).  The fitted panel
+Psi beta is formed one row slab at a time, and the pass-2 weight and the
+residual covariance E'E / T are summed over the slabs of E = Y - Psi beta,
+so no fit holds a second T x N panel.  A loading field is held once per run
+of the basis, 2^J rows on any Haar grid and T on d8, and the loadings
+artifact is written from those rows without the T x N x r field ever being
+built.
 """
 
 from __future__ import annotations
@@ -44,7 +38,7 @@ import numpy as np
 from ._table import read_table, write_table
 from .errors import NumericError, ParameterError, RankDeficiencyError, ShapeError
 from .factors import FactorEstimate, Panel
-from .wavelet import WaveletBasis, expand_runs
+from .wavelet import WaveletBasis, WaveletFamily, expand_runs
 
 __all__ = [
     "DesignBlock",
@@ -59,12 +53,10 @@ __all__ = [
     "write_covariance_csv",
 ]
 
-# Off the per-run path, Psi'Psi is added up over row slabs of Psi of at
-# most _GRAM_ROWS grid points, each dropped after its product.  Psi'Y and the
-# fitted panel go over row slabs of B of at most _SLAB_VALUES values, and
-# ``GlsFit.Lambda_slabs`` reads a field in slabs of as many values.  On the
-# per-run path a chunk of whole runs, padded, holds at most _SLAB_VALUES
-# values of each matrix it reads or forms, or one run where a run is longer.
+# On d8, Psi'Psi is summed over row slabs of Psi of at most _GRAM_ROWS grid
+# points, and Psi'Y and the fitted panel over row slabs of B of at most
+# _SLAB_VALUES values, as ``GlsFit.Lambda_slabs`` reads a field.  On Haar a
+# padded chunk of whole cells holds at most _SLAB_VALUES values, or one cell.
 _GRAM_ROWS = 256
 _SLAB_VALUES = 2**15
 # An entry of a null-space basis at most this share of the basis's largest
@@ -77,28 +69,27 @@ class DesignBlock:
     """Stacked regression design: ``Psi[:, i*2^J:(i+1)*2^J]`` belongs to factor i.
 
     A design keeps the T x r factor paths ``F`` and the ``basis``; the
-    T x (r * 2^J) matrix ``Psi`` is built only when it is read, which only
-    the dense ``sigma_full`` oracle does; a rank-deficiency report reads the
-    Gram matrix Psi'Psi that the failed factorization was given.  The
-    design is also the loading solver for its factors and basis.  The first
-    ``solve`` takes the Cholesky factor L of Psi'Psi and keeps its inverse, so
-    every panel costs one product Psi'Y and two triangular-matrix products;
-    ``gram_condition`` reads the conditioning of Psi'Psi off the same factor.
+    T x (r * 2^J) matrix ``Psi`` is built only when read, which only the
+    dense ``sigma_full`` oracle does.  The design is also the loading solver
+    for its factors and basis, on the one route its basis family takes, and
+    the first ``solve`` keeps the factorization later panels reuse.
 
-    Where the basis has runs longer than one point, K runs with row A_k on
-    run k, Psi'Psi and Psi'Y are formed from per-run sums, without Psi or B:
-    the (i, j) block of the Gram matrix is A' diag(S_k[i, j]) A with
-    S_k = F_k'F_k, and Psi'Y is A'W with W_k = F_k'Y_k.  Each run's rows are
-    padded with zero rows to the longest run, so one batched product covers
-    a chunk of runs; where the runs are equal, as on a grid that 2^J
-    divides, the padded rows are the grid's rows reshaped, without a copy,
-    and otherwise only one chunk is padded at a time.  A basis of one-point
-    runs adds Psi'Psi up over row slabs Psi_b of at most ``_GRAM_ROWS`` grid
-    points, each dropped after its product.  Block i of Psi'Y is
+    A Haar basis at level J spans the indicators of its K = 2^J dyadic
+    cells, its runs, and its run rows R satisfy R'R = 2^J I on any grid
+    (Mallat 1989, IEEE PAMI).  So Psi = Phi (I_r (x) R), with one column
+    F_i * 1{cell k} of Phi per factor and cell, and least squares on Psi is
+    one r x r regression per cell.  One batched eigendecomposition of the
+    S_k = F_k'F_k decides the rank and gives ``gram_condition`` (Psi'Psi has
+    2^J times their eigenvalues) and S_k^-1; a panel then costs the sums
+    W_k = F_k'Y_k, the cell loadings gamma_k = S_k^-1 W_k and
+    beta_i = R'gamma_i / 2^J, one padded chunk of cells at a time.
+
+    On d8 the first ``solve`` keeps the inverse Cholesky factor of Psi'Psi,
+    summed over row slabs of Psi of at most ``_GRAM_ROWS`` grid points, so a
+    panel costs Psi'Y and two triangular products.  Block i of Psi'Y is
     B'(F_i * Y) and the fitted panel is sum_i F_i * (B beta_i'), both formed
     over row slabs of B of at most ``_SLAB_VALUES`` values, so that a slab
-    stays in cache while each factor reads it.  ``fitted_slabs`` yields the
-    fitted panel slab by slab, so a residual sum never holds it whole.
+    stays in cache while each factor reads it.
     """
 
     F: np.ndarray
@@ -114,10 +105,10 @@ class DesignBlock:
         F, B = self.F, self.basis.B
         return (F[:, :, None] * B[:, None, :]).reshape(F.shape[0], -1)
 
-    @cached_property
-    def _run_blocks(self) -> np.ndarray | None:
-        """The run rows A_k where some run covers more than one grid point, else None."""
-        return self.basis.run_rows if self.basis.run_lengths.max() > 1 else None
+    @property
+    def _cells(self) -> bool:
+        """Whether the fit is one regression per dyadic cell, as on every Haar basis."""
+        return self.basis.family is WaveletFamily.HAAR
 
     @cached_property
     def _slots(self) -> np.ndarray:
@@ -168,6 +159,23 @@ class DesignBlock:
                  for runs, rows in self._run_chunks(X.shape[1])]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
+    @cached_property
+    def _cell_inverses(self) -> tuple[np.ndarray, float]:
+        """S_k^-1 for every cell, shape (K, r, r), and the condition number of
+        Psi'Psi; the rank counts the eigenvalues of all S_k as the report does."""
+        S = self._by_run(self.F)
+        if not np.isfinite(S).all():
+            raise NumericError("cell Gram matrices F_k'F_k have non-finite entries")
+        w, V = np.linalg.eigh(S)  # (K, r) ascending, (K, r, r)
+        if not (w > w.max() * w.size * np.finfo(float).eps).all():
+            gram = np.zeros((self.r, len(S)) * 2)  # Phi'Phi: block (i, j) is diag(S[:, i, j])
+            gram[:, np.arange(len(S)), :, np.arange(len(S))] = S
+            n = self.basis.run_lengths
+            cells = [f"cell t={e - m + 1}..{e}" for e, m in zip(np.cumsum(n).tolist(), n.tolist())]
+            raise _rank_deficiency(gram.reshape(w.size, w.size),
+                                   [f"factor {i + 1} x {c}" for i in range(self.r) for c in cells])
+        return (V / w[:, None, :]) @ V.transpose(0, 2, 1), float(w.max() / w.min())
+
     def _slabs(self, height: int):
         """Consecutive row slabs of at most ``height`` grid points: (rows, F_b, B_b)."""
         F, B = self.F, self.basis.B
@@ -181,46 +189,41 @@ class DesignBlock:
         return max(1, _SLAB_VALUES // self.basis.n_columns)
 
     def _gram(self) -> np.ndarray:
-        A = self._run_blocks
-        if A is None:
-            gram = np.zeros((self.r * self.basis.n_columns,) * 2)
-            for _, Fb, Bb in self._slabs(_GRAM_ROWS):
-                # the slab's rows of Psi, held transposed: Psi_b'
-                Psi_bt = (Fb.T[:, None, :] * Bb.T[None, :, :]).reshape(-1, len(Fb))
-                gram += Psi_bt @ Psi_bt.T
-            return gram
-        r, p = self.r, A.shape[1]
-        S = self._by_run(self.F)  # (K, r, r)
-        # block (i, j) = A' diag(S[:, i, j]) A, one batched product for all r^2
-        G = A.T @ (S.reshape(-1, r * r).T[:, :, None] * A)
-        return G.reshape(r, r, p, p).transpose(0, 2, 1, 3).reshape(r * p, r * p)
+        gram = np.zeros((self.r * self.basis.n_columns,) * 2)
+        for _, Fb, Bb in self._slabs(_GRAM_ROWS):
+            # the slab's rows of Psi, held transposed: Psi_b'
+            Psi_bt = (Fb.T[:, None, :] * Bb.T[None, :, :]).reshape(-1, len(Fb))
+            gram += Psi_bt @ Psi_bt.T
+        return gram
 
     def _cross(self, Y: np.ndarray) -> np.ndarray:
-        A = self._run_blocks
-        if A is None:
-            # block i of Psi'Y is B'(F_i * Y), added up over the slabs
-            cross = np.zeros((self.r, self.basis.n_columns, Y.shape[1]))
-            for rows, Fb, Bb in self._slabs(self._slab_height):
-                for i, f in enumerate(Fb.T):
-                    cross[i] += Bb.T @ (f[:, None] * Y[rows])
-            return cross.reshape(-1, Y.shape[1])
-        W = self._by_run(Y)  # (K, r, N)
-        return (A.T @ W.transpose(1, 0, 2)).reshape(-1, Y.shape[1])
+        cross = np.zeros((self.r, self.basis.n_columns, Y.shape[1]))
+        for rows, Fb, Bb in self._slabs(self._slab_height):
+            for i, f in enumerate(Fb.T):
+                cross[i] += Bb.T @ (f[:, None] * Y[rows])
+        return cross.reshape(-1, Y.shape[1])
 
     @cached_property
     def _inverse_factor(self) -> np.ndarray:
+        """The inverse of the Cholesky factor of Psi'Psi (d8)."""
         gram = self._gram()
         if not np.isfinite(gram).all():
             raise NumericError("design Gram matrix Psi'Psi has non-finite entries")
         try:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            _report_rank_deficiency(self, gram)
-            raise  # unreachable: the reporter always raises
+            raise _rank_deficiency(gram, [f"factor {i + 1} x column (j={j}, k={k})"
+                                          for i in range(self.r)
+                                          for j, k in self.basis.column_index])
         return np.linalg.inv(L)
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """Per-series least-squares coefficients of a T x N panel, shape (N, r, 2^J)."""
+        if self._cells:
+            gamma = self._cell_inverses[0] @ self._by_run(Y)  # (K, r, N), each cell's loadings
+            R = self.basis.run_rows
+            beta = R.T @ gamma.reshape(len(R), -1) / len(R)  # R'R = 2^J I
+            return beta.reshape(len(R), self.r, -1).transpose(2, 1, 0)
         Linv = self._inverse_factor
         X = Linv.T @ (Linv @ self._cross(Y))  # (r*2^J) x N
         return X.T.reshape(Y.shape[1], self.r, self.basis.n_columns)
@@ -229,8 +232,7 @@ class DesignBlock:
         """The fitted panel Psi beta of coefficients shaped (N, r, 2^J), one row
         slab at a time: (rows, slab), the slab a new T_b x N array."""
         N, r, p = beta.shape
-        A = self._run_blocks
-        if A is None:
+        if not self._cells:
             # slab by slab, sum_i F_i * (B beta_i')
             coefs = beta.transpose(1, 2, 0).copy()  # (r, 2^J, N)
             for rows, Fb, Bb in self._slabs(self._slab_height):
@@ -242,8 +244,9 @@ class DesignBlock:
                     slab += term
                 yield rows, slab
             return
-        # run k is its factor rows F_k times its r x N loadings A_k beta
-        loadings = (A @ beta.transpose(2, 1, 0).reshape(p, r * N)).reshape(len(A), r, N)
+        # cell k is its factor rows F_k times its r x N loadings R_k beta
+        R = self.basis.run_rows
+        loadings = (R @ beta.transpose(2, 1, 0).reshape(p, r * N)).reshape(len(R), r, N)
         for runs, rows in self._run_chunks(N):
             out = self._F_runs[runs] @ loadings[runs]  # (k, L, N), zero rows past each run
             yield rows, out.reshape(-1, N) if self._equal_runs else out[self._slots[runs]]
@@ -255,7 +258,10 @@ class DesignBlock:
 
     @property
     def gram_condition(self) -> float:
-        """2-norm condition number of Psi'Psi, the squared one of its Cholesky factor."""
+        """2-norm condition number of Psi'Psi: on Haar that of the cell Grams
+        taken together, on d8 the squared one of its Cholesky factor."""
+        if self._cells:
+            return self._cell_inverses[1]
         s = np.linalg.svd(self._inverse_factor, compute_uv=False)
         return float((s[0] / s[-1]) ** 2)
 
@@ -274,22 +280,16 @@ def build_design(factors: FactorEstimate, basis: WaveletBasis) -> DesignBlock:
     return DesignBlock(F=F, basis=basis)
 
 
-def _report_rank_deficiency(design: DesignBlock, gram: np.ndarray) -> None:
-    """Raise ``RankDeficiencyError`` naming the columns of Psi that earlier
-    columns reproduce, read off the eigenvectors of the Gram matrix Psi'Psi."""
+def _rank_deficiency(gram: np.ndarray, labels: list[str]) -> RankDeficiencyError:
+    """The ``RankDeficiencyError`` naming, by ``labels``, the columns that earlier
+    columns reproduce, read off the eigenvectors of their Gram matrix."""
     w, V = np.linalg.eigh(gram)  # ascending
     rank = int(np.sum(w > w.max() * len(w) * np.finfo(float).eps))
     # the eigenvectors past the rank span the null space
     dropped = _reproduced_columns(V[:, :len(w) - rank].T)
-    p = design.basis.n_columns
-    labels = []
-    for col in dropped:
-        i, c = divmod(col, p)
-        j, k = design.basis.column_index[c]
-        labels.append(f"factor {i + 1} x column (j={j}, k={k})")
-    raise RankDeficiencyError(
+    return RankDeficiencyError(
         f"design matrix is rank deficient (rank {rank} of {len(w)}); "
-        f"offending columns: {', '.join(labels) or 'unknown'}"
+        f"offending columns: {', '.join(labels[c] for c in dropped) or 'unknown'}"
     )
 
 
@@ -327,15 +327,14 @@ def gls_step(
     The weight Gamma_e^-1 (x) I_T factorizes against the design I_N (x) Psi,
     so Theta' Sigma^-1 Theta = Gamma_e^-1 (x) (Psi'Psi) and Gamma_e cancels:
     the estimator is per-series least squares, ``design.solve(Y)``, on the
-    Cholesky factor of Psi'Psi that ``design`` keeps for later steps; no
-    NT-sized matrix is formed.  Gamma_e is still validated: it must be
-    finite, symmetric and admit a Cholesky factorization.  A diagonal
-    Gamma_e, the only kind ``fit_iterative`` passes, is checked by its
-    diagonal alone, which must be positive.  Passing
-    ``sigma_full`` (an NT x NT covariance, series-major ordering) bypasses the
-    factorization and solves the dense normal equations through Cholesky
-    factors of Sigma and of the whitened Gram matrix instead; it is an
-    oracle for tests.
+    factorization ``design`` keeps for later steps; no NT-sized matrix is
+    formed.  Gamma_e is still validated: it must be finite, symmetric and
+    admit a Cholesky factorization.  A diagonal Gamma_e, the only kind
+    ``fit_iterative`` passes, is checked by its diagonal alone, which must be
+    positive.  Passing ``sigma_full`` (an NT x NT covariance, series-major
+    ordering) bypasses the design and solves the dense normal equations
+    through Cholesky factors of Sigma and of the whitened Gram matrix
+    instead; it is an oracle for tests.
 
     Parameters
     ----------

@@ -29,7 +29,7 @@ from tvload.gls import (
     write_loadings_csv,
 )
 from tvload.sim import DgpConfig, simulate_dgp
-from tvload.wavelet import evaluate_basis, select_resolution
+from tvload.wavelet import evaluate_basis, expand_runs, select_resolution
 
 from reference import common_component, loadings_from_coeffs
 
@@ -186,11 +186,29 @@ def test_gls_reports_offending_columns_of_a_dense_path_design(family, T):
     assert "factor 1" not in str(err.value) and "factor 2" not in str(err.value)
 
 
-def _named_columns(message, basis):
-    """The columns of Psi that a rank-deficiency message names, as indices."""
-    col = {jk: c for c, jk in enumerate(basis.column_index)}
-    return [(int(i) - 1) * basis.n_columns + col[int(j), int(k)]
-            for i, j, k in re.findall(r"factor (\d+) x column \(j=(-?\d+), k=(\d+)\)", message)]
+def _cell_design(d):
+    """Phi: one column F_i * 1{cell k} per factor and Haar cell, factor-major."""
+    cells = expand_runs(np.eye(len(d.basis.run_lengths)), d.basis.run_lengths)
+    return (d.F[:, :, None] * cells[:, None, :]).reshape(len(d.F), -1)
+
+
+def _reported_design(d):
+    """The columns a rank report names: Phi's on a Haar basis, Psi's on d8."""
+    return _cell_design(d) if d.basis.family == "haar" else d.Psi
+
+
+def _named_columns(message, d):
+    """The columns of ``_reported_design(d)`` that a rank-deficiency message
+    names, as indices."""
+    lengths = d.basis.run_lengths.tolist()
+    ends = np.cumsum(lengths).tolist()
+    cells = ([f"cell t={e - n + 1}..{e}" for e, n in zip(ends, lengths)]
+             if d.basis.family == "haar"
+             else [f"column (j={j}, k={k})" for j, k in d.basis.column_index])
+    labels = [f"factor {i + 1} x {c}" for i in range(d.r) for c in cells]
+    named = re.findall(r"factor \d+ x (?:cell t=\d+\.\.\d+|column \(j=-?\d+, k=\d+\))",
+                       message)
+    return [labels.index(label) for label in named]
 
 
 def _deficient_design(family, T, case):
@@ -218,43 +236,53 @@ RANK_CASES = [(family, T, case) for family, T in [("haar", 256), ("haar", 250), 
 @pytest.mark.parametrize("family,T,case", RANK_CASES)
 def test_the_named_columns_are_the_ones_the_kept_columns_reproduce(family, T, case):
     # where the null space leaves a choice, any named set must leave a
-    # full-rank design of the reported rank once dropped
+    # full-rank design of the reported rank once dropped: a set of
+    # (factor, cell) columns of Phi on Haar, whose span is Psi's, and of
+    # columns of Psi on d8
     d, rng = _deficient_design(family, T, case)
-    basis = d.basis
     with pytest.raises(RankDeficiencyError) as err:
         d.solve(rng.normal(size=(T, 2)))
     message = str(err.value)
     rank = int(re.search(r"rank (\d+) of", message).group(1))
-    dropped = _named_columns(message, basis)
-    kept = np.delete(d.Psi, dropped, axis=1)
-    assert len(dropped) == d.Psi.shape[1] - rank
-    assert np.linalg.matrix_rank(kept) == kept.shape[1] == np.linalg.matrix_rank(d.Psi)
+    columns = _reported_design(d)
+    dropped = _named_columns(message, d)
+    kept = np.delete(columns, dropped, axis=1)
+    assert len(dropped) == columns.shape[1] - rank
+    assert np.linalg.matrix_rank(kept) == kept.shape[1] == np.linalg.matrix_rank(columns)
+    assert np.linalg.matrix_rank(d.Psi) == rank
 
 
 @pytest.mark.parametrize("family,T,case", RANK_CASES)
 def test_the_named_columns_do_not_depend_on_the_null_basis(family, T, case):
-    # the null space through the Gram matrix's eigenvectors, through Psi's
-    # singular vectors, and rotated: each names the same columns
+    # the null space through the Gram matrix's eigenvectors (Phi'Phi, the
+    # cell Gram, on Haar; Psi'Psi on d8), through the design's singular
+    # vectors, and rotated: each names the same columns
     d, rng = _deficient_design(family, T, case)
-    w, V = np.linalg.eigh(d._gram())
+    columns = _reported_design(d)
+    w, V = np.linalg.eigh(columns.T @ columns)
     null = V[:, w < 1e-10 * w.max()].T
     named = tvload.gls._reproduced_columns(null)
-    assert named == tvload.gls._reproduced_columns(np.linalg.svd(d.Psi)[2][-len(null):])
+    assert named == tvload.gls._reproduced_columns(np.linalg.svd(columns)[2][-len(null):])
     for _ in range(5):
         Q = np.linalg.qr(rng.normal(size=(len(null), len(null))))[0]
         assert tvload.gls._reproduced_columns(Q @ null) == named
 
 
+# the grid ranges of the four J=2 Haar cells
+HAAR_CELLS = {256: ["1..64", "65..128", "129..192", "193..256"],
+              250: ["1..62", "63..125", "126..187", "188..250"]}
+
+
 @pytest.mark.parametrize("family,T", [("haar", 256), ("haar", 250)])
 def test_a_half_dead_factor_names_its_later_repeated_and_its_dead_column(family, T):
-    # on the second half the scale column and psi_(0,0) are the same indicator
-    # up to sign, so psi_(0,0) is named; psi_(1,0) lies on the first half, so
-    # it is zero
+    # the second factor is zero on the first half of the grid, which is the
+    # first two of the four cells, so its columns on those cells are dead
     d, rng = _deficient_design(family, T, "half-dead")
     with pytest.raises(RankDeficiencyError) as err:
         d.solve(rng.normal(size=(T, 2)))
-    assert str(err.value).endswith("offending columns: factor 2 x column (j=0, k=0), "
-                                   "factor 2 x column (j=1, k=0)")
+    first, second = HAAR_CELLS[T][:2]
+    assert str(err.value).endswith(f"(rank 6 of 8); offending columns: factor 2 x cell "
+                                   f"t={first}, factor 2 x cell t={second}")
 
 
 @pytest.mark.parametrize("family,T", [("haar", 256), ("haar", 250), ("d8", 256)])
@@ -262,12 +290,15 @@ def test_a_combination_of_earlier_factors_names_all_of_its_columns(family, T):
     d, rng = _deficient_design(family, T, "combination")
     with pytest.raises(RankDeficiencyError) as err:
         d.solve(rng.normal(size=(T, 2)))
-    columns = ", ".join(f"factor 3 x column (j={j}, k={k})" for j, k in d.basis.column_index)
+    if family == "haar":
+        columns = ", ".join(f"factor 3 x cell t={cell}" for cell in HAAR_CELLS[T])
+    else:
+        columns = ", ".join(f"factor 3 x column (j={j}, k={k})" for j, k in d.basis.column_index)
     assert str(err.value).endswith(f"offending columns: {columns}")
 
 
 def test_a_rank_report_builds_no_psi():
-    # the report reads the Gram matrix the failed factorization had, not Psi
+    # the report reads the cell Gram Phi'Phi, 128 x 128 here, not Psi
     rng = np.random.default_rng(19)
     T, J = 8760, 6
     f = rng.normal(size=T)
@@ -289,23 +320,28 @@ def test_a_rank_report_builds_no_psi():
 # ---------------------------------------------------------------- Haar blocks
 
 
+def _check_against_the_dense_design(d, Y):
+    """``solve`` and ``fitted`` build no Psi and match ``lstsq`` and Psi beta on
+    it; returns Psi."""
+    beta = d.solve(Y)
+    fitted = d.fitted(beta)
+    assert "Psi" not in d.__dict__  # neither built Psi
+    Psi = d.Psi
+    ref = np.linalg.lstsq(Psi, Y, rcond=None)[0].T.reshape(beta.shape)
+    assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
+    ref = Psi @ beta.reshape(Y.shape[1], -1).T
+    assert np.max(np.abs(fitted - ref)) <= 1e-12 * np.max(np.abs(ref))
+    return Psi
+
+
 @pytest.mark.parametrize("T", [512, 2048])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_haar_block_products_match_the_dense_design(T, r):
+    # one r x r regression per dyadic cell gives the least-squares fit on Psi
     rng = np.random.default_rng(16)
     basis = evaluate_basis("haar", select_resolution(T), T)
-    # the basis runs are its 2^J dyadic blocks, each with its block row
-    L = T // basis.n_columns
-    assert basis.run_lengths.tolist() == [L] * basis.n_columns
-    assert np.array_equal(np.repeat(basis.run_rows, L, axis=0), basis.B)
     d = build_design(_factors(np.cumsum(rng.normal(size=(T, r)), axis=0)), basis)
-    assert d._run_blocks is basis.run_rows  # the per-block path
-    Y = rng.normal(size=(T, 7))
-    gram, cross = d._gram(), d._cross(Y)
-    assert "Psi" not in d.__dict__  # neither product built Psi
-    dense_gram, dense_cross = d.Psi.T @ d.Psi, d.Psi.T @ Y
-    assert np.max(np.abs(gram - dense_gram)) <= 1e-12 * np.max(np.abs(dense_gram))
-    assert np.max(np.abs(cross - dense_cross)) <= 1e-12 * np.max(np.abs(dense_cross))
+    _check_against_the_dense_design(d, rng.normal(size=(T, 7)))
 
 
 def test_haar_fit_on_a_dyadic_grid_never_builds_psi():
@@ -378,6 +414,21 @@ def test_an_hourly_haar_basis_fit_and_residual_covariance_peak_under_one_and_a_h
     assert peak < 1.5 * panel.values.nbytes
 
 
+def test_an_hourly_haar_fit_peaks_under_half_a_panel():
+    # one r x r regression per cell: no (r 2^J)^2 Gram matrix, and the per-cell
+    # sums and the fitted panel go a chunk of cells at a time
+    panel, fac, J = _hourly_inputs()
+    basis = evaluate_basis("haar", J, panel.T)  # held outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fit_iterative(panel, fac, basis)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * panel.values.nbytes
+
+
 def test_an_hourly_d8_fit_peaks_under_one_panel():
     panel, fac, J = _hourly_inputs()
     basis = evaluate_basis("d8", J, panel.T)  # 13 panels, held outside the measurement
@@ -402,24 +453,18 @@ def test_an_hourly_d8_fit_peaks_under_one_panel():
     pytest.param("d8", 2000, 6, 2, id="d8-2000"),
 ])
 def test_other_designs_solve_without_psi_and_match_lstsq(family, T, J, r):
-    # Haar runs of unequal length (T=1000) take the per-run sums on runs
-    # padded to the longest; runs of one point (Haar with T=2^J, and d8) take
-    # the slabs.  T=1000 and 2000 leave a short last slab; at T=2000
-    # (2^J = 64) Psi'Y and the fitted panel take four slabs
+    # Haar cells of unequal length (T=1000) are padded to the longest, and at
+    # T=2^J each cell is one point.  d8 takes the slabs: T=1000 and 2000 leave
+    # a short last slab, and at T=2000 (2^J = 64) Psi'Y and the fitted panel
+    # take four
     rng = np.random.default_rng(18)
     basis = evaluate_basis(family, J, T)
     d = build_design(_factors(rng.normal(size=(T, r))), basis)
-    assert (d._run_blocks is None) == (basis.run_lengths.max() == 1)
     Y = rng.normal(size=(T, 4))
-    beta = d.solve(Y)
-    gram, cross, fitted = d._gram(), d._cross(Y), d.fitted(beta)
-    assert "Psi" not in d.__dict__  # no product built Psi
-    Psi = d.Psi
-    for got, ref in ((gram, Psi.T @ Psi), (cross, Psi.T @ Y),
-                     (fitted, Psi @ beta.reshape(4, -1).T)):
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    ref = np.linalg.lstsq(Psi, Y, rcond=None)[0].T.reshape(beta.shape)
-    assert np.linalg.norm(beta - ref) <= 1e-12 * np.linalg.norm(ref)
+    Psi = _check_against_the_dense_design(d, Y)
+    if family == "d8":  # the slab sums behind the Cholesky solve
+        for got, ref in ((d._gram(), Psi.T @ Psi), (d._cross(Y), Psi.T @ Y)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("family,T", [("haar", 256), ("haar", 200), ("d8", 256)])
@@ -434,10 +479,12 @@ def test_fitted_panel_is_psi_times_the_coefficients(family, T):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_design_solve_matches_lstsq_on_an_ill_conditioned_design():
+@pytest.mark.parametrize("family,T", [("d8", 2048), ("haar", 2048), ("haar", 1000)],
+                         ids=["d8-2048", "haar-2048", "haar-1000"])
+def test_design_solve_matches_lstsq_on_an_ill_conditioned_design(family, T):
     rng = np.random.default_rng(12)
-    T, r, N = 2048, 3, 5
-    basis = evaluate_basis("d8", select_resolution(T), T)
+    r, N = 3, 5
+    basis = evaluate_basis(family, select_resolution(T), T)
     d = build_design(_factors(np.cumsum(rng.normal(size=(T, r)), axis=0)), basis)
     gram = d.Psi.T @ d.Psi
     cond = np.linalg.cond(gram)
@@ -452,18 +499,21 @@ def test_design_solve_matches_lstsq_on_an_ill_conditioned_design():
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_design_is_rejected_before_factorization(monkeypatch, bad):
+    # Haar factors its cell Grams by eigh, d8 its Psi'Psi by Cholesky
     rng = np.random.default_rng(13)
     F = rng.normal(size=(16, 2))
     F[3, 1] = bad
-    d = build_design(_factors(F), evaluate_basis("haar", 2, 16))
 
     def factorize(*args, **kwargs):
         raise AssertionError("a non-finite Gram matrix reached the factorization")
 
     monkeypatch.setattr(np.linalg, "cholesky", factorize)
-    with pytest.raises(NumericError, match="non-finite") as err:
-        d.solve(rng.normal(size=(16, 2)))
-    assert not isinstance(err.value, RankDeficiencyError)
+    monkeypatch.setattr(np.linalg, "eigh", factorize)
+    for family in ("haar", "d8"):
+        d = build_design(_factors(F), evaluate_basis(family, 2, 16))
+        with pytest.raises(NumericError, match="non-finite") as err:
+            d.solve(rng.normal(size=(16, 2)))
+        assert not isinstance(err.value, RankDeficiencyError)
 
 
 def test_gls_validates_gamma():

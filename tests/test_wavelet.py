@@ -112,6 +112,15 @@ def test_haar_gram_J3_T8_exact():
     assert np.max(np.abs(gram - np.eye(8))) <= 1e-12
 
 
+@pytest.mark.parametrize("T,J", [(512, 5), (1000, 5), (8760, 7), (43800, 8), (32, 5)])
+def test_haar_run_rows_are_orthogonal_with_squared_norm_2j_on_any_grid(T, J):
+    # the run rows R hold one row per dyadic cell, whatever the cells' lengths,
+    # so R'R = 2^J I off the dyadic grids too, and R^-1 = R' / 2^J
+    R = evaluate_basis("haar", J, T).run_rows
+    assert R.shape == (2**J, 2**J)
+    assert np.max(np.abs(R.T @ R - 2**J * np.eye(2**J))) <= 1e-12 * 2**J
+
+
 # ---------------------------------------------------------------- cascade table
 
 # Scaling values at the integers, frozen from an independent 40-digit

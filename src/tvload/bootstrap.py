@@ -18,6 +18,13 @@ field has T*N*r.  The bands are formed one curve at a time from them, so the
 draws take B*N*r*2^J + T*B values at most, not B*T*N*r.  Every curve is
 constant on each run of the basis (2^J runs on any Haar grid, T on d8), so
 its bands are formed, held and written once per run.
+
+The draws run as one striped task per worker: of n workers, worker w runs
+draws w + 1, w + 1 + n, w + 1 + 2n, ..., and each draw writes its
+coefficients into its own column of one store, so a draw of well under a
+millisecond pays for no future of its own.  After the join the failed draws
+are sorted and the kept columns compacted in draw order, so the bands are
+the same bits for any worker count.
 """
 
 from __future__ import annotations
@@ -151,8 +158,9 @@ def residual_bootstrap(
     seed : int
         Base seed, >= 0; draw b uses an RNG derived from (seed, b).
     n_threads : int
-        Worker threads of the pool the draws run in, >= 1; results do not
-        depend on it because of per-draw seeding.
+        Worker threads, >= 1.  min(n_threads, B) tasks are submitted, and
+        task w runs draws w + 1, w + 1 + n_threads, ...; per-draw seeding and
+        the draw-order store make the bands the same bits for any value.
 
     Returns
     -------
@@ -188,28 +196,34 @@ def residual_bootstrap(
     # basis's run rows, the rows loading_rows evaluates.
     N, r, p = fit.beta.shape
     store = np.empty((N * r, B, p))
-    kept = 0
-    failed: list[tuple[int, str]] = []
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        # Executor.map yields in submission order and releases each result
-        # as it goes, so finished draws do not pile up beside the store.
-        for b, outcome in enumerate(pool.map(draw, range(1, B + 1)), start=1):
+
+    def stripe(first: int) -> list[tuple[int, str]]:
+        failed = []
+        for b in range(first, B + 1, n_threads):
+            outcome = draw(b)
             if isinstance(outcome, Exception):
                 failed.append((b, repr(outcome)))
             else:
-                store[:, kept] = outcome.reshape(N * r, p)
-                kept += 1
+                store[:, b - 1] = outcome.reshape(N * r, p)
+        return failed
+
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        tasks = [pool.submit(stripe, first) for first in range(1, min(n_threads, B) + 1)]
+    failed = sorted(f for task in tasks for f in task.result())
+    kept = B - len(failed)
     if len(failed) > 0.1 * B or kept == 0:
         raise NumericError(
             f"{len(failed)} of {B} bootstrap draws failed; first: "
             f"{failed[0] if failed else 'none'}"
         )
+    if failed:
+        store = np.delete(store, [b - 1 for b, _ in failed], axis=1)
     rows = basis.run_rows
     lo = np.empty((len(rows), N * r))
     hi = np.empty((len(rows), N * r))
     field = np.empty((len(rows), kept))  # curve c in every draw, reused for each c
     for c in range(N * r):
-        np.matmul(rows, store[c, :kept].T, out=field)
+        np.matmul(rows, store[c].T, out=field)
         field.sort(axis=1)
         lo[:, c] = _sorted_quantile(field, (1.0 - level) / 2.0)
         hi[:, c] = _sorted_quantile(field, (1.0 + level) / 2.0)

@@ -53,15 +53,30 @@ from .gls import (
 from .wavelet import evaluate_basis, select_resolution
 
 
+# bootstrap's default pool has one worker per this many panel values, and at
+# most one per CPU.  On 2 CPUs with one BLAS thread a draw took 0.22 ms on 1
+# worker and 0.38 ms on 2 at 20,480 values, 12.9 against 8.5 ms at 876,000,
+# and the two met near 2^16.
+_VALUES_PER_WORKER = 2 ** 16
+
+
 def _resolve_threads(value) -> int:
     """``--threads``, which must be at least 1, or else the number of CPUs this
-    process may run on."""
+    process may run on: ``simulate``'s default, and ``bootstrap``'s cap
+    (``_bootstrap_threads``)."""
     if value is None:
         return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
     if value < 1:
         raise ParameterError(f"--threads must be at least 1, got {value}")
     return value
+
+
+def _bootstrap_threads(values: int) -> int:
+    """``bootstrap``'s default pool for a panel of ``values`` entries (T*N): one
+    worker per ``_VALUES_PER_WORKER`` values, rounded up, and at most one per
+    CPU this process may run on."""
+    return min(_resolve_threads(None), math.ceil(values / _VALUES_PER_WORKER))
 
 
 def _sha256(path) -> str:
@@ -364,12 +379,14 @@ def cmd_bootstrap(args) -> int:
     # only this command runs bootstrap, so only it loads it
     from .bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
 
-    threads = _resolve_threads(args.threads)
+    # an explicit --threads is checked before the run is read, and is used as
+    # given; unset, the pool is sized by the panel the draws resample
+    threads = None if args.threads is None else _resolve_threads(args.threads)
     est, fit, est_report = _reload_estimate(args.input)
     bands = residual_bootstrap(
         fit.panel, fit, est, fit.design.basis,
         B=args.B, level=args.level, seed=args.seed,
-        n_threads=threads,
+        n_threads=threads or _bootstrap_threads(fit.panel.values.size),
     )
     report = {
         "command": "bootstrap",
@@ -407,7 +424,8 @@ _FLAGS = {
     "--output-dir": dict(help="artifact directory, created once the run has succeeded"),
     "--seed": dict(type=int, default=0),
     "--threads": dict(type=int, default=None,
-                      help="worker threads (default: the CPUs this process may use)"),
+                      help="worker threads (default: simulate, one per CPU this process may "
+                      "use; bootstrap, one per 2^16 panel values, at most one per CPU)"),
     "--family": dict(choices=["haar", "d8"], default="haar"),
     "--J": dict(type=int, default=None, help="resolution override"),
     "--nonstationary": dict(action="store_true", help="integrated factors: lag-covariance "

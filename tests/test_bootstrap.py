@@ -1,5 +1,6 @@
 """Residual bootstrap bands: degenerate cases, determinism, nesting, coverage."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -87,12 +88,35 @@ def test_identical_seeds_give_identical_bands():
     assert not np.array_equal(a.lower, c.lower)
 
 
-def test_thread_pool_matches_serial_execution():
+@pytest.mark.parametrize("n_threads", [2, 3, 4, 13])
+def test_thread_pool_matches_serial_execution(n_threads):
+    # B = 13 stripes unevenly over 2, 3 and 4 workers, and one draw a worker at
+    # 13; a short switch interval interleaves the workers' writes to the store
     panel, fac, basis, fit = _noisy_fit(3)
-    serial = residual_bootstrap(panel, fit, fac, basis, B=12, seed=5, n_threads=1)
-    pooled = residual_bootstrap(panel, fit, fac, basis, B=12, seed=5, n_threads=4)
+    serial = residual_bootstrap(panel, fit, fac, basis, B=13, seed=5, n_threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = residual_bootstrap(panel, fit, fac, basis, B=13, seed=5, n_threads=n_threads)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(serial.lower, pooled.lower)
     assert np.array_equal(serial.upper, pooled.upper)
+
+
+@pytest.mark.parametrize("B, n_threads, tasks", [(12, 3, 3), (2, 4, 2)])
+def test_each_worker_gets_one_striped_task(monkeypatch, B, n_threads, tasks):
+    panel, fac, basis, fit = _noisy_fit(4)
+    submitted = []
+    submit = bt.ThreadPoolExecutor.submit
+
+    def counted(pool, fn, /, *args, **kwargs):
+        submitted.append(args)
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(bt.ThreadPoolExecutor, "submit", counted)
+    residual_bootstrap(panel, fit, fac, basis, B=B, seed=2, n_threads=n_threads)
+    assert len(submitted) == tasks
 
 
 # ---------------------------------------------------------------- fixed-factor path
@@ -132,7 +156,8 @@ def test_fixed_factor_bands_leave_out_failed_draws(monkeypatch):
 
 
 def test_refit_bands_leave_out_failed_draws_pooled_or_serial(monkeypatch):
-    # draws 4 and 9 fail inside their fit, whichever thread runs them
+    # draws 4 and 9 fail inside their fit, whichever thread runs them: on 2
+    # and 3 workers they fall on different stripes
     panel, fac, basis, fit = _noisy_fit(12, T=64, N=6, r=2)
     bad = [_draw_panel(panel, fit, fac, 8, b).values for b in (4, 9)]
     real = bt.fit_iterative
@@ -146,7 +171,7 @@ def test_refit_bands_leave_out_failed_draws_pooled_or_serial(monkeypatch):
                               skip=(4, 9))
     monkeypatch.setattr(bt, "fit_iterative", flaky)
     tol = 1e-12 * np.max(np.abs(fit.Lambda))
-    for n_threads in (1, 3):
+    for n_threads in (1, 2, 3):
         bands = residual_bootstrap(panel, fit, fac, basis, B=30, level=0.9, seed=8,
                                    n_threads=n_threads)
         assert [b for b, _ in bands.failed] == [4, 9]

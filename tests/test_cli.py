@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import tvload
 from tvload.bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
 from tvload.cli import (
+    _bootstrap_threads,
     _reload_estimate,
     _resolve_threads,
     _spectrum_diagnostics,
@@ -94,6 +95,40 @@ def test_default_threads_fall_back_to_the_cpu_count(monkeypatch, cpus, want):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert _resolve_threads(None) == want
+
+
+@pytest.mark.parametrize("cpus, values, want", [
+    (2, 20_480, 1),  # the benchmark's N=20, T=1024 panel
+    (2, 2**16, 1),
+    (2, 2**16 + 1, 2),
+    (2, 876_000, 2),  # an hourly N=20, T=43,800 panel
+    (1, 876_000, 1),
+    (32, 876_000, 14),
+])
+def test_default_bootstrap_threads_follow_the_panel_up_to_the_cpus(monkeypatch, cpus, values,
+                                                                   want):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert _bootstrap_threads(values) == want
+
+
+@pytest.mark.parametrize("argv, want", [([], 1), (["--threads", "2"], 2), (["--threads", "3"], 3)])
+def test_bootstrap_sizes_its_pool_by_the_panel_unless_told(tmp_path, panel_csv, monkeypatch,
+                                                           argv, want):
+    est = tmp_path / "est"
+    assert main(["estimate", "--input", panel_csv, "--output-dir", str(est),
+                 "--r", "1", "--J", "3"]) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = []
+
+    def recorded(*args, n_threads, **kwargs):
+        seen.append(n_threads)
+        return residual_bootstrap(*args, n_threads=n_threads, **kwargs)
+
+    monkeypatch.setattr("tvload.bootstrap.residual_bootstrap", recorded)
+    assert main(["bootstrap", "--input", str(est), "--output-dir", str(tmp_path / "boot"),
+                 "--B", "4", *argv]) == 0
+    # the 64 x 6 panel is far below one worker's share; an explicit count is used as given
+    assert seen == [want]
 
 
 _OPTIONS = {
@@ -889,10 +924,13 @@ def test_out_of_range_threads_and_seed_are_reported(tmp_path, panel_csv, monkeyp
         argv = ["--reps", "2"]
 
     def ran(*args, **kwargs):
-        raise AssertionError("a draw or replication ran")
+        raise AssertionError("a run was read or a draw or replication ran")
 
     monkeypatch.setattr("tvload.bootstrap._one_draw", ran)
     monkeypatch.setattr("tvload.sim._run_one_rep", ran)
+    if flag == "--threads":
+        # bootstrap checks --threads before it reads the estimate run
+        monkeypatch.setattr("tvload.cli._reload_estimate", ran)
     capsys.readouterr()
     out = tmp_path / "out"
     assert main([command, "--input", str(source), "--output-dir", str(out), *argv,

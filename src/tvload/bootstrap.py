@@ -22,14 +22,15 @@ its bands are formed, held and written once per run.
 The draws run as one striped task per worker: of n workers, worker w runs
 draws w + 1, w + 1 + n, w + 1 + 2n, ..., and each draw writes its
 coefficients into its own column of one store, so a draw of well under a
-millisecond pays for no future of its own.  After the join the failed draws
-are sorted and the kept columns compacted in draw order, so the bands are
-the same bits for any worker count.
+millisecond pays for no future of its own, and the bands are the same bits
+for any worker count.  Every draw refits the same design, so a draw fails
+only where that design cannot be solved, and then every draw would: a
+worker stops at its first failed draw, and after the join that draw's own
+error ends the bootstrap.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from ._table import write_table
-from .errors import NumericError, ParameterError
+from .errors import ParameterError
 from .factors import FactorEstimate, Panel, make_panel
 from .gls import fit_iterative
 from .wavelet import WaveletBasis, expand_runs
@@ -59,8 +60,6 @@ class BandSet:
     lower_rows: np.ndarray
     upper_rows: np.ndarray
     run_lengths: np.ndarray
-    B: int
-    failed: tuple[tuple[int, str], ...] = ()
 
     @cached_property
     def lower(self) -> np.ndarray:
@@ -77,14 +76,6 @@ def _one_draw(b, seed, E, X_hat, panel, factors, basis, design):
     idx = rng.integers(0, E.shape[0], size=E.shape[0])
     panel_star = make_panel(X_hat + E[idx], panel.series_ids)
     return fit_iterative(panel_star, factors, basis, design=design).beta
-
-
-def _outcome(b, **args):
-    """Draw b's coefficients, or the exception that ended it."""
-    try:
-        return _one_draw(b, **args)
-    except Exception as exc:  # noqa: BLE001 - failures are data here
-        return exc
 
 
 def _sorted_quantile(rows: np.ndarray, q: float) -> np.ndarray:
@@ -171,8 +162,10 @@ def residual_bootstrap(
     ParameterError
         If a parameter is out of range, or the panel, the factors or the
         basis is not the fit's, before any draw runs.
-    NumericError
-        If more than 10% of the draws fail.
+    RankDeficiencyError
+        A ``NumericError``: if the fit's design cannot be solved.  Every
+        draw refits that design, so the first draw on each worker raises it
+        and no band is formed.
     """
     if B < 1:
         raise ParameterError(f"need at least one draw, got B={B}")
@@ -187,48 +180,32 @@ def residual_bootstrap(
     X_hat = design.fitted(fit.beta)
     E = panel.values - X_hat
 
-    draw = functools.partial(
-        _outcome, seed=seed, E=E, X_hat=X_hat, panel=panel, factors=factors, basis=basis,
-        design=design,
-    )
     # Curve-major: store[c] holds every draw's coefficients of curve c, one
     # row per draw, so each curve's field comes out of one product with the
     # basis's run rows, the rows loading_rows evaluates.
     N, r, p = fit.beta.shape
     store = np.empty((N * r, B, p))
 
-    def stripe(first: int) -> list[tuple[int, str]]:
-        failed = []
+    def stripe(first: int) -> None:
         for b in range(first, B + 1, n_threads):
-            outcome = draw(b)
-            if isinstance(outcome, Exception):
-                failed.append((b, repr(outcome)))
-            else:
-                store[:, b - 1] = outcome.reshape(N * r, p)
-        return failed
+            beta = _one_draw(b, seed, E, X_hat, panel, factors, basis, design)
+            store[:, b - 1] = beta.reshape(N * r, p)
 
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         tasks = [pool.submit(stripe, first) for first in range(1, min(n_threads, B) + 1)]
-    failed = sorted(f for task in tasks for f in task.result())
-    kept = B - len(failed)
-    if len(failed) > 0.1 * B or kept == 0:
-        raise NumericError(
-            f"{len(failed)} of {B} bootstrap draws failed; first: "
-            f"{failed[0] if failed else 'none'}"
-        )
-    if failed:
-        store = np.delete(store, [b - 1 for b, _ in failed], axis=1)
+    for task in tasks:
+        task.result()
     rows = basis.run_rows
     lo = np.empty((len(rows), N * r))
     hi = np.empty((len(rows), N * r))
-    field = np.empty((len(rows), kept))  # curve c in every draw, reused for each c
+    field = np.empty((len(rows), B))  # curve c in every draw, reused for each c
     for c in range(N * r):
         np.matmul(rows, store[c].T, out=field)
         field.sort(axis=1)
         lo[:, c] = _sorted_quantile(field, (1.0 - level) / 2.0)
         hi[:, c] = _sorted_quantile(field, (1.0 + level) / 2.0)
     return BandSet(level=level, lower_rows=lo.reshape(-1, N, r), upper_rows=hi.reshape(-1, N, r),
-                   run_lengths=basis.run_lengths, B=B, failed=tuple(failed))
+                   run_lengths=basis.run_lengths)
 
 
 def write_bands_csv(bands: BandSet, fit, path) -> None:
@@ -244,10 +221,9 @@ def write_bands_csv(bands: BandSet, fit, path) -> None:
 
 def write_plot_csv(bands: BandSet, fit, series: str, factor: int, path) -> None:
     """Single-curve plot data: t,point,lower,upper, written from the run rows."""
-    try:
-        m = fit.panel.series_ids.index(series)
-    except ValueError:
-        raise ParameterError(f"unknown series {series!r}") from None
+    if series not in fit.panel.series_ids:
+        raise ParameterError(f"unknown series {series!r}")
+    m = fit.panel.series_ids.index(series)
     i = factor - 1
     if not 0 <= i < fit.Lambda_rows.shape[2]:
         raise ParameterError(f"factor index {factor} outside 1..{fit.Lambda_rows.shape[2]}")

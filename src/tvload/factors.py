@@ -178,11 +178,14 @@ class FactorEstimate:
     F: np.ndarray
     eigenvalues: np.ndarray
     method: str
-    r: int
 
     @property
     def T(self) -> int:
         return self.F.shape[0]
+
+    @property
+    def r(self) -> int:
+        return self.F.shape[1]
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -237,7 +240,7 @@ def pca_factors(panel: Panel, r: int) -> FactorEstimate:
             )
         vecs = _fix_signs(Y @ V[:, :r] / np.sqrt(N * T * lead))
     F = math.sqrt(T) * vecs
-    return FactorEstimate(F=F, eigenvalues=w, method="pca", r=r)
+    return FactorEstimate(F=F, eigenvalues=w, method="pca")
 
 
 def restore_level(work: Panel, est: FactorEstimate) -> FactorEstimate:
@@ -322,7 +325,7 @@ def nonstationary_factors(panel: Panel, r: int, k: int = 1) -> FactorEstimate:
         raise ParameterError(f"r={r} outside 1..N={N}")
     w, V = _eigh_descending(generalized_covariance(panel, k))
     F = Y @ _fix_signs(V[:, :r])
-    return FactorEstimate(F=F, eigenvalues=w, method="lag_covariance", r=r)
+    return FactorEstimate(F=F, eigenvalues=w, method="lag_covariance")
 
 
 @dataclass(frozen=True)

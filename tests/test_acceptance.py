@@ -33,8 +33,7 @@ def _line(k, ok, detail):
 
 def _factors(F):
     F = np.asarray(F, dtype=float)
-    return FactorEstimate(F=F, eigenvalues=np.zeros(F.shape[1]), method="pca",
-                          r=F.shape[1])
+    return FactorEstimate(F=F, eigenvalues=np.zeros(F.shape[1]), method="pca")
 
 
 def _noisy_bootstrap_fit(seed, T=64, N=5, r=1, J=3):

@@ -172,7 +172,7 @@ def _fit(beta, rows, Gamma_e, panel, basis):
 
 def _bands(level, lower_rows, upper_rows, basis):
     return BandSet(level=level, lower_rows=lower_rows, upper_rows=upper_rows,
-                   run_lengths=basis.run_lengths, B=10)
+                   run_lengths=basis.run_lengths)
 
 
 def _fixture(T, N, r, seed):

@@ -10,9 +10,9 @@ from numpy.testing import assert_allclose
 import tvload.bootstrap as bt
 import tvload.gls
 from tvload.bootstrap import residual_bootstrap, write_bands_csv, write_plot_csv
-from tvload.errors import NumericError, ParameterError
+from tvload.errors import ParameterError, RankDeficiencyError
 from tvload.factors import FactorEstimate, make_panel
-from tvload.gls import fit_iterative
+from tvload.gls import GlsFit, build_design, fit_iterative
 from tvload.sim import DgpConfig, simulate_dgp
 from tvload.wavelet import evaluate_basis, select_resolution
 
@@ -20,8 +20,7 @@ from reference import loadings_from_coeffs
 
 
 def _true_factor_estimate(F):
-    return FactorEstimate(F=F, eigenvalues=np.zeros(F.shape[1]), method="pca",
-                          r=F.shape[1])
+    return FactorEstimate(F=F, eigenvalues=np.zeros(F.shape[1]), method="pca")
 
 
 def _noisy_fit(seed, T=64, N=5, r=1, J=3, noise=1.0, family="haar"):
@@ -45,11 +44,11 @@ def _draw_panel(panel, fit, fac, seed, b):
     return make_panel(X_hat + E[idx], panel.series_ids)
 
 
-def _reference_bands(panel, fit, fac, basis, B, level, seed, skip=()):
+def _reference_bands(panel, fit, fac, basis, B, level, seed):
     """The per-draw rule, one full refit each: refit every bootstrap panel
     with fit_iterative, stack the loading fields, np.quantile."""
     draws = [fit_iterative(_draw_panel(panel, fit, fac, seed, b), fac, basis).Lambda
-             for b in range(1, B + 1) if b not in skip]
+             for b in range(1, B + 1)]
     stack = np.stack(draws, axis=0)
     return np.quantile(stack, [(1.0 - level) / 2.0, (1.0 + level) / 2.0],
                        axis=0, method="linear")
@@ -136,49 +135,6 @@ def test_fixed_factor_bands_match_the_per_draw_refits(family, T, N, r, J):
     assert np.max(np.abs(bands.upper - hi)) <= tol
 
 
-def test_fixed_factor_bands_leave_out_failed_draws(monkeypatch):
-    panel, fac, basis, fit = _noisy_fit(11)
-    real = bt._one_draw
-
-    def flaky(b, **kwargs):
-        if b in (3, 7):
-            raise RuntimeError("draw exploded")
-        return real(b, **kwargs)
-
-    monkeypatch.setattr(bt, "_one_draw", flaky)
-    bands = residual_bootstrap(panel, fit, fac, basis, B=40, level=0.95, seed=6)
-    assert [b for b, _ in bands.failed] == [3, 7]
-    lo, hi = _reference_bands(panel, fit, fac, basis, B=40, level=0.95, seed=6,
-                              skip=(3, 7))
-    tol = 1e-12 * np.max(np.abs(fit.Lambda))
-    assert np.max(np.abs(bands.lower - lo)) <= tol
-    assert np.max(np.abs(bands.upper - hi)) <= tol
-
-
-def test_refit_bands_leave_out_failed_draws_pooled_or_serial(monkeypatch):
-    # draws 4 and 9 fail inside their fit, whichever thread runs them: on 2
-    # and 3 workers they fall on different stripes
-    panel, fac, basis, fit = _noisy_fit(12, T=64, N=6, r=2)
-    bad = [_draw_panel(panel, fit, fac, 8, b).values for b in (4, 9)]
-    real = bt.fit_iterative
-
-    def flaky(panel_star, *args, **kwargs):
-        if any(np.array_equal(panel_star.values, values) for values in bad):
-            raise RuntimeError("fit exploded")
-        return real(panel_star, *args, **kwargs)
-
-    lo, hi = _reference_bands(panel, fit, fac, basis, B=30, level=0.9, seed=8,
-                              skip=(4, 9))
-    monkeypatch.setattr(bt, "fit_iterative", flaky)
-    tol = 1e-12 * np.max(np.abs(fit.Lambda))
-    for n_threads in (1, 2, 3):
-        bands = residual_bootstrap(panel, fit, fac, basis, B=30, level=0.9, seed=8,
-                                   n_threads=n_threads)
-        assert [b for b, _ in bands.failed] == [4, 9]
-        assert np.max(np.abs(bands.lower - lo)) <= tol
-        assert np.max(np.abs(bands.upper - hi)) <= tol
-
-
 def test_a_draw_makes_its_two_solves_and_builds_no_field(monkeypatch):
     panel, fac, basis, fit = _noisy_fit(14, T=64, N=5, r=2)
     calls = dict.fromkeys(["gls_step", "loading_rows", "fitted_slabs"], 0)
@@ -257,22 +213,28 @@ def test_a_panel_factors_or_basis_not_the_fits_is_rejected():
     assert np.array_equal(copies.lower, ref.lower) and np.array_equal(copies.upper, ref.upper)
 
 
-def test_failed_draws_are_recorded_then_fatal(monkeypatch):
-    panel, fac, basis, fit = _noisy_fit(6)
-    real = bt._one_draw
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_an_unsolvable_design_fails_the_bootstrap_once_per_worker(monkeypatch, n_threads):
+    # every draw refits the one design, so the first draw on each worker meets
+    # its rank deficiency and ends the bootstrap with the design's own error
+    T, N, J, B = 64, 5, 3, 20
+    rng = np.random.default_rng(15)
+    f = rng.normal(size=(T, 1))
+    fac = _true_factor_estimate(np.hstack([f, 2.0 * f]))
+    basis = evaluate_basis("haar", J, T)
+    panel = make_panel(rng.normal(size=(T, N)))
+    fit = GlsFit(rng.normal(size=(N, 2, 2**J)), build_design(fac, basis), panel)
+    reports = []
+    report = tvload.gls._rank_deficiency
 
-    def flaky(b, **kwargs):
-        if b <= 2:
-            raise RuntimeError("draw exploded")
-        return real(b, **kwargs)
+    def counted(*args):
+        reports.append(args)
+        return report(*args)
 
-    monkeypatch.setattr(bt, "_one_draw", flaky)
-    # 2 of 40 failures: tolerated, recorded, excluded
-    bands = residual_bootstrap(panel, fit, fac, basis, B=40, seed=1)
-    assert [b for b, _ in bands.failed] == [1, 2]
-    # 2 of 10 failures: over the 10% budget
-    with pytest.raises(NumericError):
-        residual_bootstrap(panel, fit, fac, basis, B=10, seed=1)
+    monkeypatch.setattr(tvload.gls, "_rank_deficiency", counted)
+    with pytest.raises(RankDeficiencyError, match="factor 2 x cell"):
+        residual_bootstrap(panel, fit, fac, basis, B=B, seed=1, n_threads=n_threads)
+    assert len(reports) == min(n_threads, B)
 
 
 # ---------------------------------------------------------------- artifacts

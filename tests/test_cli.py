@@ -165,6 +165,15 @@ def test_the_readme_flag_table_matches_the_parser():
         assert set(flags) == _options(command), command
 
 
+def test_the_readme_python_quick_start_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"## Quick start \(Python\)\n\n```python\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    assert (tmp_path / "bands.csv").read_text(encoding="utf-8").startswith(
+        "t,series,factor,lower,point,upper,level\n")
+
+
 def test_library_entry_points_take_only_the_pinned_parameters():
     # the penalty grid and the subpanels are constants
     def params(func):

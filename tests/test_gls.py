@@ -36,8 +36,7 @@ from reference import common_component, loadings_from_coeffs
 
 def _factors(F):
     F = np.asarray(F, dtype=float)
-    return FactorEstimate(F=F, eigenvalues=np.zeros(F.shape[1]), method="pca",
-                          r=F.shape[1])
+    return FactorEstimate(F=F, eigenvalues=np.zeros(F.shape[1]), method="pca")
 
 
 def _random_instance(rng, T=32, N=4, r=2, J=3):

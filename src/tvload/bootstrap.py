@@ -11,8 +11,7 @@ isolation.
 
 With the factors fixed every draw is the same linear map of its panel, so
 one design and the inverses it keeps (of each Haar cell's r x r Gram, or of
-d8's Cholesky factor) serve all draws, and a draw costs its fit's two
-solves.  A refitted curve is the basis times its 2^J wavelet coefficients,
+d8's Psi'Psi) serve all draws, and a draw costs its fit's two solves.  A refitted curve is the basis times its 2^J wavelet coefficients,
 so a draw keeps only those coefficients, N*r*2^J values where its loading
 field has T*N*r.  The bands are formed one curve at a time from them, so the
 draws take B*N*r*2^J + T*B values at most, not B*T*N*r.  Every curve is

@@ -18,14 +18,15 @@ solves alone.
 
 A design keeps the factors and the basis, and no fit builds Psi, not even
 to name the columns of a rank-deficient design.  On a Haar basis the fit is
-one r x r regression per dyadic cell; on d8 it is one Cholesky solve of
-Psi'Psi, summed over row slabs of Psi (``DesignBlock``).  The fitted panel
-Psi beta is formed one row slab at a time, and the pass-2 weight and the
-residual covariance E'E / T are summed over the slabs of E = Y - Psi beta,
-so no fit holds a second T x N panel.  A loading field is held once per run
-of the basis, 2^J rows on any Haar grid and T on d8, and the loadings
-artifact is written from those rows without the T x N x r field ever being
-built.
+one r x r regression per dyadic cell; on d8 it is one solve of Psi'Psi,
+summed over row slabs of Psi.  Either way one batched eigendecomposition of
+the Gram blocks decides the rank and factors the design (``DesignBlock``).
+The fitted panel Psi beta is formed one row slab at a time, and the pass-2
+weight and the residual covariance E'E / T are summed over the slabs of
+E = Y - Psi beta, so no fit holds a second T x N panel.  A loading field is
+held once per run of the basis, 2^J rows on any Haar grid and T on d8, and
+the loadings artifact is written from those rows without the T x N x r field
+ever being built.
 """
 
 from __future__ import annotations
@@ -78,18 +79,20 @@ class DesignBlock:
     cells, its runs, and its run rows R satisfy R'R = 2^J I on any grid
     (Mallat 1989, IEEE PAMI).  So Psi = Phi (I_r (x) R), with one column
     F_i * 1{cell k} of Phi per factor and cell, and least squares on Psi is
-    one r x r regression per cell.  One batched eigendecomposition of the
-    S_k = F_k'F_k decides the rank and gives ``gram_condition`` (Psi'Psi has
-    2^J times their eigenvalues) and S_k^-1; a panel then costs the sums
-    W_k = F_k'Y_k, the cell loadings gamma_k = S_k^-1 W_k and
-    beta_i = R'gamma_i / 2^J, one padded chunk of cells at a time.
+    one r x r regression per cell: a panel costs the sums W_k = F_k'Y_k, the
+    cell loadings gamma_k = S_k^-1 W_k with S_k = F_k'F_k, and
+    beta_i = R'gamma_i / 2^J, one padded chunk of cells at a time.  On d8 a
+    panel costs Psi'Y and one product with (Psi'Psi)^-1, Psi'Psi summed over
+    row slabs of Psi of at most ``_GRAM_ROWS`` grid points.  Block i of Psi'Y
+    is B'(F_i * Y) and the fitted panel is sum_i F_i * (B beta_i'), both
+    formed over row slabs of B of at most ``_SLAB_VALUES`` values, so that a
+    slab stays in cache while each factor reads it.
 
-    On d8 the first ``solve`` keeps the inverse Cholesky factor of Psi'Psi,
-    summed over row slabs of Psi of at most ``_GRAM_ROWS`` grid points, so a
-    panel costs Psi'Y and two triangular products.  Block i of Psi'Y is
-    B'(F_i * Y) and the fitted panel is sum_i F_i * (B beta_i'), both formed
-    over row slabs of B of at most ``_SLAB_VALUES`` values, so that a slab
-    stays in cache while each factor reads it.
+    Every design is factored by one batched eigendecomposition of its Gram
+    blocks, the K cell Grams S_k on Haar and Psi'Psi on d8.  It decides the
+    rank (every eigenvalue above lambda_max * P * eps, P = r * 2^J), gives
+    ``gram_condition`` and each block's inverse, and the eigenvectors of the
+    small eigenvalues name the columns of a rank-deficient design.
     """
 
     F: np.ndarray
@@ -160,20 +163,23 @@ class DesignBlock:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     @cached_property
-    def _cell_inverses(self) -> tuple[np.ndarray, float]:
-        """S_k^-1 for every cell, shape (K, r, r), and the condition number of
-        Psi'Psi; the rank counts the eigenvalues of all S_k as the report does."""
-        S = self._by_run(self.F)
-        if not np.isfinite(S).all():
-            raise NumericError("cell Gram matrices F_k'F_k have non-finite entries")
-        w, V = np.linalg.eigh(S)  # (K, r) ascending, (K, r, r)
-        if not (w > w.max() * w.size * np.finfo(float).eps).all():
-            gram = np.zeros((self.r, len(S)) * 2)  # Phi'Phi: block (i, j) is diag(S[:, i, j])
-            gram[:, np.arange(len(S)), :, np.arange(len(S))] = S
-            n = self.basis.run_lengths
-            cells = [f"cell t={e - m + 1}..{e}" for e, m in zip(np.cumsum(n).tolist(), n.tolist())]
-            raise _rank_deficiency(gram.reshape(w.size, w.size),
-                                   [f"factor {i + 1} x {c}" for i in range(self.r) for c in cells])
+    def _factorization(self) -> tuple[np.ndarray, float]:
+        """Every Gram block's inverse and the condition number of Psi'Psi, from
+        one batched eigendecomposition of the blocks (``DesignBlock``)."""
+        gram = self._by_run(self.F) if self._cells else self._gram()[None]
+        if not np.isfinite(gram).all():
+            raise NumericError("design Gram matrix has non-finite entries")
+        w, V = np.linalg.eigh(gram)  # ascending per block
+        del gram  # so that d8's P x P Gram is not held beside V and the inverse
+        small = w <= w.max() * w.size * np.finfo(float).eps
+        if small.any():
+            if self._cells:
+                n = self.basis.run_lengths
+                at = [f"cell t={e - m + 1}..{e}" for e, m in zip(np.cumsum(n).tolist(), n.tolist())]
+            else:
+                at = [f"column (j={j}, k={k})" for j, k in self.basis.column_index]
+            raise _rank_deficiency(small, V, [f"factor {i + 1} x {c}"
+                                              for i in range(self.r) for c in at])
         return (V / w[:, None, :]) @ V.transpose(0, 2, 1), float(w.max() / w.min())
 
     def _slabs(self, height: int):
@@ -203,29 +209,15 @@ class DesignBlock:
                 cross[i] += Bb.T @ (f[:, None] * Y[rows])
         return cross.reshape(-1, Y.shape[1])
 
-    @cached_property
-    def _inverse_factor(self) -> np.ndarray:
-        """The inverse of the Cholesky factor of Psi'Psi (d8)."""
-        gram = self._gram()
-        if not np.isfinite(gram).all():
-            raise NumericError("design Gram matrix Psi'Psi has non-finite entries")
-        try:
-            L = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raise _rank_deficiency(gram, [f"factor {i + 1} x column (j={j}, k={k})"
-                                          for i in range(self.r)
-                                          for j, k in self.basis.column_index])
-        return np.linalg.inv(L)
-
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """Per-series least-squares coefficients of a T x N panel, shape (N, r, 2^J)."""
+        inverse = self._factorization[0]
         if self._cells:
-            gamma = self._cell_inverses[0] @ self._by_run(Y)  # (K, r, N), each cell's loadings
+            gamma = inverse @ self._by_run(Y)  # (K, r, N), each cell's loadings
             R = self.basis.run_rows
             beta = R.T @ gamma.reshape(len(R), -1) / len(R)  # R'R = 2^J I
             return beta.reshape(len(R), self.r, -1).transpose(2, 1, 0)
-        Linv = self._inverse_factor
-        X = Linv.T @ (Linv @ self._cross(Y))  # (r*2^J) x N
+        X = inverse[0] @ self._cross(Y)  # (r*2^J) x N
         return X.T.reshape(Y.shape[1], self.r, self.basis.n_columns)
 
     def fitted_slabs(self, beta: np.ndarray):
@@ -258,12 +250,10 @@ class DesignBlock:
 
     @property
     def gram_condition(self) -> float:
-        """2-norm condition number of Psi'Psi: on Haar that of the cell Grams
-        taken together, on d8 the squared one of its Cholesky factor."""
-        if self._cells:
-            return self._cell_inverses[1]
-        s = np.linalg.svd(self._inverse_factor, compute_uv=False)
-        return float((s[0] / s[-1]) ** 2)
+        """2-norm condition number of Psi'Psi, lambda_max / lambda_min over the
+        eigenvalues of the Gram blocks (on Haar, Psi'Psi has 2^J times those of
+        the cell Grams taken together)."""
+        return self._factorization[1]
 
 
 def build_design(factors: FactorEstimate, basis: WaveletBasis) -> DesignBlock:
@@ -280,16 +270,20 @@ def build_design(factors: FactorEstimate, basis: WaveletBasis) -> DesignBlock:
     return DesignBlock(F=F, basis=basis)
 
 
-def _rank_deficiency(gram: np.ndarray, labels: list[str]) -> RankDeficiencyError:
+def _rank_deficiency(small: np.ndarray, V: np.ndarray, labels: list[str]) -> RankDeficiencyError:
     """The ``RankDeficiencyError`` naming, by ``labels``, the columns that earlier
-    columns reproduce, read off the eigenvectors of their Gram matrix."""
-    w, V = np.linalg.eigh(gram)  # ascending
-    rank = int(np.sum(w > w.max() * len(w) * np.finfo(float).eps))
-    # the eigenvectors past the rank span the null space
-    dropped = _reproduced_columns(V[:, :len(w) - rank].T)
+    columns reproduce, from the eigenvectors ``V`` of the ``small`` eigenvalues
+    of each of the B Gram blocks: row i of block b is column i * B + b, so a
+    Haar cell k's null vectors sit at Phi's columns of cell k, one per factor,
+    and d8's one block is all of Psi."""
+    blocks, n = small.shape
+    block, vector = np.nonzero(small)
+    null = np.zeros((len(block), blocks * n))
+    rows = np.arange(len(block))[:, None]
+    null[rows, np.arange(n) * blocks + block[:, None]] = V[block, :, vector]
     return RankDeficiencyError(
-        f"design matrix is rank deficient (rank {rank} of {len(w)}); "
-        f"offending columns: {', '.join(labels[c] for c in dropped) or 'unknown'}"
+        f"design matrix is rank deficient (rank {small.size - len(block)} of {small.size}); "
+        f"offending columns: {', '.join(labels[c] for c in _reproduced_columns(null))}"
     )
 
 

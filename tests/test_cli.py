@@ -401,8 +401,8 @@ def test_estimate_runs_are_byte_identical(tmp_path, panel_csv):
 
 @pytest.mark.parametrize("family", ["haar", "d8"])
 def test_estimate_reports_the_conditioning_of_the_design(tmp_path, panel_csv, family):
-    # on Haar the condition number comes from the cell Grams, on d8 from the
-    # Cholesky factor of Psi'Psi; both are numpy's of the dense Psi'Psi
+    # the condition number comes from the eigenvalues of the Gram blocks, the
+    # cell Grams on Haar and Psi'Psi on d8; both are numpy's of the dense Psi'Psi
     out = tmp_path / "est"
     assert main(["estimate", "--input", panel_csv, "--output-dir", str(out),
                  "--r", "2", "--family", family]) == 0

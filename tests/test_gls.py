@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import tvload.gls
@@ -210,10 +212,10 @@ def _named_columns(message, d):
     return [labels.index(label) for label in named]
 
 
-def _deficient_design(family, T, case):
+def _deficient_design(family, T, case, seed=3, J=2):
     """A rank-deficient design: a factor twice, a factor zero on the first half
     of the grid, or f - 0.5 g beside f and g; and the generator after it."""
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     f, g = rng.normal(size=(2, T))
     if case == "collinear":
         F = np.column_stack([f, 2.0 * f])
@@ -222,23 +224,34 @@ def _deficient_design(family, T, case):
         F = np.column_stack([f, g])
     else:
         F = np.column_stack([f, g, f - 0.5 * g])
-    return build_design(_factors(F), evaluate_basis(family, 2, T)), rng
+    return build_design(_factors(F), evaluate_basis(family, J, T)), rng
+
+
+def _rank_case(family, T, case, seed=3, J=2):
+    tail = "" if (seed, J) == (3, 2) else f"-seed{seed}-J{J}"
+    return pytest.param(family, T, case, seed, J, id=f"{family}-{T}-{case}{tail}")
 
 
 # a factor that is zero on the first half of the grid leaves a d8 design of
-# full rank: no d8 column is a multiple of another on the second half
-RANK_CASES = [(family, T, case) for family, T in [("haar", 256), ("haar", 250), ("d8", 256)]
+# full rank: no d8 column is a multiple of another on the second half.  The
+# last four d8 designs are exactly singular, yet Psi'Psi, as rounded, has a
+# Cholesky factor
+RANK_CASES = [_rank_case(family, T, case)
+              for family, T in [("haar", 256), ("haar", 250), ("d8", 256)]
               for case in ["collinear", "half-dead", "combination"]
-              if (family, case) != ("d8", "half-dead")]
+              if (family, case) != ("d8", "half-dead")] + [
+    _rank_case("d8", 256, "collinear", 38, 2), _rank_case("d8", 256, "collinear", 38, 3),
+    _rank_case("d8", 256, "combination", 36, 2), _rank_case("d8", 256, "combination", 38, 2)]
 
 
-@pytest.mark.parametrize("family,T,case", RANK_CASES)
-def test_the_named_columns_are_the_ones_the_kept_columns_reproduce(family, T, case):
+@pytest.mark.parametrize("family,T,case,seed,J", RANK_CASES)
+def test_the_named_columns_are_the_ones_the_kept_columns_reproduce(family, T, case, seed, J):
     # where the null space leaves a choice, any named set must leave a
     # full-rank design of the reported rank once dropped: a set of
     # (factor, cell) columns of Phi on Haar, whose span is Psi's, and of
-    # columns of Psi on d8
-    d, rng = _deficient_design(family, T, case)
+    # columns of Psi on d8.  Every case makes its last factor of the others,
+    # so only that factor's columns are named
+    d, rng = _deficient_design(family, T, case, seed, J)
     with pytest.raises(RankDeficiencyError) as err:
         d.solve(rng.normal(size=(T, 2)))
     message = str(err.value)
@@ -247,16 +260,17 @@ def test_the_named_columns_are_the_ones_the_kept_columns_reproduce(family, T, ca
     dropped = _named_columns(message, d)
     kept = np.delete(columns, dropped, axis=1)
     assert len(dropped) == columns.shape[1] - rank
+    assert min(dropped) >= (d.r - 1) * columns.shape[1] // d.r
     assert np.linalg.matrix_rank(kept) == kept.shape[1] == np.linalg.matrix_rank(columns)
     assert np.linalg.matrix_rank(d.Psi) == rank
 
 
-@pytest.mark.parametrize("family,T,case", RANK_CASES)
-def test_the_named_columns_do_not_depend_on_the_null_basis(family, T, case):
+@pytest.mark.parametrize("family,T,case,seed,J", RANK_CASES)
+def test_the_named_columns_do_not_depend_on_the_null_basis(family, T, case, seed, J):
     # the null space through the Gram matrix's eigenvectors (Phi'Phi, the
     # cell Gram, on Haar; Psi'Psi on d8), through the design's singular
     # vectors, and rotated: each names the same columns
-    d, rng = _deficient_design(family, T, case)
+    d, rng = _deficient_design(family, T, case, seed, J)
     columns = _reported_design(d)
     w, V = np.linalg.eigh(columns.T @ columns)
     null = V[:, w < 1e-10 * w.max()].T
@@ -297,7 +311,7 @@ def test_a_combination_of_earlier_factors_names_all_of_its_columns(family, T):
 
 
 def test_a_rank_report_builds_no_psi():
-    # the report reads the cell Gram Phi'Phi, 128 x 128 here, not Psi
+    # the report reads the eigenvectors of the 64 cell Grams, 2 x 2 here, not Psi
     rng = np.random.default_rng(19)
     T, J = 8760, 6
     f = rng.normal(size=T)
@@ -461,7 +475,7 @@ def test_other_designs_solve_without_psi_and_match_lstsq(family, T, J, r):
     d = build_design(_factors(rng.normal(size=(T, r))), basis)
     Y = rng.normal(size=(T, 4))
     Psi = _check_against_the_dense_design(d, Y)
-    if family == "d8":  # the slab sums behind the Cholesky solve
+    if family == "d8":  # the slab sums behind the eigendecomposition and the solve
         for got, ref in ((d._gram(), Psi.T @ Psi), (d._cross(Y), Psi.T @ Y)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -498,7 +512,7 @@ def test_design_solve_matches_lstsq_on_an_ill_conditioned_design(family, T):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_design_is_rejected_before_factorization(monkeypatch, bad):
-    # Haar factors its cell Grams by eigh, d8 its Psi'Psi by Cholesky
+    # eigh factors every design: Haar's cell Grams, d8's Psi'Psi
     rng = np.random.default_rng(13)
     F = rng.normal(size=(16, 2))
     F[3, 1] = bad
@@ -506,13 +520,55 @@ def test_non_finite_design_is_rejected_before_factorization(monkeypatch, bad):
     def factorize(*args, **kwargs):
         raise AssertionError("a non-finite Gram matrix reached the factorization")
 
-    monkeypatch.setattr(np.linalg, "cholesky", factorize)
     monkeypatch.setattr(np.linalg, "eigh", factorize)
     for family in ("haar", "d8"):
         d = build_design(_factors(F), evaluate_basis(family, 2, 16))
         with pytest.raises(NumericError, match="non-finite") as err:
             d.solve(rng.normal(size=(16, 2)))
         assert not isinstance(err.value, RankDeficiencyError)
+
+
+@pytest.mark.parametrize("family,T,J", [("haar", 1024, 5), ("haar", 1000, 5), ("d8", 512, 5)],
+                         ids=["haar-1024", "haar-1000", "d8-512"])
+def test_a_design_is_decomposed_once(monkeypatch, family, T, J):
+    # one eigh of the Gram blocks decides the rank, gives gram_condition and
+    # keeps the inverse every solve reuses, and a rank report reads it too
+    rng = np.random.default_rng(14)
+    basis = evaluate_basis(family, J, T)
+    calls = dict.fromkeys(["eigh", "cholesky", "inv", "svd"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    F = rng.normal(size=(T, 2))
+    d = build_design(_factors(F), basis)
+    d.solve(rng.normal(size=(T, 3)))
+    d.solve(rng.normal(size=(T, 3)))
+    assert d.gram_condition > 1.0
+    assert calls == {"eigh": 1, "cholesky": 0, "inv": 0, "svd": 0}
+    d = build_design(_factors(np.column_stack([F[:, 0], 2.0 * F[:, 0]])), basis)
+    with pytest.raises(RankDeficiencyError, match="factor 2"):
+        d.solve(rng.normal(size=(T, 3)))
+    assert calls == {"eigh": 2, "cholesky": 0, "inv": 0, "svd": 0}
+
+
+# At J = 0 (P = 2 columns) the rule lambda > lambda_max * P * eps lets about 3
+# in 2000 exactly collinear designs through, on either family
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["haar", "d8"]), T=st.integers(64, 512), J=st.integers(1, 3),
+       c=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1), seed=st.integers(0, 2**32 - 1))
+def test_exactly_collinear_factors_always_name_the_second(family, T, J, c, seed):
+    f = np.random.default_rng(seed).normal(size=T)
+    d = build_design(_factors(np.column_stack([f, c * f])), evaluate_basis(family, J, T))
+    with pytest.raises(RankDeficiencyError) as err:
+        d.solve(f[:, None])
+    p = d.basis.n_columns
+    assert _named_columns(str(err.value), d) == list(range(p, 2 * p))
 
 
 def test_gls_validates_gamma():
